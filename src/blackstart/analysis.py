@@ -200,7 +200,7 @@ def _run_scenario(doc_json: str, axis: str, value, backend: str,
         result = solvers.solve(case, backend, solver_command=solver_command,
                                enum_cap=enum_cap)
     except Exception as exc:
-        return SweepRow(value=value, status="error", message=str(exc))
+        return SweepRow(value=value, status="error", message=f"{type(exc).__name__}: {exc}")
     if not result.ok or result.schedule is None:
         return SweepRow(value=value, status=result.status, message=result.message)
     table = gsus_table(result.schedule, case)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .devices import phase_output
 from .grid import GridCase
@@ -59,7 +60,7 @@ class VarRef:
     ub: float
     is_integer: bool
 
-    @property
+    @cached_property
     def name(self) -> str:
         return ".".join((self.kind, self.entity, *(str(t) for t in self.steps)))
 
@@ -117,8 +118,14 @@ class MilpModel:
     def has_var(self, name: str) -> bool:
         return name in self._by_name
 
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
+    def size(self) -> dict[str, int]:
+        """Variable, integer-variable, row and constraint-nonzero counts."""
+        return {
+            "vars": len(self.variables),
+            "int_vars": sum(v.is_integer for v in self.variables),
+            "rows": len(self.constraints),
+            "nnz": sum(len(c.terms) for c in self.constraints),
+        }
 
     def objective_of(self, assignment: dict[str, float]) -> float:
         """Objective value of an assignment (compensated summation)."""
@@ -397,8 +404,10 @@ def encode(case: GridCase) -> MilpModel:
                     _add_term(terms, _n(GEN_START, g_id, t - g.crank_steps), -1.0)
             for f_id in adj.fuel_cells[b.id]:
                 _add_term(terms, _n(FC_START, f_id, t), -1.0)
+            # a battery is a source while its window is open: ws - we
             for bt_id in adj.batteries[b.id]:
                 _add_term(terms, _n(BAT_WS, bt_id, t), -1.0)
+                _add_term(terms, _n(BAT_WE, bt_id, t), 1.0)
             tag = "eq48" if adj.batteries[b.id] else "eq34"
             m.add_constraint(f"{tag}.{b.id}.t{t}", terms, "<=", 0)
 

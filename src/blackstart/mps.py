@@ -11,7 +11,12 @@ A constant objective offset is carried as an RHS entry on the objective
 row with the usual sign convention: objective = c.x - rhs(obj).
 
 The reader parses exactly this dialect; it exists as the inverse of the
-writer for round-trip checks and for out-of-process solver front ends.
+writer for round-trip checks and for out-of-process solver front ends. It
+accumulates each row's terms while reading COLUMNS, so its time is linear in
+the number of entries: duplicate (column, row) entries are summed, sums of
+exactly zero are dropped, each row's terms come out sorted by variable name
+(as ``MilpModel.add_constraint`` stores them), and rows without terms are
+kept.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def import_mps(text: str) -> MilpModel:
     model = MilpModel(name="")
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
-    col_terms: dict[str, dict[str, float]] = {}
+    row_terms: dict[str, dict[str, float]] = {}
     col_integer: dict[str, bool] = {}
     col_order: list[str] = []
     rhs: dict[str, float] = {}
@@ -138,6 +143,7 @@ def import_mps(text: str) -> MilpModel:
             if kind not in _ROW_TO_SENSE:
                 raise MpsParseError(f"line {lineno}: unknown row type {kind}")
             row_sense[name] = _ROW_TO_SENSE[kind]
+            row_terms[name] = {}
             row_order.append(name)
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
@@ -149,8 +155,7 @@ def import_mps(text: str) -> MilpModel:
                     raise MpsParseError(f"line {lineno}: unknown marker {tokens[2]}")
                 continue
             col = tokens[0]
-            if col not in col_terms:
-                col_terms[col] = {}
+            if col not in col_integer:
                 col_integer[col] = in_integer
                 col_order.append(col)
             pairs = tokens[1:]
@@ -159,8 +164,9 @@ def import_mps(text: str) -> MilpModel:
             for row, value in zip(pairs[::2], pairs[1::2]):
                 if row == obj_row:
                     obj_terms[col] = obj_terms.get(col, 0.0) + float(value)
-                elif row in row_sense:
-                    col_terms[col][row] = col_terms[col].get(row, 0.0) + float(value)
+                elif row in row_terms:
+                    terms = row_terms[row]
+                    terms[col] = terms.get(col, 0.0) + float(value)
                 else:
                     raise MpsParseError(f"line {lineno}: unknown row {row}")
         elif section == "RHS":
@@ -207,14 +213,8 @@ def import_mps(text: str) -> MilpModel:
         model.add_var(kind_name, entity, steps, lb, ub, integer)
 
     for name in row_order:
-        terms = {
-            col: col_terms[col][name]
-            for col in col_order
-            if name in col_terms[col] and col_terms[col][name] != 0.0
-        }
-        model.constraints.append(
-            Constraint(name, tuple(sorted(terms.items())), row_sense[name], rhs.get(name, 0.0))
-        )
+        terms = tuple(sorted((col, coef) for col, coef in row_terms[name].items() if coef != 0.0))
+        model.constraints.append(Constraint(name, terms, row_sense[name], rhs.get(name, 0.0)))
     model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
     return model
 

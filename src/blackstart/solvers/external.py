@@ -17,6 +17,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..grid import GridCase
@@ -77,61 +79,83 @@ def solve_external(
     timeout_s: float = 600.0,
     workdir: str | Path | None = None,
 ) -> SolveResult:
-    """Encode, export, run the solver command, import, decode, validate."""
-    t0 = time.monotonic()
-    model = model if model is not None else encode(case)
+    """Encode, export, run the solver command, import, decode, validate.
+
+    ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
+    stage reached: encode, export, solver, import_solution, decode,
+    validate) and ``model`` (vars, int_vars, rows, nnz).
+    """
+    t0 = time.perf_counter()
+    stages: dict[str, float] = {}
+    stats: dict = {"stages": stages}
+
+    def finish(status: str, **fields) -> SolveResult:
+        stats["wall_time_s"] = time.perf_counter() - t0
+        return SolveResult(status=status, stats=stats, **fields)
+
+    with _stage(stages, "encode"):
+        model = model if model is not None else encode(case)
+    stats["model"] = model.size()
     template = resolve_solver_command(command)
 
     with tempfile.TemporaryDirectory(dir=workdir, prefix="blackstart-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
-        write_mps(model, mps_path)
+        with _stage(stages, "export"):
+            write_mps(model, mps_path)
         argv = [
             part.format(mps=str(mps_path), sol=str(sol_path))
             for part in shlex.split(template)
         ]
+        stats["solver_command"] = " ".join(argv)
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout_s,
-            )
+            with _stage(stages, "solver"):
+                proc = subprocess.run(
+                    argv, capture_output=True, text=True, timeout=timeout_s,
+                )
         except (OSError, subprocess.TimeoutExpired) as exc:
-            return SolveResult(status=ERROR, message=f"solver process failed: {exc}",
-                               stats={"wall_time_s": time.monotonic() - t0})
-        stats = {
-            "wall_time_s": time.monotonic() - t0,
-            "solver_command": " ".join(argv),
-            "returncode": proc.returncode,
-        }
+            return finish(ERROR, message=f"solver process failed: {exc}")
+        stats["returncode"] = proc.returncode
         if proc.returncode != 0:
-            return SolveResult(
-                status=ERROR, stats=stats,
-                message=f"solver exited {proc.returncode}: {proc.stderr.strip()[:2000]}",
+            return finish(
+                ERROR, message=f"solver exited {proc.returncode}: {proc.stderr.strip()[:2000]}",
             )
         if not sol_path.exists():
-            return SolveResult(status=ERROR, stats=stats,
-                               message="solver wrote no solution file")
+            return finish(ERROR, message="solver wrote no solution file")
         try:
-            assignment = import_solution(model, sol_path.read_text())
+            with _stage(stages, "import_solution"):
+                assignment = import_solution(model, sol_path.read_text())
         except SolutionFormatError as exc:
-            return SolveResult(status=ERROR, stats=stats,
-                               message=f"bad solution document: {exc}")
+            return finish(ERROR, message=f"bad solution document: {exc}")
 
     if assignment is None:
-        return SolveResult(status=INFEASIBLE, stats=stats)
+        return finish(INFEASIBLE)
     try:
-        schedule: Schedule = decode(model, assignment, case)
+        with _stage(stages, "decode"):
+            schedule: Schedule = decode(model, assignment, case)
     except DecodeError as exc:
-        return SolveResult(status=ERROR, assignment=assignment, stats=stats,
-                           message=f"solution does not decode: {exc}")
-    report = validate(case, schedule)
+        return finish(ERROR, assignment=assignment,
+                      message=f"solution does not decode: {exc}")
+    with _stage(stages, "validate"):
+        report = validate(case, schedule)
     objective = model.objective_of(assignment)
     if not report.passed:
-        return SolveResult(
-            status=ERROR, assignment=assignment, objective=objective,
-            stats=stats, schedule=schedule, validation=report,
+        return finish(
+            ERROR, assignment=assignment, objective=objective,
+            schedule=schedule, validation=report,
             message=f"solution fails validation with {len(report.violations)} violation(s)",
         )
-    return SolveResult(
-        status=OPTIMAL, assignment=assignment, objective=objective,
-        stats=stats, schedule=schedule, validation=report,
+    return finish(
+        OPTIMAL, assignment=assignment, objective=objective,
+        schedule=schedule, validation=report,
     )
+
+
+@contextmanager
+def _stage(stages: dict[str, float], name: str) -> Iterator[None]:
+    """Record the seconds spent in the block under ``stages[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - start

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,17 @@ from blackstart import load_case, solve_enumeration, solve_external
 from blackstart.cases import bundled_case_path
 
 TOY_NAMES = ["toy_t5", "toy_path3", "toy_fc", "toy_bt", "toy_bt_tight"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def solver_children_import_this_checkout():
+    """pytest's ``pythonpath`` setting reaches only this process; solver
+    children run ``python -m blackstart...`` and need the same package."""
+    with pytest.MonkeyPatch.context() as mp:
+        paths = [str(SRC), os.environ.get("PYTHONPATH")]
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 def load_bundled(name):

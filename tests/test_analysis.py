@@ -162,6 +162,15 @@ def test_sweep_records_scenario_failures_and_continues(toy_cases):
     assert "error" in csv
 
 
+def test_sweep_error_row_keeps_the_exception_type(toy_cases):
+    spec = SweepSpec(case=toy_cases["toy_fc"], axis="resource_location",
+                     values=[["nowhere"]], backend="enum")
+    row = sweep(spec).rows[0]
+    assert row.status == "error"
+    assert row.message.startswith("CaseError: ")
+    assert "nowhere" in row.message
+
+
 def test_sweep_parallel_matches_serial(toy_cases):
     spec = SweepSpec(case=toy_cases["toy_t5"], axis="fc_capacity",
                      values=[10, 20, 30], backend="enum")

@@ -24,6 +24,17 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert summary["status"] == "optimal"
 
 
+def test_run_summary_carries_solver_stats(tmp_path, capsys):
+    rc = main(["run", "--case", case_arg("toy_t5"), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert set(stats["stages"]) == {
+        "encode", "export", "solver", "import_solution", "decode", "validate",
+    }
+    assert sum(stats["stages"].values()) <= stats["wall_time_s"]
+    assert set(stats["model"]) == {"vars", "int_vars", "rows", "nnz"}
+
+
 def test_run_load_error_exit_code(tmp_path):
     bad = doc_variant(bundled_document("toy_path3"), **{"generators.0.black_start": False})
     path = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
 import shlex
 import stat
 import sys
+from pathlib import Path
 
 import pytest
 
-from blackstart import encode
+from blackstart import encode, load_case, solve_enumeration
 from blackstart.solvers import (
     ENV_SOLVER_CMD,
     default_solver_command,
@@ -13,6 +14,9 @@ from blackstart.solvers import (
     solve_external,
 )
 from blackstart.solvers.external import SolutionFormatError
+
+DATA = Path(__file__).parent / "data"
+STAGES = {"encode", "export", "solver", "import_solution", "decode", "validate"}
 
 
 def write_solution_text(model, assignment):
@@ -56,6 +60,7 @@ def test_nonzero_exit_is_error(known_good, tmp_path):
     result = solve_external(case, command=cmd)
     assert result.status == "error"
     assert "7" in result.message
+    assert set(result.stats["stages"]) == {"encode", "export", "solver"}
 
 
 def test_infeasible_sentinel(known_good, tmp_path):
@@ -147,3 +152,32 @@ def test_real_backend_matches_enumeration(toy_cases, toy_enum, toy_external):
         rel = abs(enum.objective - ext.objective) / (1 + abs(enum.objective))
         assert rel <= 1e-6, name
         assert ext.validation.passed
+
+
+def test_stats_carry_stage_timings_and_model_size(toy_cases, toy_external):
+    model = encode(toy_cases["toy_fc"])
+    stats = toy_external["toy_fc"].stats
+    assert set(stats["stages"]) == STAGES
+    assert all(seconds >= 0 for seconds in stats["stages"].values())
+    assert sum(stats["stages"].values()) <= stats["wall_time_s"]
+    assert stats["model"] == {
+        "vars": len(model.variables),
+        "int_vars": sum(v.is_integer for v in model.variables),
+        "rows": len(model.constraints),
+        "nnz": sum(len(c.terms) for c in model.constraints),
+    }
+
+
+def test_battery_window_closed_at_its_opening_step_is_no_source():
+    """A window that opens and closes at one step must not energize the battery's bus.
+
+    On this generated case (``perfbench/toycases.generate(9, 2)[1]``) the
+    MILP once chose exactly that schedule, which validation rejects; the
+    oracle's optimum does without it.
+    """
+    case = load_case(DATA / "generated_bt_window.json")
+    oracle = solve_enumeration(case)
+    result = solve_external(case)
+    assert oracle.status == "optimal"
+    assert result.status == "optimal", result.message
+    assert result.objective == pytest.approx(oracle.objective, rel=1e-6)

@@ -19,7 +19,7 @@ def test_empty_model_round_trip():
     assert "ROWS" in text and "ENDATA" in text
 
 
-@pytest.mark.parametrize("name", TOY_NAMES + ["ieee39_nores", "ieee39_fc50"])
+@pytest.mark.parametrize("name", TOY_NAMES + ["ieee39_nores", "ieee39_fc50", "ieee39_bt50"])
 def test_round_trip_structural_identity(name):
     model = encode(load_bundled(name))
     back = import_mps(export_mps(model))
@@ -76,6 +76,47 @@ def test_file_round_trip(tmp_path, toy_cases):
     path = tmp_path / "m.mps"
     write_mps(model, path)
     assert models_structurally_equal(model, read_mps(path))
+
+
+def _columns_text(*entries):
+    """Two-row, two-column model whose COLUMNS section lists ``entries``."""
+    lines = ["NAME dup", "ROWS", " N obj", " L r1", " G r2", "COLUMNS"]
+    lines += [f"    {col} {row} {value}" for col, row, value in entries]
+    lines += ["RHS", "    rhs r1 4.0", "ENDATA"]
+    return "\n".join(lines) + "\n"
+
+
+def test_duplicate_entries_are_summed():
+    model = import_mps(_columns_text(
+        ("y.a.1", "r1", "1.5"), ("x.a.1", "r1", "2.0"), ("y.a.1", "r1", "0.25"),
+        ("x.a.1", "obj", "1.0"), ("x.a.1", "obj", "2.0"),
+    ))
+    assert model.constraints[0].terms == (("x.a.1", 2.0), ("y.a.1", 1.75))
+    assert model.constraints[0].rhs == 4.0
+    assert model.objective == {"x.a.1": 3.0}
+
+
+def test_entries_summing_to_zero_are_dropped():
+    model = import_mps(_columns_text(
+        ("x.a.1", "r1", "2.0"), ("x.a.1", "r1", "-2.0"), ("y.a.1", "r1", "1.0"),
+        ("x.a.1", "obj", "1.0"), ("x.a.1", "obj", "-1.0"),
+    ))
+    assert model.constraints[0].terms == (("y.a.1", 1.0),)
+    assert model.objective == {}
+
+
+def test_row_without_terms_round_trips():
+    model = MilpModel(name="empty_row")
+    model.add_var("x", "a", (1,), 0, 1, True)
+    model.add_constraint("r1", {"x.a.1": 1.0}, "<=", 1)
+    model.add_constraint("r2", {}, ">=", -3.0)
+    back = import_mps(export_mps(model))
+    assert [(c.name, c.terms, c.sense, c.rhs) for c in back.constraints] == [
+        ("r1", (("x.a.1", 1.0),), "<=", 1), ("r2", (), ">=", -3.0),
+    ]
+    assert models_structurally_equal(model, back)
+    back = import_mps(_columns_text(("x.a.1", "r1", "1.0")))
+    assert back.constraints[1].name == "r2" and back.constraints[1].terms == ()
 
 
 def test_unknown_row_rejected():
