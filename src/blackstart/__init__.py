@@ -1,9 +1,9 @@
 """Black-start generator startup sequencing with fuel cells and batteries.
 
 Workflow: load a case document, encode it as a time-expanded MILP, solve
-it with the enumeration oracle or an external MILP solver exchanged over
-MPS/solution files, and verify any resulting schedule against the device
-semantics with the independent validator.
+it with the enumeration oracle, the bundled HiGHS in a forked worker, or a
+solver command exchanging MPS/solution files, and verify any resulting
+schedule against the device semantics with the independent validator.
 """
 
 from .caseio import case_to_document, dumps_case, load_case

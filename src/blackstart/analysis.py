@@ -11,6 +11,7 @@ columns are the axis values.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +113,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
+        if self.workers < 1:
+            raise ValueError(f"sweep needs at least one worker, got {self.workers}")
         if self.axis == "fc_capacity" and not self.case.fuel_cells:
             raise ValueError("fc_capacity sweep needs at least one fuel cell in the case")
         if self.axis in ("battery_capacity", "battery_soc") and not self.case.batteries:
@@ -214,22 +217,25 @@ def _run_scenario(doc_json: str, axis: str, value, backend: str,
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Solve one scenario per axis value; failures land in the row, not raised."""
-    doc_json = json.dumps(case_to_document(spec.case))
-    args = [
-        (doc_json, spec.axis, v, spec.backend, spec.solver_command, spec.enum_cap)
-        for v in spec.values
-    ]
-    if spec.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_run_scenario_star, args))
-    else:
-        rows = [_run_scenario(*a) for a in args]
+    """Solve one scenario per axis value on a pool of ``spec.workers``
+    processes; failures land in the row, not raised."""
+    scenario = functools.partial(
+        _run_scenario, json.dumps(case_to_document(spec.case)), spec.axis,
+        backend=spec.backend, solver_command=spec.solver_command, enum_cap=spec.enum_cap,
+    )
+    forks_highs = (spec.backend == "external"
+                   and solvers.resolve_solver_command(spec.solver_command) is None)
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=spec.workers, initializer=_import_solver if forks_highs else None,
+    ) as pool:
+        rows = list(pool.map(scenario, spec.values))
     return SweepResult(axis=spec.axis, rows=rows)
 
 
-def _run_scenario_star(args: tuple) -> SweepRow:
-    return _run_scenario(*args)
+def _import_solver() -> None:
+    """Pool initializer for sweeps on the forked HiGHS worker: import scipy
+    once per pool worker, not in every solver child that worker forks."""
+    from .solvers import highs_cli  # noqa: F401
 
 
 def _cell(minutes: float | None) -> str:

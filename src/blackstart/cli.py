@@ -37,8 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", required=True, help="case document path")
         p.add_argument("--backend", choices=solvers.BACKENDS, default="external")
         p.add_argument("--solver-cmd", default=None,
-                       help="external solver template with {mps} and {sol} placeholders "
-                            f"(default: ${solvers.ENV_SOLVER_CMD} or the bundled solver)")
+                       help="solver command template with {mps} and {sol} placeholders, "
+                            "run on an MPS file (default: "
+                            f"${solvers.ENV_SOLVER_CMD}, else the bundled HiGHS "
+                            "in a forked worker, with no files)")
         p.add_argument("--enum-cap", type=int, default=solvers.DEFAULT_COMBINATION_CAP)
         p.add_argument("--out-dir", default="out", help="artifact directory")
 

@@ -1,4 +1,4 @@
-"""Solve backends: exhaustive enumeration and file-exchange external solvers."""
+"""Solve backends: exhaustive enumeration, and HiGHS in a forked worker or a solver command."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .enumeration import (
 )
 from .external import (
     ENV_SOLVER_CMD,
-    default_solver_command,
     import_solution,
     resolve_solver_command,
     solve_external,
@@ -42,7 +41,6 @@ __all__ = [
     "INFEASIBLE",
     "OPTIMAL",
     "SolveResult",
-    "default_solver_command",
     "energization_closure",
     "import_solution",
     "resolve_solver_command",

@@ -1,12 +1,19 @@
-"""Solve a model through an external MILP solver exchanged via files.
+"""Solve a model with HiGHS in a forked worker, or with a configured solver command.
 
-The solver is a command template containing ``{mps}`` and ``{sol}``
-placeholders, configured explicitly, via the BLACKSTART_SOLVER_CMD
-environment variable, or defaulting to the bundled HiGHS front end run as
-a child process. The solution document is whitespace-separated
-``name value`` lines; ``#`` starts a comment, unknown names are an error,
-missing variables default to 0, and a single ``=infeasible=`` line marks
-a proven-infeasible model.
+By default (no command given and BLACKSTART_SOLVER_CMD unset) the bundled
+HiGHS front end, ``highs_cli.solve_model``, runs on the model's arrays in a
+child forked from this process (POSIX ``fork``): no files, no second
+interpreter, and scipy is imported only in the child. As with any ``fork``,
+the calling process should not be running other threads while it solves.
+
+A configured command is a template containing ``{mps}`` and ``{sol}``
+placeholders; the model goes out as an MPS file and the solution comes back
+as a document of whitespace-separated ``name value`` lines, where ``#``
+starts a comment, unknown names are an error, missing variables default to
+0, and a single ``=infeasible=`` line marks a proven-infeasible model.
+
+Either way the values are never trusted: they are decoded, re-simulated
+and validated in this process before a schedule is reported.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
-import sys
 import tempfile
 import time
 from collections.abc import Iterator
@@ -30,15 +36,14 @@ from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
 INFEASIBLE_SENTINEL = "=infeasible="
+# How long past ``timeout_s`` a forked worker may take (to import scipy and
+# to stop HiGHS at its time limit) before it is killed.
+WORKER_GRACE_S = 2.0
 
 
-def default_solver_command() -> str:
-    """Bundled out-of-process solver (HiGHS via scipy)."""
-    return f"{shlex.quote(sys.executable)} -m blackstart.solvers.highs_cli {{mps}} {{sol}}"
-
-
-def resolve_solver_command(command: str | None = None) -> str:
-    return command or os.environ.get(ENV_SOLVER_CMD) or default_solver_command()
+def resolve_solver_command(command: str | None = None) -> str | None:
+    """The configured solver command template, or None for the forked HiGHS worker."""
+    return command or os.environ.get(ENV_SOLVER_CMD) or None
 
 
 class SolutionFormatError(ValueError):
@@ -79,11 +84,14 @@ def solve_external(
     timeout_s: float = 600.0,
     workdir: str | Path | None = None,
 ) -> SolveResult:
-    """Encode, export, run the solver command, import, decode, validate.
+    """Encode, solve (forked HiGHS worker or solver command), decode, validate.
 
     ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
-    stage reached: encode, export, solver, import_solution, decode,
-    validate) and ``model`` (vars, int_vars, rows, nnz).
+    stage reached: encode, solver, decode, validate, and for a solver
+    command also export and import_solution) and ``model`` (vars, int_vars,
+    rows, nnz). The forked worker adds ``highs`` (status, message,
+    objective, mip_node_count, mip_gap, mip_dual_bound); a solver command
+    adds ``solver_command`` and ``returncode``.
     """
     t0 = time.perf_counter()
     stages: dict[str, float] = {}
@@ -97,36 +105,14 @@ def solve_external(
         model = model if model is not None else encode(case)
     stats["model"] = model.size()
     template = resolve_solver_command(command)
-
-    with tempfile.TemporaryDirectory(dir=workdir, prefix="blackstart-") as tmp:
-        mps_path = Path(tmp) / "model.mps"
-        sol_path = Path(tmp) / "model.sol"
-        with _stage(stages, "export"):
-            write_mps(model, mps_path)
-        argv = [
-            part.format(mps=str(mps_path), sol=str(sol_path))
-            for part in shlex.split(template)
-        ]
-        stats["solver_command"] = " ".join(argv)
-        try:
+    try:
+        if template is None:
             with _stage(stages, "solver"):
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=timeout_s,
-                )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            return finish(ERROR, message=f"solver process failed: {exc}")
-        stats["returncode"] = proc.returncode
-        if proc.returncode != 0:
-            return finish(
-                ERROR, message=f"solver exited {proc.returncode}: {proc.stderr.strip()[:2000]}",
-            )
-        if not sol_path.exists():
-            return finish(ERROR, message="solver wrote no solution file")
-        try:
-            with _stage(stages, "import_solution"):
-                assignment = import_solution(model, sol_path.read_text())
-        except SolutionFormatError as exc:
-            return finish(ERROR, message=f"bad solution document: {exc}")
+                assignment = _solve_forked(model, timeout_s, stats)
+        else:
+            assignment = _solve_with_command(model, template, timeout_s, workdir, stats)
+    except _SolverFailed as exc:
+        return finish(ERROR, message=str(exc))
 
     if assignment is None:
         return finish(INFEASIBLE)
@@ -149,6 +135,111 @@ def solve_external(
         OPTIMAL, assignment=assignment, objective=objective,
         schedule=schedule, validation=report,
     )
+
+
+class _SolverFailed(Exception):
+    """The solver gave no usable answer; the message says why."""
+
+
+def _solve_forked(model: MilpModel, timeout_s: float, stats: dict) -> dict[str, float] | None:
+    """Solve with ``highs_cli.solve_model`` in a forked child.
+
+    Returns the assignment, or None for a proven-infeasible model. The child
+    gets the model through ``fork``, not a pipe, and sends back only the
+    status, the values and HiGHS's info. It is always joined, so its
+    resource usage counts as this process's children's.
+    """
+    import multiprocessing  # here, not at the top: it costs `import blackstart` ~15 ms
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_worker, args=(sender, model, timeout_s),
+                         name="blackstart-highs")
+    reply = None
+    try:
+        try:
+            worker.start()
+        except OSError as exc:
+            raise _SolverFailed(f"solver worker did not start: {exc}") from exc
+        sender.close()  # so that a dead worker reads as EOF here
+        if receiver.poll(timeout_s + WORKER_GRACE_S):
+            reply = receiver.recv()
+        else:
+            worker.kill()
+            raise _SolverFailed(f"solver worker timed out after {timeout_s:g} s")
+    except EOFError:
+        pass  # the worker died before replying; its exit code says why
+    finally:
+        sender.close()
+        receiver.close()
+        if worker.pid is not None:
+            worker.join(WORKER_GRACE_S)
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
+    if reply is None or worker.exitcode != 0:
+        raise _SolverFailed(f"solver worker exited with code {worker.exitcode}"
+                            + (" before replying" if reply is None else ""))
+
+    status, x, info = reply
+    stats["highs"] = info
+    if status == INFEASIBLE:
+        return None
+    if status != OPTIMAL:
+        raise _SolverFailed(f"no optimum from the solver worker: {info.get('message')}")
+    if x is None or len(x) != len(model.variables):
+        raise _SolverFailed(f"solver worker returned {'no' if x is None else len(x)} values "
+                            f"for {len(model.variables)} variables")
+    return {v.name: value for v, value in zip(model.variables, x)}
+
+
+def _worker(sender, model: MilpModel, timeout_s: float) -> None:
+    """Forked child of ``_solve_forked``: solve, send ``(status, x, info)``."""
+    try:
+        from . import highs_cli
+
+        status, x, info = highs_cli.solve_model(model, time_limit=timeout_s)
+        reply = (status, None if x is None else [float(v) for v in x], info)
+    except Exception as exc:  # reported by the parent as the solve's cause
+        reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})
+    sender.send(reply)
+
+
+def _solve_with_command(model: MilpModel, template: str, timeout_s: float,
+                        workdir: str | Path | None, stats: dict) -> dict[str, float] | None:
+    """Export MPS, run the command, import its solution document.
+
+    Returns the assignment, or None when the document says infeasible.
+    """
+    stages = stats["stages"]
+    with tempfile.TemporaryDirectory(dir=workdir, prefix="blackstart-") as tmp:
+        mps_path = Path(tmp) / "model.mps"
+        sol_path = Path(tmp) / "model.sol"
+        with _stage(stages, "export"):
+            write_mps(model, mps_path)
+        argv = [
+            part.format(mps=str(mps_path), sol=str(sol_path))
+            for part in shlex.split(template)
+        ]
+        stats["solver_command"] = " ".join(argv)
+        try:
+            with _stage(stages, "solver"):
+                proc = subprocess.run(
+                    argv, capture_output=True, text=True, timeout=timeout_s,
+                )
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise _SolverFailed(f"solver process failed: {exc}") from exc
+        stats["returncode"] = proc.returncode
+        if proc.returncode != 0:
+            raise _SolverFailed(
+                f"solver exited {proc.returncode}: {proc.stderr.strip()[:2000]}")
+        if not sol_path.exists():
+            raise _SolverFailed("solver wrote no solution file")
+        try:
+            with _stage(stages, "import_solution"):
+                return import_solution(model, sol_path.read_text())
+        except SolutionFormatError as exc:
+            raise _SolverFailed(f"bad solution document: {exc}") from exc
 
 
 @contextmanager

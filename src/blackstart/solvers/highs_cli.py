@@ -1,11 +1,16 @@
-"""Out-of-process MILP front end: read an MPS file, solve, write a solution.
+"""The bundled MILP front end: HiGHS through scipy, on a model or an MPS file.
 
-Usage: python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol
+``solve_model`` builds HiGHS's arrays straight from a ``MilpModel`` and
+solves at zero relative gap; ``solve_external`` calls it in a forked worker
+when no solver command is configured. Importing this module imports scipy,
+so callers that must stay lean import it only where they solve.
 
-Solves with HiGHS through scipy at zero relative gap. Writes ``name value``
-lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
-model, and exits nonzero on anything else, which is exactly the contract
-solve_external expects of any external solver.
+As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
+``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
+MPS file, solves it with ``solve_model``, and writes ``name value`` lines on
+optimality, the ``=infeasible=`` sentinel for a proven-infeasible model, and
+exits nonzero on anything else, which is exactly the contract
+``solve_external`` expects of a configured solver command.
 """
 
 from __future__ import annotations
@@ -17,11 +22,26 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from ..milp import MilpModel
 from ..mps import read_mps
+from .result import ERROR, INFEASIBLE, OPTIMAL
+
+# scipy.optimize.milp's status codes that have a meaning of their own here.
+_HIGHS_OPTIMAL = 0
+_HIGHS_INFEASIBLE = 2
 
 
-def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
-    model = read_mps(mps_path)
+def solve_model(model: MilpModel, time_limit: float | None = None
+                ) -> tuple[str, np.ndarray | None, dict]:
+    """Solve ``model`` with HiGHS; returns ``(status, x, info)``.
+
+    ``status`` is OPTIMAL (``x`` holds one value per model variable, in
+    ``model.variables`` order), INFEASIBLE or ERROR (``x`` is None).
+    ``info`` holds HiGHS's ``status`` code and ``message``, the
+    ``objective``, and the MIP's ``mip_node_count``, ``mip_gap`` and
+    ``mip_dual_bound``; the objective and the bound include the model's
+    constant, and a value HiGHS did not report is None.
+    """
     n = len(model.variables)
     index = {v.name: i for i, v in enumerate(model.variables)}
 
@@ -56,23 +76,48 @@ def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
         a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
         constraints = [LinearConstraint(a, np.array(con_lb), np.array(con_ub))]
 
+    options = {"mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
     res = milp(
         c=c,
         constraints=constraints,
         integrality=integrality,
         bounds=bounds,
-        options={"mip_rel_gap": 0.0},
+        options=options,
     )
 
-    if res.status == 2:  # proven infeasible
+    info = {
+        "status": int(res.status),
+        "message": str(res.message),
+        "objective": _plus(res.fun, model.objective_constant),
+        "mip_node_count": None if res.get("mip_node_count") is None else int(res.mip_node_count),
+        "mip_gap": None if res.get("mip_gap") is None else float(res.mip_gap),
+        "mip_dual_bound": _plus(res.get("mip_dual_bound"), model.objective_constant),
+    }
+    if res.status == _HIGHS_INFEASIBLE:
+        return INFEASIBLE, None, info
+    if res.status != _HIGHS_OPTIMAL or res.x is None:
+        return ERROR, None, info
+    return OPTIMAL, res.x, info
+
+
+def _plus(value, constant: float) -> float | None:
+    return None if value is None else float(value) + constant
+
+
+def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
+    model = read_mps(mps_path)
+    status, x, info = solve_model(model)
+    if status == INFEASIBLE:
         Path(sol_path).write_text("=infeasible=\n")
         return 0
-    if res.status != 0 or res.x is None:
-        print(f"solve failed: status={res.status} {res.message}", file=sys.stderr)
+    if status != OPTIMAL:
+        print(f"solve failed: status={info['status']} {info['message']}", file=sys.stderr)
         return 1
     lines = [
-        f"# objective {float(res.fun) + model.objective_constant!r}",
-        *(f"{v.name} {float(res.x[i])!r}" for i, v in enumerate(model.variables)),
+        f"# objective {info['objective']!r}",
+        *(f"{v.name} {float(x[i])!r}" for i, v in enumerate(model.variables)),
     ]
     Path(sol_path).write_text("\n".join(lines) + "\n")
     return 0

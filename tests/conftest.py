@@ -14,8 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(scope="session", autouse=True)
 def solver_children_import_this_checkout():
-    """pytest's ``pythonpath`` setting reaches only this process; solver
-    children run ``python -m blackstart...`` and need the same package."""
+    """pytest's ``pythonpath`` setting reaches only this process; stub solver
+    commands run as fresh interpreters, and some import ``blackstart.mps``."""
     with pytest.MonkeyPatch.context() as mp:
         paths = [str(SRC), os.environ.get("PYTHONPATH")]
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))

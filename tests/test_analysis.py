@@ -141,6 +141,8 @@ def test_sweep_spec_validation(toy_cases):
         SweepSpec(case=toy_cases["toy_t5"], axis="battery_soc", values=[0.5])
     with pytest.raises(ValueError, match="one bus per"):
         SweepSpec(case=toy_cases["toy_t5"], axis="resource_location", values=[["b1", "b2"]])
+    with pytest.raises(ValueError, match="worker"):
+        SweepSpec(case=toy_cases["toy_t5"], axis="fc_capacity", values=[10], workers=0)
 
 
 def test_sweep_on_toy_is_deterministic(toy_cases):
@@ -178,6 +180,15 @@ def test_sweep_parallel_matches_serial(toy_cases):
     spec.workers = 3
     parallel = sweep(spec).to_csv()
     assert serial == parallel
+
+
+def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
+    spec = SweepSpec(case=toy_cases["toy_fc"], axis="fc_capacity", values=[10, 30])
+    one = sweep(spec)
+    spec.workers = 2
+    two = sweep(spec)
+    assert [row.status for row in one.rows] == ["optimal", "optimal"]
+    assert one.to_csv() == two.to_csv()
 
 
 def test_location_sweep_changes_the_sequence():

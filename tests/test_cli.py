@@ -28,11 +28,11 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     rc = main(["run", "--case", case_arg("toy_t5"), "--out-dir", str(tmp_path)])
     assert rc == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
-    assert set(stats["stages"]) == {
-        "encode", "export", "solver", "import_solution", "decode", "validate",
-    }
+    assert set(stats["stages"]) == {"encode", "solver", "decode", "validate"}
     assert sum(stats["stages"].values()) <= stats["wall_time_s"]
     assert set(stats["model"]) == {"vars", "int_vars", "rows", "nnz"}
+    assert stats["highs"]["status"] == 0
+    assert stats["highs"]["mip_gap"] == 0
 
 
 def test_run_load_error_exit_code(tmp_path):

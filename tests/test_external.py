@@ -1,6 +1,9 @@
+import os
 import shlex
 import stat
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from blackstart import encode, load_case, solve_enumeration
 from blackstart.solvers import (
     ENV_SOLVER_CMD,
-    default_solver_command,
+    highs_cli,
     import_solution,
     resolve_solver_command,
     solve_external,
@@ -16,7 +19,9 @@ from blackstart.solvers import (
 from blackstart.solvers.external import SolutionFormatError
 
 DATA = Path(__file__).parent / "data"
-STAGES = {"encode", "export", "solver", "import_solution", "decode", "validate"}
+SRC = Path(__file__).resolve().parent.parent / "src"
+FORKED_STAGES = {"encode", "solver", "decode", "validate"}
+COMMAND_STAGES = {"encode", "export", "solver", "import_solution", "decode", "validate"}
 
 
 def write_solution_text(model, assignment):
@@ -41,13 +46,16 @@ def known_good(toy_cases, toy_enum, tmp_path):
     return case, model, assignment, sol
 
 
-def test_stub_solver_copies_known_good_solution(known_good, tmp_path):
-    case, model, assignment, sol = known_good
-    cmd = stub_command(
+def copy_stub(tmp_path, sol):
+    return stub_command(
         tmp_path, "copy_stub.py",
         "import shutil, sys\nshutil.copy(%r, sys.argv[2])\n" % str(sol),
     )
-    result = solve_external(case, command=cmd)
+
+
+def test_stub_solver_copies_known_good_solution(known_good, tmp_path):
+    case, model, assignment, sol = known_good
+    result = solve_external(case, command=copy_stub(tmp_path, sol))
     assert result.status == "optimal"
     assert result.schedule.gen_start == {"g1": 2, "g2": 3, "g3": 4}
     for name, value in assignment.items():
@@ -140,7 +148,7 @@ def test_env_var_selects_solver(monkeypatch):
     monkeypatch.setenv(ENV_SOLVER_CMD, "mysolver {mps} {sol}")
     assert resolve_solver_command() == "mysolver {mps} {sol}"
     monkeypatch.delenv(ENV_SOLVER_CMD)
-    assert resolve_solver_command() == default_solver_command()
+    assert resolve_solver_command() is None
     assert resolve_solver_command("explicit {mps} {sol}") == "explicit {mps} {sol}"
 
 
@@ -154,10 +162,8 @@ def test_real_backend_matches_enumeration(toy_cases, toy_enum, toy_external):
         assert ext.validation.passed
 
 
-def test_stats_carry_stage_timings_and_model_size(toy_cases, toy_external):
-    model = encode(toy_cases["toy_fc"])
-    stats = toy_external["toy_fc"].stats
-    assert set(stats["stages"]) == STAGES
+def assert_stage_timings_and_model_size(stats, model, stages):
+    assert set(stats["stages"]) == stages
     assert all(seconds >= 0 for seconds in stats["stages"].values())
     assert sum(stats["stages"].values()) <= stats["wall_time_s"]
     assert stats["model"] == {
@@ -166,6 +172,97 @@ def test_stats_carry_stage_timings_and_model_size(toy_cases, toy_external):
         "rows": len(model.constraints),
         "nnz": sum(len(c.terms) for c in model.constraints),
     }
+
+
+def test_stats_carry_stage_timings_and_model_size(toy_cases, toy_external):
+    model = encode(toy_cases["toy_fc"])
+    assert_stage_timings_and_model_size(toy_external["toy_fc"].stats, model, FORKED_STAGES)
+
+
+def test_command_stats_carry_all_six_stages(known_good, tmp_path):
+    case, model, _, sol = known_good
+    result = solve_external(case, command=copy_stub(tmp_path, sol))
+    assert result.status == "optimal"
+    assert_stage_timings_and_model_size(result.stats, model, COMMAND_STAGES)
+
+
+def test_stats_carry_highs_info(toy_external):
+    highs = toy_external["toy_fc"].stats["highs"]
+    assert highs["status"] == 0
+    assert highs["mip_gap"] == 0
+    assert isinstance(highs["mip_node_count"], int) and highs["mip_node_count"] >= 0
+    assert highs["objective"] == pytest.approx(toy_external["toy_fc"].objective, rel=1e-9)
+    assert highs["message"]
+
+
+def test_worker_that_exits_is_error(known_good, monkeypatch):
+    def exit_at_once(model, time_limit=None):
+        os._exit(3)
+
+    monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
+    result = solve_external(known_good[0])
+    assert result.status == "error"
+    assert "code 3" in result.message
+    assert set(result.stats["stages"]) == {"encode", "solver"}
+
+
+def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch):
+    def sleep(model, time_limit=None):
+        time.sleep(60)
+
+    monkeypatch.setattr(highs_cli, "solve_model", sleep)
+    started = time.perf_counter()
+    result = solve_external(known_good[0], timeout_s=0.5)
+    assert time.perf_counter() - started < 10
+    assert result.status == "error"
+    assert "timed out" in result.message
+
+
+def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch):
+    def short(model, time_limit=None):
+        return "optimal", [0.0], {"message": "stub"}
+
+    monkeypatch.setattr(highs_cli, "solve_model", short)
+    result = solve_external(known_good[0])
+    assert result.status == "error"
+    assert "1 values" in result.message
+
+
+def test_infeasible_model_on_the_default_path_matches_the_oracle():
+    doc = {  # the fuel cell's own cranking draw has nothing to cover it
+        "time": {"step_minutes": 20, "horizon_minutes": 160},
+        "buses": [{"id": "b1"}],
+        "branches": [],
+        "generators": [],
+        "fuel_cells": [
+            {"id": "fc1", "bus": "b1", "p_max": 20, "p_crank": 5,
+             "crank_minutes": 40, "ramp_minutes": 20}
+        ],
+        "batteries": [],
+    }
+    case = load_case(doc)
+    assert solve_enumeration(case).status == "infeasible"
+    result = solve_external(case)
+    assert result.status == "infeasible", result.message
+    assert result.stats["highs"]["status"] == 2
+
+
+def test_default_solve_from_a_bare_checkout_leaves_the_caller_without_scipy(tmp_path):
+    """A fresh interpreter with ``src`` on its own path only, no PYTHONPATH,
+    solves by default, and scipy stays out of it (it is the solver's)."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import blackstart as bs\n"
+        "result = bs.solve_external(bs.load_case(bs.bundled_case_path('toy_t5')))\n"
+        "assert result.status == 'optimal', result.message\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", ENV_SOLVER_CMD)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_battery_window_closed_at_its_opening_step_is_no_source():
