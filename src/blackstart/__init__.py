@@ -24,7 +24,6 @@ from .grid import (
     Generator,
     GridCase,
     TimeGrid,
-    adjacency,
     bus_importance_from_degree,
 )
 from .milp import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,21 +147,15 @@ class SweepResult:
         gen_ids = sorted({g for row in self.rows for g in row.startup_min})
         header = [self.axis] + [_value_label(r.value) for r in self.rows]
         lines = [",".join(header)]
+
+        def cells(minutes_of) -> list[str]:
+            """One cell per row: the row's minutes if it solved, else its status."""
+            return [_cell(minutes_of(row)) if row.status == solvers.OPTIMAL else row.status
+                    for row in self.rows]
+
         for g in gen_ids:
-            cells = [g]
-            for row in self.rows:
-                if row.status not in ("optimal", "feasible"):
-                    cells.append(row.status)
-                else:
-                    cells.append(_cell(row.startup_min.get(g)))
-            lines.append(",".join(cells))
-        avg_cells = ["Average"]
-        for row in self.rows:
-            if row.status not in ("optimal", "feasible"):
-                avg_cells.append(row.status)
-            else:
-                avg_cells.append(_cell(row.average))
-        lines.append(",".join(avg_cells))
+            lines.append(",".join([g, *cells(lambda row: row.startup_min.get(g))]))
+        lines.append(",".join(["Average", *cells(lambda row: row.average)]))
         return "\n".join(lines) + "\n"
 
     def averages(self) -> list[float | None]:
@@ -196,10 +189,10 @@ def apply_axis_value(case: GridCase, axis: str, value) -> GridCase:
     return load_case(doc)
 
 
-def _run_scenario(doc_json: str, axis: str, value, backend: str,
+def _run_scenario(base: GridCase, axis: str, value, backend: str,
                   solver_command: str | None, enum_cap: int) -> SweepRow:
     try:
-        case = apply_axis_value(load_case(json.loads(doc_json)), axis, value)
+        case = apply_axis_value(base, axis, value)
         result = solvers.solve(case, backend, solver_command=solver_command,
                                enum_cap=enum_cap)
     except Exception as exc:
@@ -220,7 +213,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Solve one scenario per axis value on a pool of ``spec.workers``
     processes; failures land in the row, not raised."""
     scenario = functools.partial(
-        _run_scenario, json.dumps(case_to_document(spec.case)), spec.axis,
+        _run_scenario, spec.case, spec.axis,
         backend=spec.backend, solver_command=spec.solver_command, enum_cap=spec.enum_cap,
     )
     forks_highs = (spec.backend == "external"

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Verbs: run, sweep, validate, export-mps, report. Exit codes: 0 success,
-2 usage or case-load error, 3 solve failure (error or infeasible),
-4 validation failure.
+Verbs: run, sweep, validate, export-mps, report. Exit codes: 0 success;
+2 usage error, a case that does not load or encode, or a schedule that
+does not load or fit the case; 3 solve failure (error, infeasible, or over
+the enumeration cap); 4 validation failure.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from pathlib import Path
 from . import analysis, solvers
 from .caseio import load_case
 from .grid import CaseError
-from .milp import encode
+from .milp import EncodingError, encode
 from .mps import export_mps
 from .schedule import Schedule
-from .validate import validate
+from .validate import MalformedScheduleError, validate
 
 EXIT_OK = 0
 EXIT_LOAD = 2
@@ -81,6 +82,21 @@ def _load(path: str):
         raise SystemExit(EXIT_LOAD)
 
 
+def _load_and_validate(case_path: str, schedule_path: str):
+    """The case, the stored schedule, and the schedule's validation report."""
+    case = _load(case_path)
+    try:
+        schedule = Schedule.load(schedule_path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"schedule load failed: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_LOAD)
+    try:
+        return case, schedule, validate(case, schedule)
+    except MalformedScheduleError as exc:
+        print(f"schedule does not fit the case: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_LOAD)
+
+
 def _parse_values(axis: str, text: str) -> list:
     if axis == "resource_location":
         return [group.split("+") for group in text.split(";") if group]
@@ -135,17 +151,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out.write_text(result.to_csv())
     print(result.to_csv(), end="")
     print(f"wrote {out}", file=sys.stderr)
-    return EXIT_OK if all(r.status in ("optimal", "feasible") for r in result.rows) else EXIT_SOLVE
+    return EXIT_OK if all(r.status == solvers.OPTIMAL for r in result.rows) else EXIT_SOLVE
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    case = _load(args.case)
-    try:
-        schedule = Schedule.load(args.schedule)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"schedule load failed: {exc}", file=sys.stderr)
-        return EXIT_LOAD
-    report = validate(case, schedule)
+    _, _, report = _load_and_validate(args.case, args.schedule)
     print(report.dumps(), end="")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -162,13 +172,7 @@ def cmd_export_mps(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    case = _load(args.case)
-    try:
-        schedule = Schedule.load(args.schedule)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"schedule load failed: {exc}", file=sys.stderr)
-        return EXIT_LOAD
-    report = validate(case, schedule)
+    case, schedule, report = _load_and_validate(args.case, args.schedule)
     if not report.passed:
         print(f"schedule fails validation with {len(report.violations)} violation(s)",
               file=sys.stderr)
@@ -198,6 +202,12 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.verb](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    except EncodingError as exc:
+        print(f"case cannot be encoded: {exc}", file=sys.stderr)
+        return EXIT_LOAD
+    except solvers.EnumerationCapError as exc:
+        print(f"enumeration refused: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ class TimeGrid:
         """Step indices 1..n_steps."""
         return range(1, self.n_steps + 1)
 
-    def minutes(self, n_steps: float) -> float:
-        """Wall-clock minutes spanned by a step count."""
-        return n_steps * self.step_minutes
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -200,17 +196,8 @@ class GridCase:
     def bus(self, bus_id: str) -> Bus:
         return _by_id(self.buses, bus_id, "bus")
 
-    def branch(self, branch_id: str) -> Branch:
-        return _by_id(self.branches, branch_id, "branch")
-
     def generator(self, gen_id: str) -> Generator:
         return _by_id(self.generators, gen_id, "generator")
-
-    def fuel_cell(self, fc_id: str) -> FuelCell:
-        return _by_id(self.fuel_cells, fc_id, "fuel cell")
-
-    def battery(self, bat_id: str) -> Battery:
-        return _by_id(self.batteries, bat_id, "battery")
 
     def self_start_devices(self) -> tuple:
         """Devices that need no external power to begin: BS generators,
@@ -223,12 +210,8 @@ class GridCase:
 
     @property
     def adjacency(self) -> Adjacency:
+        """Per-bus lists of incident branches and co-located devices, ordered by id."""
         return self._adjacency
-
-
-def adjacency(case: GridCase) -> Adjacency:
-    """Per-bus lists of incident branches and co-located devices, ordered by id."""
-    return case.adjacency
 
 
 def _build_adjacency(case: GridCase) -> Adjacency:

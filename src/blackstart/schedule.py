@@ -9,6 +9,29 @@ from pathlib import Path
 from .grid import GridCase
 
 
+def _is_step(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_start(v) -> bool:
+    return v is None or _is_step(v)
+
+
+def _is_window(v) -> bool:
+    return v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_step, v)))
+
+
+# What each per-entity field of a schedule document must hold.
+_FIELD_TYPES = {
+    "gen_start": (_is_start, "an integer step or null"),
+    "fc_start": (_is_start, "an integer step or null"),
+    "bat_window": (_is_window, "two integer steps or null"),
+    "bat_dispatch": (lambda v: isinstance(v, list), "a list"),
+    "bus_on": (lambda v: isinstance(v, list), "a list"),
+    "branch_on": (lambda v: isinstance(v, list), "a list"),
+}
+
+
 @dataclass
 class Schedule:
     """Decisions and energization trace over a case's horizon.
@@ -42,15 +65,6 @@ class Schedule:
     def branch_energized_step(self, branch_id: str) -> int | None:
         return self.energized_step(self.branch_on[branch_id])
 
-    def device_starts(self) -> dict[str, int | None]:
-        """Start step of every device (battery start = window open step)."""
-        starts: dict[str, int | None] = {}
-        starts.update(self.gen_start)
-        starts.update(self.fc_start)
-        for b, window in self.bat_window.items():
-            starts[b] = window[0] if window is not None else None
-        return starts
-
     def to_document(self) -> dict:
         return {
             "n_steps": self.n_steps,
@@ -69,6 +83,14 @@ class Schedule:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Schedule":
+        """Read a schedule document; a value of the wrong type raises ValueError."""
+        for key, (ok, what) in _FIELD_TYPES.items():
+            items = doc.get(key, {})
+            if not isinstance(items, dict):
+                raise ValueError(f"{key}: expected an object keyed by id, got {items!r}")
+            for k, v in items.items():
+                if not ok(v):
+                    raise ValueError(f"{key}.{k}: expected {what}, got {v!r}")
         return cls(
             n_steps=int(doc["n_steps"]),
             gen_start={k: v for k, v in doc.get("gen_start", {}).items()},

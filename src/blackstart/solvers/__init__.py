@@ -15,7 +15,7 @@ from .external import (
     resolve_solver_command,
     solve_external,
 )
-from .result import ERROR, FEASIBLE, INFEASIBLE, OPTIMAL, SolveResult
+from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 BACKENDS = ("enum", "external")
 
@@ -37,7 +37,6 @@ __all__ = [
     "ENV_SOLVER_CMD",
     "ERROR",
     "EnumerationCapError",
-    "FEASIBLE",
     "INFEASIBLE",
     "OPTIMAL",
     "SolveResult",

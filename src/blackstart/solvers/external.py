@@ -9,8 +9,9 @@ the calling process should not be running other threads while it solves.
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; the model goes out as an MPS file and the solution comes back
 as a document of whitespace-separated ``name value`` lines, where ``#``
-starts a comment, unknown names are an error, missing variables default to
-0, and a single ``=infeasible=`` line marks a proven-infeasible model.
+starts a comment, unknown names and non-finite values are an error,
+missing variables default to 0, and a single ``=infeasible=`` line marks
+a proven-infeasible model.
 
 Either way the values are never trusted: they are decoded, re-simulated
 and validated in this process before a schedule is reported.
@@ -18,6 +19,7 @@ and validated in this process before a schedule is reported.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import subprocess
@@ -72,18 +74,15 @@ def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
             assignment[name] = float(value)
         except ValueError as exc:
             raise SolutionFormatError(f"line {lineno}: unparseable value {value!r}") from exc
+        if not math.isfinite(assignment[name]):
+            raise SolutionFormatError(f"line {lineno}: non-finite value {value!r}")
     for v in model.variables:
         assignment.setdefault(v.name, 0.0)
     return assignment
 
 
-def solve_external(
-    case: GridCase,
-    command: str | None = None,
-    model: MilpModel | None = None,
-    timeout_s: float = 600.0,
-    workdir: str | Path | None = None,
-) -> SolveResult:
+def solve_external(case: GridCase, command: str | None = None,
+                   timeout_s: float = 600.0) -> SolveResult:
     """Encode, solve (forked HiGHS worker or solver command), decode, validate.
 
     ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
@@ -102,7 +101,7 @@ def solve_external(
         return SolveResult(status=status, stats=stats, **fields)
 
     with _stage(stages, "encode"):
-        model = model if model is not None else encode(case)
+        model = encode(case)
     stats["model"] = model.size()
     template = resolve_solver_command(command)
     try:
@@ -110,7 +109,7 @@ def solve_external(
             with _stage(stages, "solver"):
                 assignment = _solve_forked(model, timeout_s, stats)
         else:
-            assignment = _solve_with_command(model, template, timeout_s, workdir, stats)
+            assignment = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
         return finish(ERROR, message=str(exc))
 
@@ -206,13 +205,13 @@ def _worker(sender, model: MilpModel, timeout_s: float) -> None:
 
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,
-                        workdir: str | Path | None, stats: dict) -> dict[str, float] | None:
+                        stats: dict) -> dict[str, float] | None:
     """Export MPS, run the command, import its solution document.
 
     Returns the assignment, or None when the document says infeasible.
     """
     stages = stats["stages"]
-    with tempfile.TemporaryDirectory(dir=workdir, prefix="blackstart-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="blackstart-") as tmp:
         mps_path = Path(tmp) / "model.mps"
         sol_path = Path(tmp) / "model.sol"
         with _stage(stages, "export"):

@@ -8,7 +8,6 @@ from ..schedule import Schedule
 from ..validate import ValidationReport
 
 OPTIMAL = "optimal"
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 ERROR = "error"
 
@@ -25,4 +24,4 @@ class SolveResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in (OPTIMAL, FEASIBLE)
+        return self.status == OPTIMAL

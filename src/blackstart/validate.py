@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .devices import device_trajectories, soc_trajectory, system_power
+from .devices import fuel_cell_trajectory, generator_trajectory, soc_trajectory
 from .grid import GridCase
 from .schedule import Schedule
 
@@ -161,45 +161,33 @@ def validate(case: GridCase, schedule: Schedule) -> ValidationReport:
         if e < s:
             v.append(Violation("eq41", b.id, e, message="discharge window ends before it starts"))
 
+    # trajectories (semantic ground truth): generators and fuel cells from
+    # their starts; a battery injects its dispatch inside its window and
+    # nothing outside, so the bounds below are checked, not imposed
+    traj: dict[str, list[float]] = {}
+    for g in case.generators:
+        traj[g.id] = generator_trajectory(g, schedule.gen_start[g.id], case.time_grid)
+    for f in case.fuel_cells:
+        traj[f.id] = fuel_cell_trajectory(f, schedule.fc_start[f.id], case.time_grid)
+
     # battery dispatch bounds (eq46) and dispatch outside the window
     for b in case.batteries:
         window = schedule.bat_window[b.id]
         dispatch = schedule.bat_dispatch[b.id]
+        traj[b.id] = [0.0] * T
         for t in range(1, T + 1):
             p = dispatch[t - 1]
-            in_window = window is not None and window[0] <= t < window[1]
-            if in_window:
-                if p < b.p_min - POWER_TOL:
+            if window is not None and window[0] <= t < window[1]:
+                traj[b.id][t - 1] = p
+                if not p >= b.p_min - POWER_TOL:
                     v.append(Violation("eq46lo", b.id, t, lhs=p, rhs=b.p_min,
                                        message="dispatch below minimum output"))
-                if p > b.p_max + POWER_TOL:
+                if not p <= b.p_max + POWER_TOL:
                     v.append(Violation("eq46hi", b.id, t, lhs=p, rhs=b.p_max,
                                        message="dispatch above maximum output"))
-            elif abs(p) > POWER_TOL:
+            elif not abs(p) <= POWER_TOL:
                 v.append(Violation("eq46hi", b.id, t, lhs=p, rhs=0.0,
                                    message="dispatch outside the discharge window"))
-
-    # trajectories (semantic ground truth; dispatch is validated above, so
-    # compute trajectories leniently for reporting)
-    lenient = copy.deepcopy(schedule)
-    for b in case.batteries:
-        window = lenient.bat_window[b.id]
-        dispatch = lenient.bat_dispatch[b.id]
-        for t in range(1, T + 1):
-            in_window = window is not None and window[0] <= t < window[1]
-            if not in_window:
-                dispatch[t - 1] = 0.0
-            else:
-                dispatch[t - 1] = min(max(dispatch[t - 1], b.p_min), b.p_max)
-    traj = device_trajectories(case, lenient)
-    for b in case.batteries:
-        traj[b.id] = [
-            schedule.bat_dispatch[b.id][t - 1]
-            if schedule.bat_window[b.id] is not None
-            and schedule.bat_window[b.id][0] <= t < schedule.bat_window[b.id][1]
-            else 0.0
-            for t in range(1, T + 1)
-        ]
 
     # (d) per-step cranking-power balance
     total = [0.0] * T
@@ -316,7 +304,7 @@ def _check_power(v: list[Violation], tag: str, dev_id: str,
     if reported is None:
         return
     for t, (have, want) in enumerate(zip(reported, semantic), start=1):
-        if abs(have - want) > POWER_TOL:
+        if not abs(have - want) <= POWER_TOL:  # a NaN injection fails too
             v.append(Violation(tag, dev_id, t, lhs=have, rhs=want,
                                message="solver injection disagrees with device semantics"))
 

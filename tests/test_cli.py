@@ -3,6 +3,8 @@ import shlex
 import stat
 import sys
 
+import pytest
+
 from blackstart import import_mps
 from blackstart.cases import bundled_case_path
 from blackstart.cli import main
@@ -112,3 +114,52 @@ def test_sweep_verb_location_values(tmp_path):
     assert rc == 0
     csv = (tmp_path / "sweep_resource_location.csv").read_text()
     assert csv.splitlines()[0] == "resource_location,b2,b5"
+
+
+def short_horizon_case(tmp_path):
+    """toy_path3 with a 40-minute horizon: no unit can finish cranking."""
+    path = tmp_path / "short.json"
+    doc = doc_variant(bundled_document("toy_path3"), **{"time.horizon_minutes": 40})
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def stored_schedule(tmp_path, schedule, **edits):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc_variant(schedule.to_document(), **edits)))
+    return str(path)
+
+
+SCHEDULE_FAULTS = {
+    "string-start": ("toy_bt", {"gen_start.g2": "2"}),
+    "one-step-window": ("toy_bt", {"bat_window.bt1": [2]}),
+    "other-case": ("toy_t5", {}),
+}
+
+
+def failing_argv(kind, tmp_path, schedule):
+    if kind == "run-short-horizon":
+        return ["run", "--case", short_horizon_case(tmp_path), "--out-dir", str(tmp_path)]
+    if kind == "export-mps-short-horizon":
+        return ["export-mps", "--case", short_horizon_case(tmp_path), "--out", "-"]
+    if kind == "run-enum-over-cap":
+        return ["run", "--case", case_arg("ieee39_nores"), "--backend", "enum",
+                "--out-dir", str(tmp_path)]
+    verb, fault = kind.split(":")
+    case_name, edits = SCHEDULE_FAULTS[fault]
+    argv = [verb, "--case", case_arg(case_name),
+            "--schedule", stored_schedule(tmp_path, schedule, **edits)]
+    return argv + (["--out-dir", str(tmp_path / "report")] if verb == "report" else [])
+
+
+@pytest.mark.parametrize("kind, code", [
+    ("run-short-horizon", 2),
+    ("export-mps-short-horizon", 2),
+    ("run-enum-over-cap", 3),
+    *((f"{verb}:{fault}", 2) for verb in ("validate", "report") for fault in SCHEDULE_FAULTS),
+])
+def test_failure_paths_end_in_exit_codes(kind, code, tmp_path, capsys, toy_enum):
+    rc = main(failing_argv(kind, tmp_path, toy_enum["toy_bt"].schedule))
+    assert rc == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blackstart import encode, load_case, solve_enumeration
+from blackstart import decode, encode, load_case, read_mps, solve_enumeration, validate
 from blackstart.solvers import (
     ENV_SOLVER_CMD,
     highs_cli,
@@ -278,3 +278,35 @@ def test_battery_window_closed_at_its_opening_step_is_no_source():
     assert oracle.status == "optimal"
     assert result.status == "optimal", result.message
     assert result.objective == pytest.approx(oracle.objective, rel=1e-6)
+
+
+def test_solve_mps_front_end_needs_two_arguments(capsys):
+    assert highs_cli.main([]) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_external):
+    case = toy_cases["toy_path3"]
+    sol = tmp_path / "toy_path3.sol"
+    assert highs_cli.main([str(DATA / "toy_path3.mps"), str(sol)]) == 0
+    model = read_mps(DATA / "toy_path3.mps")
+    assignment = import_solution(model, sol.read_text())
+    assert validate(case, decode(model, assignment, case)).passed
+    assert model.objective_of(assignment) == pytest.approx(
+        toy_external["toy_path3"].objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["bus_on.b1.3", "gen_power.g2.4"])
+def test_non_finite_solver_value_is_a_bad_document(known_good, tmp_path, name):
+    case, model, assignment, _ = known_good
+    sol = tmp_path / "nan.sol"
+    sol.write_text(write_solution_text(model, {**assignment, name: float("nan")}))
+    result = solve_external(case, command=copy_stub(tmp_path, sol))
+    assert result.status == "error"
+    assert "bad solution document" in result.message and "non-finite" in result.message
+
+
+def test_import_rejects_infinite_values(known_good):
+    _, model, _, _ = known_good
+    with pytest.raises(SolutionFormatError, match="non-finite"):
+        import_solution(model, "gen_power.g2.4 inf\n")

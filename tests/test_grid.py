@@ -2,7 +2,6 @@ import pytest
 
 from blackstart import (
     CaseError,
-    adjacency,
     bus_importance_from_degree,
     load_case,
 )
@@ -58,7 +57,7 @@ def test_bundled_39bus_top_degrees_are_b6_b16():
 
 def test_adjacency_counts(toy_cases):
     case = toy_cases["toy_t5"]
-    adj = adjacency(case)
+    adj = case.adjacency
     assert len(adj.branches["b1"]) == 2  # ring: two incident branches
     assert adj.generators["b1"] == ("g1",)
     assert adj.fuel_cells["b2"] == ("fc1",)
@@ -69,7 +68,7 @@ def test_adjacency_fc_and_battery_bus():
     doc = star_doc()
     doc["fuel_cells"] = [{"id": "fc1", "bus": "leaf0", "p_max": 5}]
     doc["batteries"] = [{"id": "bt1", "bus": "leaf0", "p_max": 5, "soc_init": 5}]
-    adj = adjacency(load_case(doc))
+    adj = load_case(doc).adjacency
     assert adj.fuel_cells["leaf0"] == ("fc1",)
     assert adj.batteries["leaf0"] == ("bt1",)
 
@@ -77,7 +76,7 @@ def test_adjacency_fc_and_battery_bus():
 @pytest.mark.parametrize("name", ["toy_t5", "ieee39_nores", "ieee39_fc50"])
 def test_adjacency_branch_symmetry(name):
     case = load_bundled(name)
-    adj = adjacency(case)
+    adj = case.adjacency
     for k in case.branches:
         assert adj.branches[k.from_bus].count(k.id) == 1
         assert adj.branches[k.to_bus].count(k.id) == 1
@@ -85,7 +84,7 @@ def test_adjacency_branch_symmetry(name):
 
 def test_adjacency_ordering_is_deterministic():
     case = load_bundled("ieee39_fc50")
-    adj = adjacency(case)
+    adj = case.adjacency
     for bus_id, names in adj.branches.items():
         assert list(names) == sorted(names)
 

@@ -60,6 +60,35 @@ def test_battery_overdraw_flagged_at_the_right_step():
     assert ("eq47", 5) not in {(v.tag, v.step) for v in fixed.violations}
 
 
+def test_battery_dispatch_out_of_bounds_is_flagged_and_reported_raw():
+    doc = {
+        "time": {"step_minutes": 20, "horizon_minutes": 160},
+        "buses": [{"id": "b1"}],
+        "branches": [],
+        "generators": [],
+        "fuel_cells": [],
+        "batteries": [{"id": "bt1", "bus": "b1", "p_max": 20, "p_min": 5,
+                       "soc_init": 50, "soc_min": 0, "earliest_start_minutes": 20}],
+    }
+    case = load_case(doc)
+    sched = empty_schedule(case)
+    sched.bat_window["bt1"] = (2, 5)
+    # outside, above p_max, below p_min, in bounds, outside, outside ...
+    sched.bat_dispatch["bt1"] = [3.0, 25.0, 2.0, 10.0, 7.0, 0.0, 0.0, 0.0]
+    sched.bus_on["b1"] = [False] + [True] * 7
+    report = validate(case, sched)
+    eq46 = [(v.tag, v.step) for v in report.violations if v.tag.startswith("eq46")]
+    assert eq46 == [("eq46hi", 1), ("eq46hi", 2), ("eq46lo", 3), ("eq46hi", 5)]
+    raw = [0.0, 25.0, 2.0, 10.0, 0.0, 0.0, 0.0, 0.0]
+    assert report.system_power == raw
+    hours = 20 / 60
+    level, soc = 50.0, []
+    for p in raw:
+        level -= p * hours
+        soc.append(level)
+    assert report.soc["bt1"] == pytest.approx(soc)
+
+
 def test_balance_violation_tagged_eq2(toy_cases, toy_enum):
     case = toy_cases["toy_bt_tight"]
     sched = copy.deepcopy(toy_enum["toy_bt_tight"].schedule)
@@ -87,6 +116,14 @@ def test_solver_power_mismatch_reported(toy_cases, toy_enum):
     sched.solver_power = {"fc1": [0.0] * 8}
     report = validate(case, sched)
     assert any(v.tag == "eq23" and v.entity == "fc1" for v in report.violations)
+
+
+def test_nan_solver_power_is_a_violation(toy_cases, toy_enum):
+    case = toy_cases["toy_bt"]
+    sched = copy.deepcopy(toy_enum["toy_bt"].schedule)
+    sched.solver_power = {"g2": [float("nan")] * case.time_grid.n_steps}
+    report = validate(case, sched)
+    assert {(v.tag, v.entity) for v in report.violations} == {("eq23g", "g2")}
 
 
 def test_malformed_schedule_raises(toy_cases):
