@@ -1,7 +1,7 @@
 """Black-start generator startup sequencing with fuel cells and batteries.
 
 Workflow: load a case document, encode it as a time-expanded MILP, solve
-it with the enumeration oracle, the bundled HiGHS in a forked worker, or a
+it with the enumeration oracle, the bundled HiGHS on a forked solver host, or a
 solver command exchanging MPS/solution files, and verify any resulting
 schedule against the device semantics with the independent validator.
 """

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver command template with {mps} and {sol} placeholders, "
                             "run on an MPS file (default: "
                             f"${solvers.ENV_SOLVER_CMD}, else the bundled HiGHS "
-                            "in a forked worker, with no files)")
+                            "on a forked solver host, with no files)")
         p.add_argument("--enum-cap", type=int, default=solvers.DEFAULT_COMBINATION_CAP)
         p.add_argument("--out-dir", default="out", help="artifact directory")
 

@@ -16,14 +16,20 @@ linearized with one lower and two upper envelope inequalities per pair.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 from .devices import phase_output
 from .grid import GridCase
 from .schedule import Schedule
 
-INTEGRALITY_TOL = 1e-6
+# How far a binary may sit from 0 or 1 and still decode: a stated margin
+# above HiGHS's default mip_feasibility_tolerance (1e-6), so that a legal
+# answer at the solver's own edge decodes; validate still has the last word.
+INTEGRALITY_TOL = 1e-5
 
 GEN_START = "gen_start"
 FC_START = "fc_start"
@@ -73,6 +79,27 @@ class Constraint:
     terms: tuple[tuple[str, float], ...]
     sense: str
     rhs: float
+
+
+class ModelArrays(NamedTuple):
+    """A model as flat arrays, in ``MilpModel.variables`` and ``constraints`` order.
+
+    The constraint matrix is COO (``row``, ``col``, ``val``); each row is
+    ``row_lo <= a·x <= row_hi`` with infinite sides for one-sided senses;
+    ``integrality`` is 1 for an integer variable. The objective is
+    ``c·x + constant``, minimized.
+    """
+
+    c: array
+    row: array
+    col: array
+    val: array
+    row_lo: array
+    row_hi: array
+    lb: array
+    ub: array
+    integrality: array
+    constant: float
 
 
 @dataclass
@@ -126,6 +153,28 @@ class MilpModel:
             "rows": len(self.constraints),
             "nnz": sum(len(c.terms) for c in self.constraints),
         }
+
+    def arrays(self) -> ModelArrays:
+        """The model as flat ``array.array``s, cheap to pickle and to wrap in numpy."""
+        pos = self._pos
+        c = array("d", [0.0]) * len(self.variables)
+        for name, coef in self.objective.items():
+            c[pos[name]] += coef
+        row, col, val = array("i"), array("i"), array("d")
+        row_lo, row_hi = array("d"), array("d")
+        for i, con in enumerate(self.constraints):
+            row.extend(repeat(i, len(con.terms)))
+            col.extend(pos[name] for name, _ in con.terms)
+            val.extend(coef for _, coef in con.terms)
+            row_lo.append(-math.inf if con.sense == "<=" else con.rhs)
+            row_hi.append(math.inf if con.sense == ">=" else con.rhs)
+        return ModelArrays(
+            c, row, col, val, row_lo, row_hi,
+            lb=array("d", [v.lb for v in self.variables]),
+            ub=array("d", [v.ub for v in self.variables]),
+            integrality=array("b", [v.is_integer for v in self.variables]),
+            constant=self.objective_constant,
+        )
 
     def objective_of(self, assignment: dict[str, float]) -> float:
         """Objective value of an assignment (compensated summation)."""

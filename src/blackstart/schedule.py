@@ -21,14 +21,22 @@ def _is_window(v) -> bool:
     return v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_step, v)))
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
 # What each per-entity field of a schedule document must hold.
 _FIELD_TYPES = {
     "gen_start": (_is_start, "an integer step or null"),
     "fc_start": (_is_start, "an integer step or null"),
     "bat_window": (_is_window, "two integer steps or null"),
-    "bat_dispatch": (lambda v: isinstance(v, list), "a list"),
-    "bus_on": (lambda v: isinstance(v, list), "a list"),
-    "branch_on": (lambda v: isinstance(v, list), "a list"),
+    "bat_dispatch": (_is_list_of(_is_number), "a list of numbers"),
+    "bus_on": (_is_list_of(lambda v: isinstance(v, bool)), "a list of booleans"),
+    "branch_on": (_is_list_of(lambda v: isinstance(v, bool)), "a list of booleans"),
 }
 
 
@@ -100,8 +108,8 @@ class Schedule:
                 for k, v in doc.get("bat_window", {}).items()
             },
             bat_dispatch={k: list(map(float, v)) for k, v in doc.get("bat_dispatch", {}).items()},
-            bus_on={k: list(map(bool, v)) for k, v in doc.get("bus_on", {}).items()},
-            branch_on={k: list(map(bool, v)) for k, v in doc.get("branch_on", {}).items()},
+            bus_on={k: list(v) for k, v in doc.get("bus_on", {}).items()},
+            branch_on={k: list(v) for k, v in doc.get("branch_on", {}).items()},
         )
 
     @classmethod

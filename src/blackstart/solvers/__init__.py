@@ -1,4 +1,4 @@
-"""Solve backends: exhaustive enumeration, and HiGHS in a forked worker or a solver command."""
+"""Solve backends: exhaustive enumeration, and HiGHS on a solver host or a solver command."""
 
 from __future__ import annotations
 

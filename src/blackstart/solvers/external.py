@@ -1,10 +1,26 @@
-"""Solve a model with HiGHS in a forked worker, or with a configured solver command.
+"""Solve a model with HiGHS on a forked solver host, or with a configured solver command.
 
 By default (no command given and BLACKSTART_SOLVER_CMD unset) the bundled
-HiGHS front end, ``highs_cli.solve_model``, runs on the model's arrays in a
-child forked from this process (POSIX ``fork``): no files, no second
-interpreter, and scipy is imported only in the child. As with any ``fork``,
-the calling process should not be running other threads while it solves.
+HiGHS front end, ``highs_cli.solve_model``, runs on a solver host: one
+long-lived child per process, forked from it (POSIX ``fork``) at its first
+default solve. The host imports scipy once and then serves every later
+solve of that process; each request is the model as flat arrays
+(``MilpModel.arrays()``) over a pipe, so no file is written, no second
+interpreter starts, and scipy never enters the calling process.
+
+- A forked child of the owner (a sweep's pool worker, say) never uses its
+  parent's host; it forks its own at its first solve.
+- A host that dies, outlives ``timeout_s`` or is in use when the caller is
+  interrupted is reaped (killed if need be) and the solve fails with the
+  cause; the next solve forks a fresh host.
+- The host ignores SIGINT, leaving Ctrl-C to its owner. It is a daemon
+  process, so multiprocessing's exit handler terminates and reaps it when
+  its owner exits, and it exits on its own when its owner dies.
+
+The host serves one request at a time, so a process solves from one
+thread. As with any ``fork``, the calling process should not be running
+other threads when the host is forked; with one host per process that is
+once, at the first default solve.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; the model goes out as an MPS file and the solution comes back
@@ -38,13 +54,13 @@ from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
 INFEASIBLE_SENTINEL = "=infeasible="
-# How long past ``timeout_s`` a forked worker may take (to import scipy and
-# to stop HiGHS at its time limit) before it is killed.
+# How long past ``timeout_s`` the solver host may take (to import scipy on
+# its first solve and to stop HiGHS at its time limit) before it is killed.
 WORKER_GRACE_S = 2.0
 
 
 def resolve_solver_command(command: str | None = None) -> str | None:
-    """The configured solver command template, or None for the forked HiGHS worker."""
+    """The configured solver command template, or None for the HiGHS solver host."""
     return command or os.environ.get(ENV_SOLVER_CMD) or None
 
 
@@ -83,14 +99,15 @@ def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
 
 def solve_external(case: GridCase, command: str | None = None,
                    timeout_s: float = 600.0) -> SolveResult:
-    """Encode, solve (forked HiGHS worker or solver command), decode, validate.
+    """Encode, solve (HiGHS solver host or solver command), decode, validate.
 
     ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
     stage reached: encode, solver, decode, validate, and for a solver
     command also export and import_solution) and ``model`` (vars, int_vars,
-    rows, nnz). The forked worker adds ``highs`` (status, message,
-    objective, mip_node_count, mip_gap, mip_dual_bound); a solver command
-    adds ``solver_command`` and ``returncode``.
+    rows, nnz). The solver host adds ``highs`` (status, message,
+    objective, mip_node_count, mip_gap, mip_dual_bound) and ``worker``
+    (the host's ``pid`` and its own peak RSS, ``maxrss_mb``); a solver
+    command adds ``solver_command`` and ``returncode``.
     """
     t0 = time.perf_counter()
     stages: dict[str, float] = {}
@@ -107,7 +124,7 @@ def solve_external(case: GridCase, command: str | None = None,
     try:
         if template is None:
             with _stage(stages, "solver"):
-                assignment = _solve_forked(model, timeout_s, stats)
+                assignment = _solve_on_host(model, timeout_s, stats)
         else:
             assignment = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -140,68 +157,138 @@ class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-def _solve_forked(model: MilpModel, timeout_s: float, stats: dict) -> dict[str, float] | None:
-    """Solve with ``highs_cli.solve_model`` in a forked child.
+class _SolverHost:
+    """A child forked from its owner that imports HiGHS once and serves
+    solves over a duplex pipe; ``owner`` is the pid of the process that
+    forked it, the only one that may use it."""
 
-    Returns the assignment, or None for a proven-infeasible model. The child
-    gets the model through ``fork``, not a pipe, and sends back only the
-    status, the values and HiGHS's info. It is always joined, so its
-    resource usage counts as this process's children's.
-    """
-    import multiprocessing  # here, not at the top: it costs `import blackstart` ~15 ms
+    def __init__(self) -> None:
+        import multiprocessing  # here, not at the top: it costs `import blackstart` ~15 ms
 
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_worker, args=(sender, model, timeout_s),
-                         name="blackstart-highs")
-    reply = None
-    try:
+        ctx = multiprocessing.get_context("fork")
+        self.conn, host_end = ctx.Pipe()
+        self.owner = os.getpid()
+        self.process = ctx.Process(target=_serve, args=(host_end, self.conn),
+                                   name="blackstart-highs", daemon=True)
         try:
-            worker.start()
-        except OSError as exc:
-            raise _SolverFailed(f"solver worker did not start: {exc}") from exc
-        sender.close()  # so that a dead worker reads as EOF here
-        if receiver.poll(timeout_s + WORKER_GRACE_S):
-            reply = receiver.recv()
-        else:
-            worker.kill()
-            raise _SolverFailed(f"solver worker timed out after {timeout_s:g} s")
-    except EOFError:
-        pass  # the worker died before replying; its exit code says why
-    finally:
-        sender.close()
-        receiver.close()
-        if worker.pid is not None:
-            worker.join(WORKER_GRACE_S)
-            if worker.exitcode is None:
-                worker.kill()
-                worker.join()
-    if reply is None or worker.exitcode != 0:
-        raise _SolverFailed(f"solver worker exited with code {worker.exitcode}"
-                            + (" before replying" if reply is None else ""))
+            self.process.start()
+        except OSError:
+            self.conn.close()
+            raise
+        finally:
+            host_end.close()
 
-    status, x, info = reply
+    def stop(self, kill: bool) -> int | None:
+        """Close the pipe and reap the host, killing it first if ``kill`` or
+        if it is still running ``WORKER_GRACE_S`` later; returns its exit code."""
+        self.conn.close()
+        if kill:
+            self.process.kill()
+        self.process.join(WORKER_GRACE_S)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        return self.process.exitcode
+
+
+_host: _SolverHost | None = None
+
+
+def stop_solver_host() -> None:
+    """Kill and reap this process's solver host, if it has one; the next
+    default solve forks a new one."""
+    global _host
+    host, _host = _host, None
+    if host is not None and host.owner == os.getpid():
+        host.stop(kill=True)
+
+
+def _forget_inherited_host() -> None:
+    """In a forked child: the parent's host is not this process's to use.
+
+    Closing the inherited pipe end keeps the parent's death visible to its
+    host as EOF. Dropping the host from multiprocessing's child set keeps
+    this process's exit handler from terminating the parent's host.
+    """
+    global _host
+    host, _host = _host, None
+    if host is not None:
+        import multiprocessing.process
+
+        host.conn.close()
+        multiprocessing.process._children.discard(host.process)
+
+
+os.register_at_fork(after_in_child=_forget_inherited_host)
+
+
+def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
+                   ) -> dict[str, float] | None:
+    """Solve with ``highs_cli.solve_model`` on this process's solver host.
+
+    Returns the assignment, or None for a proven-infeasible model. The
+    request is ``model.arrays()``; the reply is the status, the values,
+    HiGHS's info and the host's peak RSS. A host that times out, or any
+    exception while it is in use, kills it; a host that died is reaped and
+    its exit code reported. Either way the next solve forks a fresh one.
+    """
+    global _host
+    if _host is None or _host.owner != os.getpid():
+        try:
+            _host = _SolverHost()
+        except OSError as exc:
+            raise _SolverFailed(f"solver host did not start: {exc}") from exc
+    host = _host
+    worker = stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None}
+    request = (model.arrays(), timeout_s)
+    try:
+        host.conn.send(request)
+        if not host.conn.poll(timeout_s + WORKER_GRACE_S):
+            raise _SolverFailed(f"solver host timed out after {timeout_s:g} s")
+        status, x, info, worker["maxrss_mb"] = host.conn.recv()
+    except (EOFError, OSError):  # the host died: EOF on recv, a broken pipe on send
+        _host = None
+        code = host.stop(kill=False)
+        raise _SolverFailed(f"solver host exited with code {code} before replying") from None
+    except BaseException:  # a timeout, or the caller interrupted: the host may be mid-solve
+        _host = None
+        host.stop(kill=True)
+        raise
+
     stats["highs"] = info
     if status == INFEASIBLE:
         return None
     if status != OPTIMAL:
-        raise _SolverFailed(f"no optimum from the solver worker: {info.get('message')}")
+        raise _SolverFailed(f"no optimum from the solver host: {info.get('message')}")
     if x is None or len(x) != len(model.variables):
-        raise _SolverFailed(f"solver worker returned {'no' if x is None else len(x)} values "
+        raise _SolverFailed(f"solver host returned {'no' if x is None else len(x)} values "
                             f"for {len(model.variables)} variables")
     return {v.name: value for v, value in zip(model.variables, x)}
 
 
-def _worker(sender, model: MilpModel, timeout_s: float) -> None:
-    """Forked child of ``_solve_forked``: solve, send ``(status, x, info)``."""
-    try:
-        from . import highs_cli
+def _serve(conn, owner_end) -> None:
+    """The solver host's loop: answer each ``(arrays, timeout_s)`` request with
+    ``(status, x, info, maxrss_mb)`` until the owner's end of the pipe closes."""
+    import resource
+    import signal
 
-        status, x, info = highs_cli.solve_model(model, time_limit=timeout_s)
-        reply = (status, None if x is None else [float(v) for v in x], info)
-    except Exception as exc:  # reported by the parent as the solve's cause
-        reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})
-    sender.send(reply)
+    owner_end.close()  # so that the owner's death reads as EOF here
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
+    try:
+        while True:
+            arrays, timeout_s = conn.recv()
+            try:
+                # inside the try, so that a failed import is the solve's cause
+                from . import highs_cli
+
+                status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s)
+                reply = (status, None if x is None else [float(v) for v in x], info)
+            except Exception as exc:  # reported by the owner as the solve's cause
+                reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})
+            maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            conn.send((*reply, maxrss_mb))
+    except (EOFError, OSError):
+        return  # the owner is gone
 
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,

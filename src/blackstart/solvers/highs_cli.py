@@ -1,15 +1,17 @@
-"""The bundled MILP front end: HiGHS through scipy, on a model or an MPS file.
+"""The bundled MILP front end: HiGHS through scipy, on a model's arrays or an MPS file.
 
-``solve_model`` builds HiGHS's arrays straight from a ``MilpModel`` and
-solves at zero relative gap; ``solve_external`` calls it in a forked worker
-when no solver command is configured. Importing this module imports scipy,
-so callers that must stay lean import it only where they solve.
+``solve_model`` wraps the flat arrays of ``MilpModel.arrays()`` with numpy,
+without copying, and solves at zero relative gap. ``solve_external`` calls
+it on the solver host, the one long-lived child each process forks at its
+first default solve, so that process pays the import once. Importing this
+module imports scipy, so callers that must stay lean import it only where
+they solve.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
-MPS file, solves it with ``solve_model``, and writes ``name value`` lines on
-optimality, the ``=infeasible=`` sentinel for a proven-infeasible model, and
-exits nonzero on anything else, which is exactly the contract
+MPS file, solves its arrays with ``solve_model``, and writes ``name value``
+lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
+model, and exits nonzero on anything else, which is exactly the contract
 ``solve_external`` expects of a configured solver command.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..milp import MilpModel
+from ..milp import ModelArrays
 from ..mps import read_mps
 from .result import ERROR, INFEASIBLE, OPTIMAL
 
@@ -31,69 +33,45 @@ _HIGHS_OPTIMAL = 0
 _HIGHS_INFEASIBLE = 2
 
 
-def solve_model(model: MilpModel, time_limit: float | None = None
+def solve_model(arrays: ModelArrays, time_limit: float | None = None
                 ) -> tuple[str, np.ndarray | None, dict]:
-    """Solve ``model`` with HiGHS; returns ``(status, x, info)``.
+    """Solve a model, given as ``MilpModel.arrays()``, with HiGHS.
 
-    ``status`` is OPTIMAL (``x`` holds one value per model variable, in
-    ``model.variables`` order), INFEASIBLE or ERROR (``x`` is None).
-    ``info`` holds HiGHS's ``status`` code and ``message``, the
-    ``objective``, and the MIP's ``mip_node_count``, ``mip_gap`` and
-    ``mip_dual_bound``; the objective and the bound include the model's
-    constant, and a value HiGHS did not report is None.
+    Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
+    value per model variable, in ``model.variables`` order), INFEASIBLE or
+    ERROR (``x`` is None). ``info`` holds HiGHS's ``status`` code and
+    ``message``, the ``objective``, and the MIP's ``mip_node_count``,
+    ``mip_gap`` and ``mip_dual_bound``; the objective and the bound include
+    the model's constant, and a value HiGHS did not report is None.
     """
-    n = len(model.variables)
-    index = {v.name: i for i, v in enumerate(model.variables)}
+    def wrap(a):
+        return np.frombuffer(a, dtype=a.typecode)
 
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[index[name]] += coef
-
-    rows, cols, vals = [], [], []
-    con_lb, con_ub = [], []
-    for i, con in enumerate(model.constraints):
-        for name, coef in con.terms:
-            rows.append(i)
-            cols.append(index[name])
-            vals.append(coef)
-        if con.sense == "<=":
-            con_lb.append(-np.inf)
-            con_ub.append(con.rhs)
-        elif con.sense == ">=":
-            con_lb.append(con.rhs)
-            con_ub.append(np.inf)
-        else:
-            con_lb.append(con.rhs)
-            con_ub.append(con.rhs)
-
-    integrality = np.array([1 if v.is_integer else 0 for v in model.variables])
-    bounds = Bounds(
-        np.array([v.lb for v in model.variables]),
-        np.array([v.ub for v in model.variables]),
-    )
+    n, m = len(arrays.c), len(arrays.row_lo)
     constraints = []
-    if model.constraints:
-        a = sparse.csc_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
-        constraints = [LinearConstraint(a, np.array(con_lb), np.array(con_ub))]
+    if m:
+        a = sparse.csc_matrix((wrap(arrays.val), (wrap(arrays.row), wrap(arrays.col))),
+                              shape=(m, n))
+        constraints = [LinearConstraint(a, wrap(arrays.row_lo), wrap(arrays.row_hi))]
 
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
     res = milp(
-        c=c,
+        c=wrap(arrays.c),
         constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
+        integrality=wrap(arrays.integrality),
+        bounds=Bounds(wrap(arrays.lb), wrap(arrays.ub)),
         options=options,
     )
 
     info = {
         "status": int(res.status),
         "message": str(res.message),
-        "objective": _plus(res.fun, model.objective_constant),
+        "objective": _plus(res.fun, arrays.constant),
         "mip_node_count": None if res.get("mip_node_count") is None else int(res.mip_node_count),
         "mip_gap": None if res.get("mip_gap") is None else float(res.mip_gap),
-        "mip_dual_bound": _plus(res.get("mip_dual_bound"), model.objective_constant),
+        "mip_dual_bound": _plus(res.get("mip_dual_bound"), arrays.constant),
     }
     if res.status == _HIGHS_INFEASIBLE:
         return INFEASIBLE, None, info
@@ -108,7 +86,7 @@ def _plus(value, constant: float) -> float | None:
 
 def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
     model = read_mps(mps_path)
-    status, x, info = solve_model(model)
+    status, x, info = solve_model(model.arrays())
     if status == INFEASIBLE:
         Path(sol_path).write_text("=infeasible=\n")
         return 0

@@ -7,6 +7,7 @@ import pytest
 
 from blackstart import load_case, solve_enumeration, solve_external
 from blackstart.cases import bundled_case_path
+from blackstart.solvers.external import stop_solver_host
 
 TOY_NAMES = ["toy_t5", "toy_path3", "toy_fc", "toy_bt", "toy_bt_tight"]
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,6 +21,19 @@ def solver_children_import_this_checkout():
         paths = [str(SRC), os.environ.get("PYTHONPATH")]
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
         yield
+
+
+@pytest.fixture()
+def fresh_solver_host():
+    """Stop this process's solver host before and after the test.
+
+    The host is forked at the first default solve and keeps the code it was
+    forked with, so a stub patched into ``highs_cli`` reaches it only if the
+    host starts after the patch, and must not outlive the test.
+    """
+    stop_solver_host()
+    yield
+    stop_solver_host()
 
 
 def load_bundled(name):

@@ -169,8 +169,16 @@ def test_sweep_error_row_keeps_the_exception_type(toy_cases):
                      values=[["nowhere"]], backend="enum")
     row = sweep(spec).rows[0]
     assert row.status == "error"
-    assert row.message.startswith("CaseError: ")
+    assert row.message.startswith("apply_axis_value: CaseError: ")
     assert "nowhere" in row.message
+
+
+def test_sweep_error_row_names_the_solve_step(toy_cases):
+    spec = SweepSpec(case=toy_cases["toy_t5"], axis="fc_capacity",
+                     values=[10], backend="enum", enum_cap=1)
+    row = sweep(spec).rows[0]
+    assert row.status == "error"
+    assert row.message.startswith("solve: EnumerationCapError: ")
 
 
 def test_sweep_parallel_matches_serial(toy_cases):
@@ -189,6 +197,10 @@ def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
     two = sweep(spec)
     assert [row.status for row in one.rows] == ["optimal", "optimal"]
     assert one.to_csv() == two.to_csv()
+    for row in one.rows + two.rows:
+        assert {"stages", "model", "highs", "worker"} <= set(row.stats)
+    # one pool worker, so one solver host serves both scenarios
+    assert len({row.stats["worker"]["pid"] for row in one.rows}) == 1
 
 
 def test_location_sweep_changes_the_sequence():

@@ -35,6 +35,8 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     assert set(stats["model"]) == {"vars", "int_vars", "rows", "nnz"}
     assert stats["highs"]["status"] == 0
     assert stats["highs"]["mip_gap"] == 0
+    assert isinstance(stats["worker"]["pid"], int)
+    assert stats["worker"]["maxrss_mb"] > 0
 
 
 def test_run_load_error_exit_code(tmp_path):
@@ -134,6 +136,8 @@ SCHEDULE_FAULTS = {
     "string-start": ("toy_bt", {"gen_start.g2": "2"}),
     "one-step-window": ("toy_bt", {"bat_window.bt1": [2]}),
     "other-case": ("toy_t5", {}),
+    "string-flag": ("toy_bt", {"bus_on.b1.1": "false"}),
+    "bool-dispatch": ("toy_bt", {"bat_dispatch.bt1.0": True}),
 }
 
 

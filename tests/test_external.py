@@ -195,7 +195,7 @@ def test_stats_carry_highs_info(toy_external):
     assert highs["message"]
 
 
-def test_worker_that_exits_is_error(known_good, monkeypatch):
+def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
     def exit_at_once(model, time_limit=None):
         os._exit(3)
 
@@ -206,7 +206,7 @@ def test_worker_that_exits_is_error(known_good, monkeypatch):
     assert set(result.stats["stages"]) == {"encode", "solver"}
 
 
-def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch):
+def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fresh_solver_host):
     def sleep(model, time_limit=None):
         time.sleep(60)
 
@@ -218,7 +218,7 @@ def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch):
     assert "timed out" in result.message
 
 
-def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch):
+def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch, fresh_solver_host):
     def short(model, time_limit=None):
         return "optimal", [0.0], {"message": "stub"}
 

@@ -11,6 +11,7 @@ from blackstart import (
     encode,
     load_case,
     objective_value,
+    validate,
 )
 from blackstart.devices import device_trajectories
 from blackstart.milp import BINARY_KINDS, FC_ANC, _n, _n2
@@ -208,6 +209,24 @@ def test_decode_rejects_non_integral(toy_cases):
         decode(model, assignment, case)
 
 
+def test_decode_accepts_a_binary_at_the_solver_tolerance_edge(toy_cases):
+    """HiGHS may return a binary up to its mip_feasibility_tolerance (1e-6)
+    from 0 or 1; decode keeps a margin above that, and 0.5 still fails."""
+    case = toy_cases["toy_path3"]
+    model = encode(case)
+    sched = empty_schedule(case)
+    sched.gen_start.update({"g1": 2, "g2": None})
+    sched.bus_on["b1"] = [False] + [True] * 7
+    assignment = assignment_from_schedule(model, case, sched)
+    assignment["bus_on.b1.3"] = 1 - 5e-6
+    decoded = decode(model, assignment, case)
+    assert decoded.bus_on["b1"] == sched.bus_on["b1"]
+    assert validate(case, decoded).passed
+    assignment["bus_on.b1.3"] = 0.5
+    with pytest.raises(DecodeError, match="integral"):
+        decode(model, assignment, case)
+
+
 def test_decode_rejects_non_monotone(toy_cases):
     case = toy_cases["toy_path3"]
     model = encode(case)
@@ -250,6 +269,27 @@ def test_objective_matches_enumeration_optimum(toy_cases, toy_enum):
     assert objective_value(case, result.schedule) == pytest.approx(result.objective, abs=1e-9)
     model = encode(case)
     assert model.objective_of(result.assignment) == pytest.approx(result.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["toy_t5", "toy_fc", "toy_bt"])
+def test_model_arrays_agree_with_the_model(toy_cases, toy_enum, name):
+    """Objective and row activities from the flat arrays match the model's
+    own evaluation of the oracle's optimum."""
+    model = encode(toy_cases[name])
+    arrays = model.arrays()
+    x = [toy_enum[name].assignment[v.name] for v in model.variables]
+    assert math.fsum(c * xi for c, xi in zip(arrays.c, x)) + arrays.constant == pytest.approx(
+        model.objective_of(toy_enum[name].assignment), abs=1e-9)
+    activity = [0.0] * len(model.constraints)
+    for i, j, a in zip(arrays.row, arrays.col, arrays.val):
+        activity[i] += a * x[j]
+    for con, lo, hi, ax in zip(model.constraints, arrays.row_lo, arrays.row_hi, activity):
+        assert lo - 1e-9 <= ax <= hi + 1e-9, con.name
+        assert (lo, hi) == {"<=": (-math.inf, con.rhs), ">=": (con.rhs, math.inf),
+                            "=": (con.rhs, con.rhs)}[con.sense]
+    assert list(arrays.lb) == [v.lb for v in model.variables]
+    assert list(arrays.ub) == [v.ub for v in model.variables]
+    assert list(arrays.integrality) == [int(v.is_integer) for v in model.variables]
 
 
 def test_linearization_identity_in_solutions(toy_external, toy_cases):

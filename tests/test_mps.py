@@ -71,6 +71,12 @@ def test_golden_file_byte_stable():
     assert export_mps(model) == golden.read_text()
 
 
+def test_golden_file_gives_the_encoded_model_arrays():
+    """The solver host and the MPS front end build HiGHS's input with one
+    ``MilpModel.arrays()``; the golden file gives the encoder's arrays."""
+    assert read_mps(DATA / "toy_path3.mps").arrays() == encode(load_bundled("toy_path3")).arrays()
+
+
 def test_file_round_trip(tmp_path, toy_cases):
     model = encode(toy_cases["toy_fc"])
     path = tmp_path / "m.mps"

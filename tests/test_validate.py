@@ -136,6 +136,20 @@ def test_malformed_schedule_raises(toy_cases):
         validate(case, short)
 
 
+@pytest.mark.parametrize("key, series", [
+    ("bus_on", ["false", 0]),
+    ("bus_on", [True, 1]),
+    ("branch_on", [None, False]),
+    ("bat_dispatch", [0.0, True]),
+    ("bat_dispatch", ["5", 0]),
+])
+def test_schedule_document_flags_and_dispatch_are_typed(key, series):
+    """Flags are JSON booleans and dispatch values numbers; a string "false"
+    once read as an energized bus."""
+    with pytest.raises(ValueError, match=f"{key}.x"):
+        Schedule.from_document({"n_steps": 2, key: {"x": series}})
+
+
 def test_report_serializes(toy_cases, toy_enum):
     report = validate(toy_cases["toy_t5"], toy_enum["toy_t5"].schedule)
     doc = report.to_document()
