@@ -1,9 +1,10 @@
 """Solve a model with HiGHS on a forked solver host, or with a configured solver command.
 
 By default (no command given and BLACKSTART_SOLVER_CMD unset) the bundled
-HiGHS front end, ``highs_cli.solve_model``, runs on a solver host: one
-long-lived child per process, forked from it (POSIX ``fork``) at its first
-default solve. The host imports scipy once and then serves every later
+HiGHS front end, ``highs_cli.solve_model`` (an exact reduction of the
+model, HiGHS with its presolve off, and a postsolve checked against the
+full model), runs on a solver host: one long-lived child per process,
+forked from it (POSIX ``fork``) at its first default solve. The host imports scipy once and then serves every later
 solve of that process; each request is the model as flat arrays
 (``MilpModel.arrays()``) over a pipe, so no file is written, no second
 interpreter starts, and scipy never enters the calling process.
@@ -23,11 +24,12 @@ other threads when the host is forked; with one host per process that is
 once, at the first default solve.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
-placeholders; the model goes out as an MPS file and the solution comes back
-as a document of whitespace-separated ``name value`` lines, where ``#``
-starts a comment, unknown names and non-finite values are an error,
-missing variables default to 0, and a single ``=infeasible=`` line marks
-a proven-infeasible model.
+placeholders; the model goes out as an MPS file, unreduced and in the
+paper's form, and the solution comes back as a document of
+whitespace-separated ``name value`` lines, where ``#`` starts a comment,
+unknown names and non-finite values are an error, missing variables
+default to 0, and a single ``=infeasible=`` line marks a proven-infeasible
+model.
 
 Either way the values are never trusted: they are decoded, re-simulated
 and validated in this process before a schedule is reported.
@@ -105,7 +107,9 @@ def solve_external(case: GridCase, command: str | None = None,
     stage reached: encode, solver, decode, validate, and for a solver
     command also export and import_solution) and ``model`` (vars, int_vars,
     rows, nnz). The solver host adds ``highs`` (status, message,
-    objective, mip_node_count, mip_gap, mip_dual_bound) and ``worker``
+    objective, mip_node_count, mip_gap, mip_dual_bound, and reduce_s,
+    time_s, reduced_rows and reduced_cols: the reduction's and HiGHS's
+    seconds and the size of the model HiGHS was handed) and ``worker``
     (the host's ``pid`` and its own peak RSS, ``maxrss_mb``); a solver
     command adds ``solver_command`` and ``returncode``.
     """

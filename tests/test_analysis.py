@@ -199,6 +199,7 @@ def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
     assert one.to_csv() == two.to_csv()
     for row in one.rows + two.rows:
         assert {"stages", "model", "highs", "worker"} <= set(row.stats)
+        assert {"time_s", "reduce_s", "reduced_rows", "reduced_cols"} <= set(row.stats["highs"])
     # one pool worker, so one solver host serves both scenarios
     assert len({row.stats["worker"]["pid"] for row in one.rows}) == 1
 

@@ -35,6 +35,11 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     assert set(stats["model"]) == {"vars", "int_vars", "rows", "nnz"}
     assert stats["highs"]["status"] == 0
     assert stats["highs"]["mip_gap"] == 0
+    model, highs = stats["model"], stats["highs"]
+    assert 0 < highs["reduced_rows"] < model["rows"]
+    assert 0 < highs["reduced_cols"] < model["vars"]
+    assert 0 < highs["reduce_s"] and 0 < highs["time_s"]
+    assert highs["reduce_s"] + highs["time_s"] < stats["stages"]["solver"]
     assert isinstance(stats["worker"]["pid"], int)
     assert stats["worker"]["maxrss_mb"] > 0
 

@@ -1,3 +1,4 @@
+import json
 import os
 import shlex
 import stat
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from blackstart import decode, encode, load_case, read_mps, solve_enumeration, validate
+from blackstart.cases import bundled_case_path
 from blackstart.solvers import (
     ENV_SOLVER_CMD,
     highs_cli,
@@ -310,3 +312,19 @@ def test_import_rejects_infinite_values(known_good):
     _, model, _, _ = known_good
     with pytest.raises(SolutionFormatError, match="non-finite"):
         import_solution(model, "gen_power.g2.4 inf\n")
+
+
+BUNDLED_GSUS = json.loads((DATA / "bundled_gsus.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_GSUS))
+def test_bundled_case_keeps_its_objective_and_gsus(name):
+    """Which equal-cost schedule the solver returns may change with its
+    settings; the objective and the startup sequence (gen_start, fc_start)
+    may not."""
+    want = BUNDLED_GSUS[name]
+    result = solve_external(load_case(bundled_case_path(name)))
+    assert result.status == "optimal", result.message
+    assert result.objective == pytest.approx(want["objective"], rel=1e-9)
+    doc = result.schedule.to_document()
+    assert (doc["gen_start"], doc["fc_start"]) == (want["gen_start"], want["fc_start"])
