@@ -6,12 +6,36 @@ begins: a unit starting at step s has been down for (s-1) steps, i.e.
 canonical document with one axis changed, so runs are independent and
 reproducible; rows of a sweep CSV are generators (plus the average), and
 columns are the axis values.
+
+Sweeps run on one process pool per process, started (POSIX ``fork``) at
+the first sweep and kept for every later one, so a pool worker and the
+solver host it forks pay their start-up (the fork, scipy's import) once
+per process, not once per sweep. The pool is reused while its key holds:
+the worker count ``min(workers, len(values))``, the owner's pid, the
+environment and the working directory, which the workers took at their
+fork and which decide ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR``.
+Otherwise it is shut down, waiting for its workers, and replaced.
+
+- A pool that fails (a worker died, or the caller was interrupted) is
+  dropped; the next sweep starts a fresh one.
+- A forked child never uses its parent's pool; it starts its own.
+- Idle workers ignore Ctrl-C, leaving it to their owner, and exit when
+  their owner is gone. The pool is shut down at exit, or by
+  ``stop_sweep_pool()``; its workers' hosts exit with them.
+- Between sweeps the pool keeps two threads in the caller, its manager and
+  its queue feeder; ``solvers.external`` says why its solver host may
+  still be forked beside them.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import functools
+import os
+import signal
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +46,9 @@ from .grid import GridCase
 from .schedule import Schedule
 
 NEVER = "never"
+
+# How often an idle sweep pool worker checks that its owner is alive.
+OWNER_CHECK_S = 1.0
 
 SWEEP_AXES = ("fc_capacity", "battery_capacity", "battery_soc", "resource_location")
 
@@ -197,8 +224,9 @@ def _run_scenario(base: GridCase, axis: str, value, backend: str,
     try:
         case = apply_axis_value(base, axis, value)
         step = "solve"
-        result = solvers.solve(case, backend, solver_command=solver_command,
-                               enum_cap=enum_cap)
+        with _interruptible():
+            result = solvers.solve(case, backend, solver_command=solver_command,
+                                   enum_cap=enum_cap)
     except Exception as exc:
         return SweepRow(value=value, status="error",
                         message=f"{step}: {type(exc).__name__}: {exc}")
@@ -217,29 +245,119 @@ def _run_scenario(base: GridCase, axis: str, value, backend: str,
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Solve one scenario per axis value on a pool of ``spec.workers``
-    processes; failures land in the row, not raised."""
+    """Solve one scenario per axis value on this process's sweep pool of
+    ``min(spec.workers, len(spec.values))`` processes; failures land in the
+    row, not raised.
+
+    A scenario the pool lost (a worker that died, say) is an ``error`` row
+    whose message starts with ``pool:``, and the pool is dropped. Any other
+    exception out of the pool, ``KeyboardInterrupt`` included, drops the
+    pool and is raised. Either way the next sweep starts a fresh pool.
+    """
     scenario = functools.partial(
         _run_scenario, spec.case, spec.axis,
         backend=spec.backend, solver_command=spec.solver_command, enum_cap=spec.enum_cap,
     )
-    forks_highs = (spec.backend == "external"
-                   and solvers.resolve_solver_command(spec.solver_command) is None)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=spec.workers, initializer=_import_solver if forks_highs else None,
-    ) as pool:
-        rows = list(pool.map(scenario, spec.values))
+    pool = _sweep_pool(min(spec.workers, len(spec.values)))
+    try:
+        futures = [_submit(pool, scenario, value) for value in spec.values]
+        rows = [_pool_row(future, value) for future, value in zip(futures, spec.values)]
+    except BaseException:
+        stop_sweep_pool()
+        raise
+    if any(future.exception() is not None for future in futures):
+        stop_sweep_pool()
     return SweepResult(axis=spec.axis, rows=rows)
 
 
-def _import_solver() -> None:
-    """Pool initializer for sweeps on the solver host: import scipy in each
-    pool worker, so that the host it forks starts with scipy loaded.
+def _submit(pool: concurrent.futures.Executor, fn, value) -> concurrent.futures.Future:
+    """``pool.submit(fn, value)``, or a future holding the reason it refused."""
+    try:
+        return pool.submit(fn, value)
+    except Exception as exc:  # a pool that broke while the sweep was handing out work
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future
 
-    Measured on the fc_capacity sweep of ieee39_fc50 (2 CPUs): without it,
-    the sweep ran ~10% faster but its peak RSS reading rose ~11%.
-    """
-    from .solvers import highs_cli  # noqa: F401
+
+def _pool_row(future: concurrent.futures.Future, value) -> SweepRow:
+    """The scenario's row; ``_run_scenario`` catches its own failures, so an
+    exception here is the pool's."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return SweepRow(value=value, status="error",
+                        message=f"pool: {type(exc).__name__}: {exc}")
+
+
+# This process's sweep pool and the key it was started under (module docstring).
+_pool: concurrent.futures.ProcessPoolExecutor | None = None
+_pool_key: tuple = ()
+
+
+def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """This process's sweep pool; a new one if the key changed."""
+    global _pool, _pool_key
+    key = (workers, os.getpid(), dict(os.environ), os.getcwd())
+    if _pool is None or _pool_key != key:
+        import multiprocessing
+
+        stop_sweep_pool()
+        _pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(os.getpid(),))
+        _pool_key = key
+    return _pool
+
+
+def _start_worker(owner: int) -> None:
+    """Pool initializer: ignore Ctrl-C while idle, so that it cannot kill a
+    worker between sweeps (a scenario's solve still takes it, see
+    ``_interruptible``); and once every ``OWNER_CHECK_S`` (a SIGALRM timer,
+    which a forked host does not inherit) exit if ``owner`` is no longer
+    this worker's parent, so that a killed owner leaves no idle worker
+    behind. The worker's host then reads EOF and exits too."""
+    def check(signum, frame) -> None:
+        if os.getppid() != owner:
+            os._exit(1)
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGALRM, check)
+    signal.setitimer(signal.ITIMER_REAL, OWNER_CHECK_S, OWNER_CHECK_S)
+
+
+def stop_sweep_pool() -> None:
+    """Shut this process's sweep pool down, if it has one, and wait for its
+    workers, whose solver hosts exit with them; the next sweep starts a new pool."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_inherited_pool() -> None:
+    """In a forked child: the parent's pool is not this process's to use or
+    shut down, and its workers are not this process's children."""
+    global _pool
+    if _pool is not None:
+        import multiprocessing.process
+
+        _pool = None
+        multiprocessing.process._children.clear()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_pool)
+atexit.register(stop_sweep_pool)
+
+
+@contextmanager
+def _interruptible() -> Iterator[None]:
+    """Let Ctrl-C (SIGINT) interrupt the block in a pool worker, which ignores it when idle."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 def _cell(minutes: float | None) -> str:

@@ -19,9 +19,19 @@ interpreter starts, and scipy never enters the calling process.
   its owner exits, and it exits on its own when its owner dies.
 
 The host serves one request at a time, so a process solves from one
-thread. As with any ``fork``, the calling process should not be running
-other threads when the host is forked; with one host per process that is
-once, at the first default solve.
+thread. As with any ``fork``, the host starts with only the thread that
+forked it, and a lock another thread held at that moment stays held in
+the host forever. One such fork is certain: after a sweep, the sweep pool
+(``analysis``) keeps its manager thread and its queue-feeder thread
+running in the caller, so a later first default solve forks its host
+beside them. The host cannot block on their locks. ``_serve`` touches
+only its own pipe, ``resource``, ``signal`` and the import of
+``highs_cli`` (the import lock is reset in a forked child), never the
+pool's queues; and dropping the inherited pool at the fork takes only the
+pool's shutdown lock, which an idle pool's threads do not hold (its
+manager takes it only while a worker exits or the pool shuts down, its
+feeder only on a pickling error). Other threads of the caller's own are
+its risk, once per process, at the first default solve.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; the model goes out as an MPS file, unreduced and in the
