@@ -13,15 +13,17 @@ solver host it forks pay their start-up (the fork, scipy's import) once
 per process, not once per sweep. The pool is reused while its key holds:
 the worker count ``min(workers, len(values))``, the owner's pid, the
 environment and the working directory, which the workers took at their
-fork and which decide ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR``.
-Otherwise it is shut down, waiting for its workers, and replaced.
+fork and which decide ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR``,
+and while every worker is alive. Otherwise it is shut down, waiting for
+its workers, and replaced.
 
 - A pool that fails (a worker died, or the caller was interrupted) is
-  dropped; the next sweep starts a fresh one.
+  dropped; so is one whose worker died between sweeps (an OOM kill, or a
+  Ctrl-C at a terminal, which reaches idle workers too). The next sweep
+  starts a fresh one.
 - A forked child never uses its parent's pool; it starts its own.
-- Idle workers ignore Ctrl-C, leaving it to their owner, and exit when
-  their owner is gone. The pool is shut down at exit, or by
-  ``stop_sweep_pool()``; its workers' hosts exit with them.
+- Idle workers exit when their owner is gone. The pool is shut down at
+  exit, or by ``stop_sweep_pool()``; its workers' hosts exit with them.
 - Between sweeps the pool keeps two threads in the caller, its manager and
   its queue feeder; ``solvers.external`` says why its solver host may
   still be forked beside them.
@@ -34,8 +36,6 @@ import concurrent.futures
 import functools
 import os
 import signal
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,9 +224,8 @@ def _run_scenario(base: GridCase, axis: str, value, backend: str,
     try:
         case = apply_axis_value(base, axis, value)
         step = "solve"
-        with _interruptible():
-            result = solvers.solve(case, backend, solver_command=solver_command,
-                                   enum_cap=enum_cap)
+        result = solvers.solve(case, backend, solver_command=solver_command,
+                               enum_cap=enum_cap)
     except Exception as exc:
         return SweepRow(value=value, status="error",
                         message=f"{step}: {type(exc).__name__}: {exc}")
@@ -250,9 +249,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     row, not raised.
 
     A scenario the pool lost (a worker that died, say) is an ``error`` row
-    whose message starts with ``pool:``, and the pool is dropped. Any other
-    exception out of the pool, ``KeyboardInterrupt`` included, drops the
-    pool and is raised. Either way the next sweep starts a fresh pool.
+    whose message starts with ``pool:``, and the next sweep replaces the
+    pool. Any other exception out of the pool, ``KeyboardInterrupt``
+    included, drops the pool and is raised.
     """
     scenario = functools.partial(
         _run_scenario, spec.case, spec.axis,
@@ -260,24 +259,12 @@ def sweep(spec: SweepSpec) -> SweepResult:
     )
     pool = _sweep_pool(min(spec.workers, len(spec.values)))
     try:
-        futures = [_submit(pool, scenario, value) for value in spec.values]
+        futures = [pool.submit(scenario, value) for value in spec.values]
         rows = [_pool_row(future, value) for future, value in zip(futures, spec.values)]
     except BaseException:
         stop_sweep_pool()
         raise
-    if any(future.exception() is not None for future in futures):
-        stop_sweep_pool()
     return SweepResult(axis=spec.axis, rows=rows)
-
-
-def _submit(pool: concurrent.futures.Executor, fn, value) -> concurrent.futures.Future:
-    """``pool.submit(fn, value)``, or a future holding the reason it refused."""
-    try:
-        return pool.submit(fn, value)
-    except Exception as exc:  # a pool that broke while the sweep was handing out work
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        future.set_exception(exc)
-        return future
 
 
 def _pool_row(future: concurrent.futures.Future, value) -> SweepRow:
@@ -296,10 +283,10 @@ _pool_key: tuple = ()
 
 
 def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """This process's sweep pool; a new one if the key changed."""
+    """This process's sweep pool; a new one if the key changed or a worker died."""
     global _pool, _pool_key
     key = (workers, os.getpid(), dict(os.environ), os.getcwd())
-    if _pool is None or _pool_key != key:
+    if _pool is None or _pool_key != key or not _serving(_pool):
         import multiprocessing
 
         stop_sweep_pool()
@@ -310,10 +297,15 @@ def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     return _pool
 
 
+def _serving(pool: concurrent.futures.ProcessPoolExecutor) -> bool:
+    """Whether every worker of the pool is alive: its manager thread marks
+    it broken once it sees a worker gone, and polling each worker catches
+    one that died before the manager looked."""
+    return not pool._broken and all(p.is_alive() for p in pool._processes.values())
+
+
 def _start_worker(owner: int) -> None:
-    """Pool initializer: ignore Ctrl-C while idle, so that it cannot kill a
-    worker between sweeps (a scenario's solve still takes it, see
-    ``_interruptible``); and once every ``OWNER_CHECK_S`` (a SIGALRM timer,
+    """Pool initializer: once every ``OWNER_CHECK_S`` (a SIGALRM timer,
     which a forked host does not inherit) exit if ``owner`` is no longer
     this worker's parent, so that a killed owner leaves no idle worker
     behind. The worker's host then reads EOF and exits too."""
@@ -321,7 +313,6 @@ def _start_worker(owner: int) -> None:
         if os.getppid() != owner:
             os._exit(1)
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGALRM, check)
     signal.setitimer(signal.ITIMER_REAL, OWNER_CHECK_S, OWNER_CHECK_S)
 
@@ -347,17 +338,10 @@ def _forget_inherited_pool() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_inherited_pool)
+# concurrent.futures joins the pool's workers at exit but keeps the pool
+# object; freed later, among half-torn-down modules, it prints an ignored
+# AttributeError from its weakref callback.
 atexit.register(stop_sweep_pool)
-
-
-@contextmanager
-def _interruptible() -> Iterator[None]:
-    """Let Ctrl-C (SIGINT) interrupt the block in a pool worker, which ignores it when idle."""
-    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGINT, previous)
 
 
 def _cell(minutes: float | None) -> str:

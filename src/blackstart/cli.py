@@ -48,14 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="solve a case and write artifacts")
     common(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="sensitivity sweep over one axis")
+    p_sweep = sub.add_parser(
+        "sweep", help="sensitivity sweeps, one per --axis, in one process")
     common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=analysis.SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, action="append",
+                         choices=analysis.SWEEP_AXES, help="repeatable")
     p_sweep.add_argument(
-        "--values", required=True,
-        help="comma-separated numbers, or for resource_location "
-             "semicolon-separated groups of bus ids joined by '+', "
-             "e.g. 'b6+b16;b11+b19'",
+        "--values", required=True, action="append",
+        help="one per --axis, in the same order: comma-separated numbers, or "
+             "for resource_location semicolon-separated groups of bus ids "
+             "joined by '+', e.g. 'b6+b16;b11+b19'",
     )
     p_sweep.add_argument("--workers", type=int, default=1)
 
@@ -130,28 +132,35 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """One sweep per ``--axis``, all on this process's sweep pool; every spec
+    is checked before the first scenario runs."""
     case = _load(args.case)
     try:
-        spec = analysis.SweepSpec(
+        if len(args.values) != len(args.axis) or len(set(args.axis)) != len(args.axis):
+            raise ValueError("give each axis once, with one --values per --axis")
+        specs = [analysis.SweepSpec(
             case=case,
-            axis=args.axis,
-            values=_parse_values(args.axis, args.values),
+            axis=axis,
+            values=_parse_values(axis, values),
             backend=args.backend,
             solver_command=args.solver_cmd,
             workers=args.workers,
             enum_cap=args.enum_cap,
-        )
+        ) for axis, values in zip(args.axis, args.values)]
     except ValueError as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return EXIT_LOAD
-    result = analysis.sweep(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"sweep_{args.axis}.csv"
-    out.write_text(result.to_csv())
-    print(result.to_csv(), end="")
-    print(f"wrote {out}", file=sys.stderr)
-    return EXIT_OK if all(r.status == solvers.OPTIMAL for r in result.rows) else EXIT_SOLVE
+    solved = True
+    for spec in specs:
+        result = analysis.sweep(spec)
+        out = out_dir / f"sweep_{spec.axis}.csv"
+        out.write_text(result.to_csv())
+        print(result.to_csv(), end="")
+        print(f"wrote {out}", file=sys.stderr)
+        solved &= all(r.status == solvers.OPTIMAL for r in result.rows)
+    return EXIT_OK if solved else EXIT_SOLVE
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

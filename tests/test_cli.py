@@ -123,6 +123,30 @@ def test_sweep_verb_location_values(tmp_path):
     assert csv.splitlines()[0] == "resource_location,b2,b5"
 
 
+def test_sweep_verb_runs_one_sweep_per_axis(tmp_path, capsys):
+    rc = main(["sweep", "--case", case_arg("toy_t5"), "--backend", "enum",
+               "--axis", "fc_capacity", "--values", "10,20",
+               "--axis", "resource_location", "--values", "b2;b5", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    fc = (tmp_path / "sweep_fc_capacity.csv").read_text()
+    location = (tmp_path / "sweep_resource_location.csv").read_text()
+    assert fc.splitlines()[0] == "fc_capacity,10,20"
+    assert location.splitlines()[0] == "resource_location,b2,b5"
+    assert capsys.readouterr().out == fc + location
+
+
+@pytest.mark.parametrize("pairs", [
+    ["--axis", "fc_capacity", "--values", "10", "--values", "20"],
+    ["--axis", "fc_capacity", "--values", "10", "--axis", "fc_capacity", "--values", "20"],
+])
+def test_sweep_verb_wants_each_axis_once_with_its_values(tmp_path, capsys, pairs):
+    rc = main(["sweep", "--case", case_arg("toy_t5"), "--backend", "enum", *pairs,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "bad sweep spec" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def short_horizon_case(tmp_path):
     """toy_path3 with a 40-minute horizon: no unit can finish cranking."""
     path = tmp_path / "short.json"

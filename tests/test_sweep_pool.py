@@ -1,7 +1,7 @@
 """Lifecycle of the sweep pool: one pool per process serves every sweep
 with the same worker count, environment and directory; it is replaced when
-any of these change or when it fails, never shared with a forked child,
-and gone when its owner is."""
+any of these change, when it fails or when it lost a worker, never shared
+with a forked child, and gone when its owner is."""
 
 import multiprocessing
 import os
@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -64,17 +65,24 @@ def test_a_dead_pool_worker_ends_in_error_rows(toy_cases, fresh_solver_host):
     assert_optimal(sweep(spec))
 
 
-def test_a_pool_worker_that_died_between_sweeps_fails_one_sweep(toy_cases, fresh_solver_host):
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGINT])
+def test_a_pool_worker_that_died_between_sweeps_is_replaced(toy_cases, signum,
+                                                            fresh_solver_host):
+    """An idle worker can die of an OOM kill or of a Ctrl-C at a terminal;
+    the next sweep runs on a fresh pool, whether or not the old pool's
+    manager thread has seen the death yet."""
     spec = toy_spec(toy_cases, workers=2)
-    assert_optimal(sweep(spec))
-    worker = multiprocessing.active_children()[0]
-    os.kill(worker.pid, signal.SIGKILL)
-    assert gone_within(worker.pid, 10)
-    time.sleep(0.5)  # for the pool's manager thread to see it
-    for row in sweep(spec).rows:
-        assert row.status == "error"
-        assert row.message.startswith("pool: BrokenProcessPool: "), row.message
-    assert_optimal(sweep(spec))
+    first = sweep(spec)
+    workers = multiprocessing.active_children()
+    # Let the workers go idle: a Ctrl-C that lands while a worker is still
+    # handing back its result is caught there, and the worker lives on.
+    time.sleep(0.2)
+    os.kill(workers[0].pid, signum)
+    assert gone_within(workers[0].pid, 10)
+    second = sweep(spec)
+    assert_optimal(second)
+    assert not host_pids(first) & host_pids(second)
+    assert not [worker for worker in workers if worker.is_alive()]
 
 
 def test_a_dead_pool_worker_is_a_failed_sweep_on_the_command_line(tmp_path, capsys,
@@ -158,22 +166,6 @@ def test_ctrl_c_stops_the_running_scenarios(toy_cases, fresh_solver_host):
     assert_optimal(sweep(toy_spec(toy_cases, workers=2)))
 
 
-def test_ctrl_c_between_sweeps_leaves_the_pool_serving(toy_cases, fresh_solver_host):
-    """Ctrl-C at a terminal reaches every process in the foreground group,
-    idle pool workers included; they leave it to their owner."""
-    spec = toy_spec(toy_cases, workers=2)
-    first = sweep(spec)
-    workers = multiprocessing.active_children()
-    assert workers
-    for worker in workers:
-        os.kill(worker.pid, signal.SIGINT)
-    time.sleep(0.5)
-    second = sweep(spec)
-    assert_optimal(second)
-    assert all(worker.is_alive() for worker in workers)
-    assert len(host_pids(first) | host_pids(second)) <= 2  # the same pool
-
-
 SWEEP_SCRIPT = (
     "import os, multiprocessing, threading\n"
     "import blackstart as bs\n"
@@ -224,6 +216,19 @@ def test_a_process_that_sweeps_twice_exits_cleanly(tmp_path):
     pids = [int(p) for p in proc.stdout.split()]
     assert len(pids) >= 2  # the pool workers and their hosts
     assert not [pid for pid in pids if running(pid)]
+
+
+def test_a_pytest_run_that_sweeps_exits_cleanly(tmp_path):
+    """A pool still alive at exit must be shut down before module teardown:
+    freed during it, the pool prints an ignored exception from its weakref
+    callback. A pytest run is a process where that happens."""
+    test = Path(__file__).with_name("test_cli.py")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{test}::test_sweep_verb"],
+                          env=clean_env(), cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    assert "Exception ignored" not in proc.stdout + proc.stderr, proc.stderr
 
 
 def test_a_host_forked_beside_the_pool_threads_serves_and_exits(tmp_path):
