@@ -11,15 +11,21 @@ series u_start is 0 until the start step and 1 afterwards, the generating
 series u_on rises exactly crank_steps later, and the at-maximum series
 u_max exactly ramp_steps after that. Products of status binaries are
 linearized with one lower and two upper envelope inequalities per pair.
+
+``MilpModel`` stores the model as it is built in the form HiGHS takes:
+columns as bound and integrality arrays, rows as a COO matrix with row
+sides, each row's entries in ascending column order. ``arrays()`` hands
+them out without another pass over the model. The name-keyed views
+(``variables``, ``constraints``) are built only when MPS export, a check
+or a test reads them.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 from .devices import phase_output
@@ -82,7 +88,7 @@ class Constraint:
 
 
 class ModelArrays(NamedTuple):
-    """A model as flat arrays, in ``MilpModel.variables`` and ``constraints`` order.
+    """A model as flat arrays, in its column (``MilpModel.names``) and row order.
 
     The constraint matrix is COO (``row``, ``col``, ``val``); each row is
     ``row_lo <= a·x <= row_hi`` with infinite sides for one-sided senses;
@@ -102,77 +108,133 @@ class ModelArrays(NamedTuple):
     constant: float
 
 
-@dataclass
 class MilpModel:
-    """Immutable-after-build MILP: variables, constraints, minimize objective."""
+    """Immutable-after-build MILP, stored as the arrays HiGHS takes; minimize objective.
 
-    name: str
-    variables: list[VarRef] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    objective_constant: float = 0.0
-    _by_name: dict[str, VarRef] = field(default_factory=dict, repr=False)
-    _pos: dict[str, int] = field(default_factory=dict, repr=False)
+    Columns are ``names`` (declaration order) with bound and integrality
+    ``array.array``s beside them; rows are a COO matrix (row, column,
+    value arrays) with lower and upper side arrays, plus each row's name,
+    sense and rhs. ``add_constraint`` resolves each term to its column as it
+    appends the row, drops zero coefficients, and stores a row's entries in
+    ascending column order (the order an MPS import reads them in), so
+    ``arrays()`` and ``size()`` only copy or count what is stored.
+
+    ``variables`` and ``constraints`` are read-only views (``VarRef``s, and
+    ``Constraint``s with name-sorted terms) for MPS export, checks and
+    tests: built on first access, cached, and rebuilt after any
+    ``add_var``, ``fix`` or ``add_constraint``. The solve path never builds
+    them.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.objective: dict[str, float] = {}
+        self.objective_constant = 0.0
+        self.names: list[str] = []
+        self._pos: dict[str, int] = {}
+        self._keys: list[tuple[str, str, tuple[int, ...]]] = []
+        self._lb, self._ub, self._integrality = array("d"), array("d"), array("b")
+        self._row, self._col, self._val = array("i"), array("i"), array("d")
+        self._row_lo, self._row_hi = array("d"), array("d")
+        self._rows: list[tuple[str, str, float]] = []
+        self._variables: tuple[VarRef, ...] | None = None
+        self._constraints: tuple[Constraint, ...] | None = None
 
     def add_var(self, kind: str, entity: str, steps: tuple[int, ...],
-                lb: float, ub: float, is_integer: bool) -> VarRef:
-        ref = VarRef(kind, entity, steps, lb, ub, is_integer)
-        if ref.name in self._by_name:
-            raise EncodingError(f"duplicate variable {ref.name}")
-        self._pos[ref.name] = len(self.variables)
-        self.variables.append(ref)
-        self._by_name[ref.name] = ref
-        return ref
+                lb: float, ub: float, is_integer: bool) -> None:
+        name = ".".join((kind, entity, *map(str, steps)))
+        if name in self._pos:
+            raise EncodingError(f"duplicate variable {name}")
+        self._pos[name] = len(self.names)
+        self.names.append(name)
+        self._keys.append((kind, entity, steps))
+        self._lb.append(lb)
+        self._ub.append(ub)
+        self._integrality.append(is_integer)
+        self._variables = None
 
     def fix(self, name: str, value: float) -> None:
-        ref = self._by_name[name]
-        fixed = VarRef(ref.kind, ref.entity, ref.steps, value, value, ref.is_integer)
-        self.variables[self._pos[name]] = fixed
-        self._by_name[name] = fixed
+        j = self._pos[name]
+        self._lb[j] = self._ub[j] = value
+        self._variables = None
 
     def add_constraint(self, name: str, terms: dict[str, float], sense: str, rhs: float) -> None:
-        for var in terms:
-            if var not in self._by_name:
-                raise EncodingError(f"constraint {name} references undeclared variable {var}")
-        if sense not in ("<=", ">=", "="):
-            raise EncodingError(f"constraint {name}: bad sense {sense!r}")
-        kept = tuple(sorted((v, c) for v, c in terms.items() if c != 0.0))
-        self.constraints.append(Constraint(name, kept, sense, rhs))
+        pos = self._pos
+        try:
+            cols = [pos[var] for var in terms]
+        except KeyError as exc:
+            raise EncodingError(
+                f"constraint {name} references undeclared variable {exc.args[0]}") from None
+        self._add_row(name, cols, list(terms.values()), sense, rhs)
 
-    def var(self, name: str) -> VarRef:
-        return self._by_name[name]
+    def _add_row(self, name: str, cols: list[int], vals: list[float], sense: str,
+                 rhs: float) -> None:
+        """Append a row by column index; ``cols`` are distinct declared columns."""
+        if sense == "<=":
+            lo, hi = -math.inf, rhs
+        elif sense == ">=":
+            lo, hi = rhs, math.inf
+        elif sense == "=":
+            lo = hi = rhs
+        else:
+            raise EncodingError(f"constraint {name}: bad sense {sense!r}")
+        if 0.0 in vals:
+            cols = [j for j, v in zip(cols, vals) if v != 0.0]
+            vals = [v for v in vals if v != 0.0]
+        if cols != sorted(cols):
+            cols, vals = map(list, zip(*sorted(zip(cols, vals))))
+        self._row.fromlist([len(self._rows)] * len(cols))
+        self._col.fromlist(cols)
+        self._val.fromlist(vals)
+        self._row_lo.append(lo)
+        self._row_hi.append(hi)
+        self._rows.append((name, sense, rhs))
+        self._constraints = None
+
+    @property
+    def variables(self) -> tuple[VarRef, ...]:
+        if self._variables is None:
+            self._variables = tuple(
+                VarRef(kind, entity, steps, lb, ub, bool(integer))
+                for (kind, entity, steps), lb, ub, integer
+                in zip(self._keys, self._lb, self._ub, self._integrality)
+            )
+        return self._variables
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        if self._constraints is None:
+            names = self.names
+            terms: list[list[tuple[str, float]]] = [[] for _ in self._rows]
+            for i, j, coef in zip(self._row, self._col, self._val):
+                terms[i].append((names[j], coef))
+            self._constraints = tuple(
+                Constraint(name, tuple(sorted(row_terms)), sense, rhs)
+                for (name, sense, rhs), row_terms in zip(self._rows, terms)
+            )
+        return self._constraints
 
     def has_var(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._pos
 
     def size(self) -> dict[str, int]:
         """Variable, integer-variable, row and constraint-nonzero counts."""
         return {
-            "vars": len(self.variables),
-            "int_vars": sum(v.is_integer for v in self.variables),
-            "rows": len(self.constraints),
-            "nnz": sum(len(c.terms) for c in self.constraints),
+            "vars": len(self.names),
+            "int_vars": self._integrality.count(1),
+            "rows": len(self._rows),
+            "nnz": len(self._val),
         }
 
     def arrays(self) -> ModelArrays:
         """The model as flat ``array.array``s, cheap to pickle and to wrap in numpy."""
         pos = self._pos
-        c = array("d", [0.0]) * len(self.variables)
+        c = array("d", [0.0]) * len(self.names)
         for name, coef in self.objective.items():
             c[pos[name]] += coef
-        row, col, val = array("i"), array("i"), array("d")
-        row_lo, row_hi = array("d"), array("d")
-        for i, con in enumerate(self.constraints):
-            row.extend(repeat(i, len(con.terms)))
-            col.extend(pos[name] for name, _ in con.terms)
-            val.extend(coef for _, coef in con.terms)
-            row_lo.append(-math.inf if con.sense == "<=" else con.rhs)
-            row_hi.append(math.inf if con.sense == ">=" else con.rhs)
         return ModelArrays(
-            c, row, col, val, row_lo, row_hi,
-            lb=array("d", [v.lb for v in self.variables]),
-            ub=array("d", [v.ub for v in self.variables]),
-            integrality=array("b", [v.is_integer for v in self.variables]),
+            c, self._row[:], self._col[:], self._val[:], self._row_lo[:], self._row_hi[:],
+            lb=self._lb[:], ub=self._ub[:], integrality=self._integrality[:],
             constant=self.objective_constant,
         )
 
@@ -323,19 +385,24 @@ def encode(case: GridCase) -> MilpModel:
         ):
             anc = FC_ANC[fam]
             lo, up1, up2 = tags
+            # these 3·T² rows are most of a fuel-cell model, so they go in
+            # by column index, not through per-row name dicts; the status
+            # series are declared before the ancillaries, so each row below
+            # lists its columns in ascending order and needs no sort
+            u = {t: m._pos[_n(status_kind, f.id, t)] for t in steps}
             for t1 in steps:
                 for t2 in steps:
-                    y = _n2(anc, f.id, t1, t2)
-                    u1 = _n(status_kind, f.id, t1)
-                    u2 = _n(status_kind, f.id, t2)
-                    # u1 and u2 coincide on the diagonal; accumulate so the
+                    y = m._pos[_n2(anc, f.id, t1, t2)]
+                    u1, u2 = u[t1], u[t2]
+                    # u1 and u2 coincide on the diagonal; merge them so the
                     # lower envelope reads y >= 2u - 1 there
-                    terms = {y: 1.0}
-                    _add_term(terms, u1, -1.0)
-                    _add_term(terms, u2, -1.0)
-                    m.add_constraint(f"{lo}.{f.id}.t{t1}.t{t2}", terms, ">=", -1)
-                    m.add_constraint(f"{up1}.{f.id}.t{t1}.t{t2}", {y: 1, u1: -1}, "<=", 0)
-                    m.add_constraint(f"{up2}.{f.id}.t{t1}.t{t2}", {y: 1, u2: -1}, "<=", 0)
+                    if t1 == t2:
+                        m._add_row(f"{lo}.{f.id}.t{t1}.t{t2}", [u1, y], [-2.0, 1.0], ">=", -1)
+                    else:
+                        m._add_row(f"{lo}.{f.id}.t{t1}.t{t2}", [min(u1, u2), max(u1, u2), y],
+                                   [-1.0, -1.0, 1.0], ">=", -1)
+                    m._add_row(f"{up1}.{f.id}.t{t1}.t{t2}", [u1, y], [-1.0, 1.0], "<=", 0)
+                    m._add_row(f"{up2}.{f.id}.t{t1}.t{t2}", [u2, y], [-1.0, 1.0], "<=", 0)
 
     # --- device output ---------------------------------------------------------
     # Fuel cell: -p_crank while cranking, then p_max/ramp_steps per elapsed
@@ -635,7 +702,7 @@ def assignment_from_schedule(model: MilpModel, case: GridCase, schedule: Schedul
     for k in case.branches:
         for t in range(1, T + 1):
             out[_n(BRANCH_ON, k.id, t)] = 1.0 if schedule.branch_on[k.id][t - 1] else 0.0
-    missing = [v.name for v in model.variables if v.name not in out]
+    missing = [name for name in model.names if name not in out]
     if missing:
         raise DecodeError(f"schedule does not cover variables: {missing[:5]}...")
     return out

@@ -13,17 +13,16 @@ row with the usual sign convention: objective = c.x - rhs(obj).
 The reader parses exactly this dialect; it exists as the inverse of the
 writer for round-trip checks and for out-of-process solver front ends. It
 accumulates each row's terms while reading COLUMNS, so its time is linear in
-the number of entries: duplicate (column, row) entries are summed, sums of
-exactly zero are dropped, each row's terms come out sorted by variable name
-(as ``MilpModel.add_constraint`` stores them), and rows without terms are
-kept.
+the number of entries: duplicate (column, row) entries are summed, and
+each row goes into the model through ``MilpModel.add_constraint``, which
+drops sums of exactly zero; rows without terms are kept.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .milp import Constraint, MilpModel
+from .milp import MilpModel
 
 OBJ_ROW = "obj"
 RHS_SET = "rhs"
@@ -213,8 +212,7 @@ def import_mps(text: str) -> MilpModel:
         model.add_var(kind_name, entity, steps, lb, ub, integer)
 
     for name in row_order:
-        terms = tuple(sorted((col, coef) for col, coef in row_terms[name].items() if coef != 0.0))
-        model.constraints.append(Constraint(name, terms, row_sense[name], rhs.get(name, 0.0)))
+        model.add_constraint(name, row_terms[name], row_sense[name], rhs.get(name, 0.0))
     model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
     return model
 

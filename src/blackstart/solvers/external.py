@@ -104,8 +104,8 @@ def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
             raise SolutionFormatError(f"line {lineno}: unparseable value {value!r}") from exc
         if not math.isfinite(assignment[name]):
             raise SolutionFormatError(f"line {lineno}: non-finite value {value!r}")
-    for v in model.variables:
-        assignment.setdefault(v.name, 0.0)
+    for name in model.names:
+        assignment.setdefault(name, 0.0)
     return assignment
 
 
@@ -120,8 +120,10 @@ def solve_external(case: GridCase, command: str | None = None,
     objective, mip_node_count, mip_gap, mip_dual_bound, and reduce_s,
     time_s, reduced_rows and reduced_cols: the reduction's and HiGHS's
     seconds and the size of the model HiGHS was handed) and ``worker``
-    (the host's ``pid`` and its own peak RSS, ``maxrss_mb``); a solver
-    command adds ``solver_command`` and ``returncode``.
+    (the host's ``pid``, its own peak RSS, ``maxrss_mb``, and ``import_s``,
+    the seconds it spent importing HiGHS for this solve: nonzero on a new
+    host's first solve, 0.0 after); a solver command adds
+    ``solver_command`` and ``returncode``.
     """
     t0 = time.perf_counter()
     stages: dict[str, float] = {}
@@ -242,9 +244,10 @@ def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
 
     Returns the assignment, or None for a proven-infeasible model. The
     request is ``model.arrays()``; the reply is the status, the values,
-    HiGHS's info and the host's peak RSS. A host that times out, or any
-    exception while it is in use, kills it; a host that died is reaped and
-    its exit code reported. Either way the next solve forks a fresh one.
+    HiGHS's info, the host's peak RSS and its import seconds. A host that
+    times out, or any exception while it is in use, kills it; a host that
+    died is reaped and its exit code reported. Either way the next solve
+    forks a fresh one.
     """
     global _host
     if _host is None or _host.owner != os.getpid():
@@ -253,13 +256,13 @@ def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
         except OSError as exc:
             raise _SolverFailed(f"solver host did not start: {exc}") from exc
     host = _host
-    worker = stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None}
+    worker = stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None, "import_s": None}
     request = (model.arrays(), timeout_s)
     try:
         host.conn.send(request)
         if not host.conn.poll(timeout_s + WORKER_GRACE_S):
             raise _SolverFailed(f"solver host timed out after {timeout_s:g} s")
-        status, x, info, worker["maxrss_mb"] = host.conn.recv()
+        status, x, info, worker["maxrss_mb"], worker["import_s"] = host.conn.recv()
     except (EOFError, OSError):  # the host died: EOF on recv, a broken pipe on send
         _host = None
         code = host.stop(kill=False)
@@ -274,33 +277,39 @@ def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
         return None
     if status != OPTIMAL:
         raise _SolverFailed(f"no optimum from the solver host: {info.get('message')}")
-    if x is None or len(x) != len(model.variables):
+    if x is None or len(x) != len(model.names):
         raise _SolverFailed(f"solver host returned {'no' if x is None else len(x)} values "
-                            f"for {len(model.variables)} variables")
-    return {v.name: value for v, value in zip(model.variables, x)}
+                            f"for {len(model.names)} variables")
+    return dict(zip(model.names, x))
 
 
 def _serve(conn, owner_end) -> None:
     """The solver host's loop: answer each ``(arrays, timeout_s)`` request with
-    ``(status, x, info, maxrss_mb)`` until the owner's end of the pipe closes."""
+    ``(status, x, info, maxrss_mb, import_s)`` until the owner's end of the
+    pipe closes; ``import_s`` is the seconds this request spent importing
+    ``highs_cli``, 0.0 once it has been imported."""
     import resource
     import signal
 
     owner_end.close()  # so that the owner's death reads as EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
+    highs_cli = None
     try:
         while True:
             arrays, timeout_s = conn.recv()
+            import_s = 0.0
             try:
-                # inside the try, so that a failed import is the solve's cause
-                from . import highs_cli
-
+                if highs_cli is None:
+                    # inside the try, so that a failed import is the solve's cause
+                    started = time.perf_counter()
+                    from . import highs_cli
+                    import_s = time.perf_counter() - started
                 status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s)
                 reply = (status, None if x is None else [float(v) for v in x], info)
             except Exception as exc:  # reported by the owner as the solve's cause
                 reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})
             maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            conn.send((*reply, maxrss_mb))
+            conn.send((*reply, maxrss_mb, import_s))
     except (EOFError, OSError):
         return  # the owner is gone
 

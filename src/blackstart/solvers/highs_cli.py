@@ -181,7 +181,7 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None
     """Solve a model, given as ``MilpModel.arrays()``, by ``reduce_model`` and HiGHS.
 
     Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
-    value per model variable, in ``model.variables`` order, and satisfies
+    value per model variable, in ``model.names`` order, and satisfies
     the full model to ``CHECK_TOL``), INFEASIBLE (proved by HiGHS or by the
     reduction) or ERROR (``x`` is None). ``info`` holds HiGHS's ``status``
     code (2 also for the reduction's proof) and ``message``, the
@@ -262,7 +262,7 @@ def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
         return 1
     lines = [
         f"# objective {info['objective']!r}",
-        *(f"{v.name} {float(x[i])!r}" for i, v in enumerate(model.variables)),
+        *(f"{name} {float(value)!r}" for name, value in zip(model.names, x)),
     ]
     Path(sol_path).write_text("\n".join(lines) + "\n")
     return 0

@@ -11,6 +11,7 @@ import pytest
 
 from blackstart import decode, encode, load_case, read_mps, solve_enumeration, validate
 from blackstart.cases import bundled_case_path
+from blackstart.milp import MilpModel
 from blackstart.solvers import (
     ENV_SOLVER_CMD,
     highs_cli,
@@ -186,6 +187,22 @@ def test_command_stats_carry_all_six_stages(known_good, tmp_path):
     result = solve_external(case, command=copy_stub(tmp_path, sol))
     assert result.status == "optimal"
     assert_stage_timings_and_model_size(result.stats, model, COMMAND_STAGES)
+
+
+@pytest.mark.parametrize("name", ["toy_fc", "ieee39_bt50"])
+def test_the_default_solve_never_builds_the_model_views(name, monkeypatch):
+    """encode, arrays, the host's values, decode and validate need no
+    ``VarRef`` or ``Constraint``: the solve path reads the stored arrays."""
+    def refuse(model):
+        raise AssertionError("the solve path built a model view")
+
+    monkeypatch.setattr(MilpModel, "variables", property(refuse))
+    monkeypatch.setattr(MilpModel, "constraints", property(refuse))
+    case = load_case(bundled_case_path(name))
+    result = solve_external(case)
+    assert result.status == "optimal", result.message
+    assert result.validation.passed
+    assert validate(case, result.schedule).passed
 
 
 def test_stats_carry_highs_info(toy_external):

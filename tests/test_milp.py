@@ -14,7 +14,7 @@ from blackstart import (
     validate,
 )
 from blackstart.devices import device_trajectories
-from blackstart.milp import BINARY_KINDS, FC_ANC, _n, _n2
+from blackstart.milp import BINARY_KINDS, FC_ANC, MilpModel, _n, _n2
 from blackstart.schedule import empty_schedule
 from blackstart.solvers.enumeration import _battery_options, _gen_options, _simulate
 
@@ -61,6 +61,30 @@ def test_horizon_too_short_is_an_encode_error(minimal_two_bus_doc):
     doc = doc_variant(minimal_two_bus_doc, **{"generators.0.ramp_minutes": 200})
     with pytest.raises(EncodingError, match="horizon"):
         encode(load_case(doc))
+
+
+def _one_var_model():
+    model = MilpModel(name="guards")
+    model.add_var("x", "a", (1,), 0, 1, True)
+    return model
+
+
+def test_duplicate_variable_is_an_encode_error():
+    model = _one_var_model()
+    with pytest.raises(EncodingError, match=r"duplicate variable x\.a\.1"):
+        model.add_var("x", "a", (1,), 0, 5, False)
+
+
+def test_constraint_on_an_undeclared_variable_is_an_encode_error():
+    model = _one_var_model()
+    with pytest.raises(EncodingError, match=r"constraint r1 .*undeclared variable y\.a\.1"):
+        model.add_constraint("r1", {"x.a.1": 1.0, "y.a.1": 1.0}, "<=", 1)
+
+
+def test_constraint_with_a_bad_sense_is_an_encode_error():
+    model = _one_var_model()
+    with pytest.raises(EncodingError, match=r"constraint r1: bad sense '<'"):
+        model.add_constraint("r1", {"x.a.1": 1.0}, "<", 1)
 
 
 def test_constraint_names_follow_the_grammar(toy_cases):

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from blackstart import encode, export_mps, import_mps, models_structurally_equal
+from blackstart.cases import bundled_cases
 from blackstart.milp import MilpModel
 from blackstart.mps import MpsParseError, read_mps, write_mps
 
@@ -69,6 +72,21 @@ def test_golden_file_byte_stable():
     golden = DATA / "toy_path3.mps"
     assert golden.exists(), "golden MPS file missing"
     assert export_mps(model) == golden.read_text()
+
+
+BUNDLED_MPS_SHA256 = json.loads((DATA / "bundled_mps_sha256.json").read_text())
+
+
+def test_bundled_mps_digests_cover_every_bundled_case():
+    assert sorted(BUNDLED_MPS_SHA256) == sorted(bundled_cases())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_MPS_SHA256))
+def test_bundled_model_export_is_pinned(name):
+    """Every bundled case's MPS export keeps the recorded bytes: the encoder's
+    variables, rows, coefficients, bounds and their order do not move."""
+    text = export_mps(encode(load_bundled(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_MPS_SHA256[name]
 
 
 def test_golden_file_gives_the_encoded_model_arrays():

@@ -56,6 +56,14 @@ def test_solves_in_a_row_share_one_host(toy_cases):
     assert second.stats["worker"]["maxrss_mb"] > 0
 
 
+def test_only_a_new_hosts_first_solve_reports_its_import(toy_cases, fresh_solver_host):
+    first = solve_external(toy_cases["toy_t5"])
+    second = solve_external(toy_cases["toy_t5"])
+    assert first.ok and second.ok and host_pid(first) == host_pid(second)
+    assert first.stats["worker"]["import_s"] > 0
+    assert second.stats["worker"]["import_s"] == 0.0
+
+
 def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
     def exit_at_once(arrays, time_limit=None):
         os._exit(3)
