@@ -292,7 +292,7 @@ def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
         stop_sweep_pool()
         _pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(os.getpid(),))
+            initializer=_start_worker, initargs=(os.getpid(), workers))
         _pool_key = key
     return _pool
 
@@ -304,11 +304,15 @@ def _serving(pool: concurrent.futures.ProcessPoolExecutor) -> bool:
     return not pool._broken and all(p.is_alive() for p in pool._processes.values())
 
 
-def _start_worker(owner: int) -> None:
-    """Pool initializer: once every ``OWNER_CHECK_S`` (a SIGALRM timer,
-    which a forked host does not inherit) exit if ``owner`` is no longer
-    this worker's parent, so that a killed owner leaves no idle worker
-    behind. The worker's host then reads EOF and exits too."""
+def _start_worker(owner: int, workers: int) -> None:
+    """Pool initializer: record ``workers``, the pool's size, as the number
+    of solver hosts that solve at once, which the host this worker forks
+    inherits and divides the CPUs by. Then, once every ``OWNER_CHECK_S`` (a
+    SIGALRM timer, which a forked host does not inherit), exit if ``owner``
+    is no longer this worker's parent, so that a killed owner leaves no
+    idle worker behind. The worker's host then reads EOF and exits too."""
+    solvers.external._hosts_at_once = workers
+
     def check(signum, frame) -> None:
         if os.getppid() != owner:
             os._exit(1)

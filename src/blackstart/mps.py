@@ -205,16 +205,26 @@ def import_mps(text: str) -> MilpModel:
                 lb = float("-inf")
             else:
                 raise MpsParseError(f"unknown bound type {kind}")
-        parts = col.split(".")
-        kind_name = parts[0]
-        entity = parts[1] if len(parts) > 1 else ""
-        steps = tuple(int(p) for p in parts[2:]) if len(parts) > 2 else ()
-        model.add_var(kind_name, entity, steps, lb, ub, integer)
+        model.add_var(*_column_key(col), lb, ub, integer)
 
     for name in row_order:
         model.add_constraint(name, row_terms[name], row_sense[name], rhs.get(name, 0.0))
     model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
     return model
+
+
+def _column_key(name: str) -> tuple[str, str, tuple[int, ...]]:
+    """The ``(kind, entity, steps)`` that ``MilpModel.add_var`` joins back
+    into ``name``; a name that no such parts rebuild exactly (``v1``,
+    ``x.a.01``) is a parse error, not a renamed column."""
+    parts = name.split(".")
+    try:
+        key = parts[0], parts[1], tuple(int(p) for p in parts[2:])
+    except (IndexError, ValueError):
+        key = None
+    if key is None or ".".join((key[0], key[1], *map(str, key[2]))) != name:
+        raise MpsParseError(f"column {name!r} is not named <kind>.<entity>.<t...>")
+    return key
 
 
 def read_mps(path: str | Path) -> MilpModel:

@@ -17,6 +17,18 @@ interpreter starts, and scipy never enters the calling process.
 - The host ignores SIGINT, leaving Ctrl-C to its owner. It is a daemon
   process, so multiprocessing's exit handler terminates and reaps it when
   its owner exits, and it exits on its own when its owner dies.
+- The host gives HiGHS its share of the usable CPUs as threads,
+  ``max(1, usable CPUs // hosts solving at once)``: one host for a plain
+  process, the pool's size for a sweep pool worker's host. HiGHS's own
+  default, half the machine's CPUs, is one thread on two CPUs, and then
+  the root's analytic centre, a task HiGHS queues for another thread, runs
+  serially. HiGHS's thread scheduler is global to a process, and a forked
+  host inherits its owner's without the owner's threads, so the host
+  resets it right after importing ``highs_cli``; where scipy lacks that
+  (private) call, HiGHS keeps its default. ``highs_cli.solve_mps_file``
+  keeps the default: it runs in its caller's process, whose scheduler
+  other HiGHS calls there share, and it cannot know how many solves run
+  beside it.
 
 The host serves one request at a time, so a process solves from one
 thread. As with any ``fork``, the host starts with only the thread that
@@ -69,6 +81,10 @@ INFEASIBLE_SENTINEL = "=infeasible="
 # How long past ``timeout_s`` the solver host may take (to import scipy on
 # its first solve and to stop HiGHS at its time limit) before it is killed.
 WORKER_GRACE_S = 2.0
+# How many solver hosts solve at once: 1 for a plain process. A sweep pool
+# worker's initializer sets its pool's size here, and the host the worker
+# forks at its first solve inherits it.
+_hosts_at_once = 1
 
 
 def resolve_solver_command(command: str | None = None) -> str | None:
@@ -117,9 +133,10 @@ def solve_external(case: GridCase, command: str | None = None,
     stage reached: encode, solver, decode, validate, and for a solver
     command also export and import_solution) and ``model`` (vars, int_vars,
     rows, nnz). The solver host adds ``highs`` (status, message,
-    objective, mip_node_count, mip_gap, mip_dual_bound, and reduce_s,
-    time_s, reduced_rows and reduced_cols: the reduction's and HiGHS's
-    seconds and the size of the model HiGHS was handed) and ``worker``
+    objective, mip_node_count, mip_gap, mip_dual_bound; reduce_s, time_s,
+    reduced_rows and reduced_cols: the reduction's and HiGHS's seconds and
+    the size of the model HiGHS was handed; and threads, the host's share
+    of the CPUs that HiGHS was given) and ``worker``
     (the host's ``pid``, its own peak RSS, ``maxrss_mb``, and ``import_s``,
     the seconds it spent importing HiGHS for this solve: nonzero on a new
     host's first solve, 0.0 after); a solver command adds
@@ -283,17 +300,33 @@ def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
     return dict(zip(model.names, x))
 
 
+def _highs_threads() -> int:
+    """The solver host's share of the usable CPUs: ``max(1, usable CPUs //
+    hosts solving at once)``, where the CPUs are this process's affinity
+    set (``os.cpu_count()`` where there is none)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _hosts_at_once)
+
+
 def _serve(conn, owner_end) -> None:
     """The solver host's loop: answer each ``(arrays, timeout_s)`` request with
     ``(status, x, info, maxrss_mb, import_s)`` until the owner's end of the
     pipe closes; ``import_s`` is the seconds this request spent importing
-    ``highs_cli``, 0.0 once it has been imported."""
+    ``highs_cli``, 0.0 once it has been imported.
+
+    Right after the import the host resets the HiGHS thread scheduler it
+    inherited from its owner and gives HiGHS ``_highs_threads()`` threads;
+    where the reset is missing, HiGHS keeps its default.
+    """
     import resource
     import signal
 
     owner_end.close()  # so that the owner's death reads as EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
-    highs_cli = None
+    highs_cli = threads = None
     try:
         while True:
             arrays, timeout_s = conn.recv()
@@ -304,7 +337,9 @@ def _serve(conn, owner_end) -> None:
                     started = time.perf_counter()
                     from . import highs_cli
                     import_s = time.perf_counter() - started
-                status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s)
+                    threads = _highs_threads() if highs_cli.reset_scheduler() else None
+                status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
+                                                        threads=threads)
                 reply = (status, None if x is None else [float(v) for v in x], info)
             except Exception as exc:  # reported by the owner as the solve's cause
                 reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})

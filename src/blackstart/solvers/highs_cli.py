@@ -15,21 +15,24 @@ solve is reduced: the model, and its MPS export, keep the paper's form.
 
 ``solve_external`` calls ``solve_model`` on the solver host, the one
 long-lived child each process forks at its first default solve, so that
-process pays the import once. Importing this module imports scipy, so
-callers that must stay lean import it only where they solve.
+process pays the import once; the host gives HiGHS its share of the CPUs
+as threads (``solvers.external`` says how). Importing this module imports
+scipy, so callers that must stay lean import it only where they solve.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
 MPS file, solves its arrays with ``solve_model``, and writes ``name value``
 lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
 model, and exits nonzero on anything else, which is exactly the contract
-``solve_external`` expects of a configured solver command.
+``solve_external`` expects of a configured solver command. It keeps
+HiGHS's default thread count.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -176,8 +179,8 @@ def violations(arrays: ModelArrays, x: np.ndarray) -> str | None:
     return "; ".join(bad) or None
 
 
-def solve_model(arrays: ModelArrays, time_limit: float | None = None
-                ) -> tuple[str, np.ndarray | None, dict]:
+def solve_model(arrays: ModelArrays, time_limit: float | None = None,
+                threads: int | None = None) -> tuple[str, np.ndarray | None, dict]:
     """Solve a model, given as ``MilpModel.arrays()``, by ``reduce_model`` and HiGHS.
 
     Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
@@ -190,11 +193,13 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None
     model's constant and the fixed columns' share; ``reduce_s`` and
     ``time_s``, the seconds spent reducing and inside HiGHS; and
     ``reduced_rows`` and ``reduced_cols``, the size of the model HiGHS was
-    handed. A value that was not reached is None.
+    handed; and ``threads``, the thread count HiGHS is given (None leaves
+    HiGHS's default, half the machine's CPUs). A value that was not reached
+    is None.
     """
     info = {"status": None, "message": "", "objective": None, "mip_node_count": None,
             "mip_gap": None, "mip_dual_bound": None, "reduce_s": None, "time_s": None,
-            "reduced_rows": None, "reduced_cols": None}
+            "reduced_rows": None, "reduced_cols": None, "threads": threads}
     started = time.perf_counter()
     try:
         reduced = reduce_model(arrays)
@@ -214,17 +219,22 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None
         options = {"mip_rel_gap": 0.0, "presolve": False}
         if time_limit is not None:
             options["time_limit"] = time_limit
+        if threads is not None:
+            options["threads"] = threads
         constraints = []
         if rows:
             constraints = [LinearConstraint(reduced.a, reduced.row_lo, reduced.row_hi)]
         started = time.perf_counter()
-        res = milp(
-            c=reduced.c,
-            constraints=constraints,
-            integrality=reduced.integrality,
-            bounds=Bounds(reduced.lb, reduced.ub),
-            options=options,
-        )
+        with warnings.catch_warnings():
+            # scipy hands ``threads`` to HiGHS verbatim, and warns that it does
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+            res = milp(
+                c=reduced.c,
+                constraints=constraints,
+                integrality=reduced.integrality,
+                bounds=Bounds(reduced.lb, reduced.ub),
+                options=options,
+            )
         info.update(
             time_s=time.perf_counter() - started,
             status=int(res.status),
@@ -245,6 +255,25 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None
         info["message"] = f"postsolved point violates the model: {bad}"
         return ERROR, None, info
     return OPTIMAL, x, info
+
+
+def reset_scheduler() -> bool:
+    """Drop HiGHS's thread scheduler, so that the next solve starts one with
+    its own thread count.
+
+    The scheduler is global to a process, and a forked child inherits its
+    parent's without the parent's worker threads: a solve with another
+    thread count then fails ("HiGHS Status 0: Not Set"), and one with the
+    same count may wait forever on a dead worker. The call is scipy's
+    private binding of ``Highs::resetGlobalScheduler``; returns False where
+    this scipy lacks it.
+    """
+    try:
+        from scipy.optimize._highspy._core import _Highs
+        _Highs.resetGlobalScheduler(True)
+    except (ImportError, AttributeError):
+        return False
+    return True
 
 
 def _plus(value, constant: float) -> float | None:

@@ -215,7 +215,7 @@ def test_stats_carry_highs_info(toy_external):
 
 
 def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
-    def exit_at_once(model, time_limit=None):
+    def exit_at_once(model, time_limit=None, threads=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
@@ -226,7 +226,7 @@ def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
 
 
 def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fresh_solver_host):
-    def sleep(model, time_limit=None):
+    def sleep(model, time_limit=None, threads=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -238,7 +238,7 @@ def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fre
 
 
 def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch, fresh_solver_host):
-    def short(model, time_limit=None):
+    def short(model, time_limit=None, threads=None):
         return "optimal", [0.0], {"message": "stub"}
 
     monkeypatch.setattr(highs_cli, "solve_model", short)

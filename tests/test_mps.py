@@ -154,3 +154,20 @@ def test_comment_lines_ignored():
     text = export_mps(model)
     with_comments = text.replace("NAME c", "* leading comment\nNAME c")
     assert models_structurally_equal(import_mps(with_comments), model)
+
+
+def test_a_column_named_outside_the_grammar_is_a_parse_error():
+    # the model would rebuild "v1" as "v1.", and r1 would then name no column
+    with pytest.raises(MpsParseError, match="'v1'"):
+        import_mps("NAME x\nROWS\n N obj\n L r1\nCOLUMNS\n    v1 r1 1.0\nRHS\nENDATA\n")
+
+
+@pytest.mark.parametrize("name", ["x.a.01", "x.a.b", "x.a.1_0", "x.a.+1"])
+def test_a_column_the_model_would_rename_is_a_parse_error(name):
+    with pytest.raises(MpsParseError, match="is not named"):
+        import_mps(_columns_text((name, "r1", "1.0")))
+
+
+@pytest.mark.parametrize("name", ["x.a", "x.a.1", "x.a.1.12", "x.a.-1"])
+def test_column_names_in_the_grammar_keep_their_spelling(name):
+    assert import_mps(_columns_text((name, "r1", "1.0"))).names == [name]

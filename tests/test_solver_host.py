@@ -65,7 +65,7 @@ def test_only_a_new_hosts_first_solve_reports_its_import(toy_cases, fresh_solver
 
 
 def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def exit_at_once(arrays, time_limit=None):
+    def exit_at_once(arrays, time_limit=None, threads=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
@@ -80,7 +80,7 @@ def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host
 
 
 def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None):
+    def sleep(arrays, time_limit=None, threads=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -94,7 +94,7 @@ def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_
 
 
 def test_an_interrupted_solve_kills_the_host(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None):
+    def sleep(arrays, time_limit=None, threads=None):
         time.sleep(60)
 
     def interrupt(signum, frame):
