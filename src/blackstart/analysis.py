@@ -47,9 +47,6 @@ from .schedule import Schedule
 
 NEVER = "never"
 
-# How often an idle sweep pool worker checks that its owner is alive.
-OWNER_CHECK_S = 1.0
-
 SWEEP_AXES = ("fc_capacity", "battery_capacity", "battery_soc", "resource_location")
 
 
@@ -307,10 +304,11 @@ def _serving(pool: concurrent.futures.ProcessPoolExecutor) -> bool:
 def _start_worker(owner: int, workers: int) -> None:
     """Pool initializer: record ``workers``, the pool's size, as the number
     of solver hosts that solve at once, which the host this worker forks
-    inherits and divides the CPUs by. Then, once every ``OWNER_CHECK_S`` (a
-    SIGALRM timer, which a forked host does not inherit), exit if ``owner``
-    is no longer this worker's parent, so that a killed owner leaves no
-    idle worker behind. The worker's host then reads EOF and exits too."""
+    inherits and divides the CPUs by. Then, once every
+    ``external.OWNER_CHECK_S`` (a SIGALRM timer, which a forked host does
+    not inherit), exit if ``owner`` is no longer this worker's parent, so
+    that a killed owner leaves no idle worker behind. The worker's host
+    then exits too."""
     solvers.external._hosts_at_once = workers
 
     def check(signum, frame) -> None:
@@ -318,7 +316,8 @@ def _start_worker(owner: int, workers: int) -> None:
             os._exit(1)
 
     signal.signal(signal.SIGALRM, check)
-    signal.setitimer(signal.ITIMER_REAL, OWNER_CHECK_S, OWNER_CHECK_S)
+    check_s = solvers.external.OWNER_CHECK_S
+    signal.setitimer(signal.ITIMER_REAL, check_s, check_s)
 
 
 def stop_sweep_pool() -> None:

@@ -14,6 +14,7 @@ earliest start is m minutes may first come up at step m / step_minutes + 1
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -52,10 +53,10 @@ def load_case(document: dict | str | Path) -> GridCase:
         raise CaseError(f"unknown top-level keys: {sorted(unknown)}")
 
     time_doc = _section(doc, "time", dict, default={})
-    step_minutes = float(_get(time_doc, "time", "step_minutes", (int, float), DEFAULT_STEP_MINUTES))
-    horizon_minutes = float(
-        _get(time_doc, "time", "horizon_minutes", (int, float), DEFAULT_HORIZON_MINUTES)
-    )
+    step_minutes = _num("time.step_minutes", _get(
+        time_doc, "time", "step_minutes", (int, float), DEFAULT_STEP_MINUTES))
+    horizon_minutes = _get(time_doc, "time", "horizon_minutes", (int, float),
+                           DEFAULT_HORIZON_MINUTES)
     if step_minutes <= 0:
         raise CaseError("time.step_minutes: must be > 0")
     n_steps = _steps_of("time.horizon_minutes", horizon_minutes, step_minutes, minimum=2)
@@ -69,7 +70,7 @@ def load_case(document: dict | str | Path) -> GridCase:
         bus_id = _get(b, path, "id", str)
         imp = b.get("importance")
         if imp is not None:
-            explicit_importance[bus_id] = float(_num(path + ".importance", imp))
+            explicit_importance[bus_id] = _num(path + ".importance", imp)
         buses.append(Bus(id=bus_id, importance=explicit_importance.get(bus_id, 0.0)))
 
     branches: list[Branch] = []
@@ -314,9 +315,17 @@ def _get(entry: dict, path: str, key: str, kinds, default=None):
 
 
 def _num(path: str, value: Any) -> float:
+    """``value`` as a finite float; ``json`` reads NaN and ±Infinity, and
+    an integer too large for a float, without complaint."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CaseError(f"{path}: expected number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise CaseError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _steps_of(path: str, minutes: Any, step_minutes: float, minimum: int) -> int:

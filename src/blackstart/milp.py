@@ -12,20 +12,18 @@ series u_on rises exactly crank_steps later, and the at-maximum series
 u_max exactly ramp_steps after that. Products of status binaries are
 linearized with one lower and two upper envelope inequalities per pair.
 
-``MilpModel`` stores the model as it is built in the form HiGHS takes:
-columns as bound and integrality arrays, rows as a COO matrix with row
-sides, each row's entries in ascending column order. ``arrays()`` hands
-them out without another pass over the model. The name-keyed views
-(``variables``, ``constraints``) are built only when MPS export, a check
-or a test reads them.
+``MilpModel`` stores each fact of the model once, as it is built, in the
+form HiGHS takes: a column is its name beside bound and integrality
+arrays, a row is its name beside its sides and its entries in a COO
+matrix, in ascending column order. ``arrays()`` hands them out without
+another pass over the model; MPS export, ``check_assignment`` and
+``models_structurally_equal`` read them too.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .devices import phase_output
@@ -61,24 +59,16 @@ class DecodeError(ValueError):
     """An assignment cannot be read back as a schedule."""
 
 
-@dataclass(frozen=True)
-class VarRef:
-    """One model variable: kind + entity + step indices, with bounds."""
+class VarRef(NamedTuple):
+    """One model variable: its name, bounds and integrality."""
 
-    kind: str
-    entity: str
-    steps: tuple[int, ...]
+    name: str
     lb: float
     ub: float
     is_integer: bool
 
-    @cached_property
-    def name(self) -> str:
-        return ".".join((self.kind, self.entity, *(str(t) for t in self.steps)))
 
-
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Linear constraint: sum of terms <sense> rhs, sense in {<=, >=, =}."""
 
     name: str
@@ -112,18 +102,18 @@ class MilpModel:
     """Immutable-after-build MILP, stored as the arrays HiGHS takes; minimize objective.
 
     Columns are ``names`` (declaration order) with bound and integrality
-    ``array.array``s beside them; rows are a COO matrix (row, column,
-    value arrays) with lower and upper side arrays, plus each row's name,
-    sense and rhs. ``add_constraint`` resolves each term to its column as it
-    appends the row, drops zero coefficients, and stores a row's entries in
-    ascending column order (the order an MPS import reads them in), so
-    ``arrays()`` and ``size()`` only copy or count what is stored.
+    ``array.array``s beside them; rows are ``row_names`` with a COO matrix
+    (row, column, value arrays) and lower and upper side arrays, from
+    which ``row_sense`` gives back each row's sense and rhs.
+    ``add_constraint`` resolves each term to its column as it appends the
+    row, drops zero coefficients, and stores a row's entries in ascending
+    column order (the order an MPS import reads them in), so ``arrays()``
+    and ``size()`` only copy or count what is stored.
 
-    ``variables`` and ``constraints`` are read-only views (``VarRef``s, and
-    ``Constraint``s with name-sorted terms) for MPS export, checks and
-    tests: built on first access, cached, and rebuilt after any
-    ``add_var``, ``fix`` or ``add_constraint``. The solve path never builds
-    them.
+    ``variables`` and ``constraints`` are views rebuilt from the arrays on
+    each access (``VarRef``s, and ``Constraint``s with name-sorted terms).
+    The program's only reader is the benchmark's ``trace_layers``; they go
+    once that reads ``size()`` instead.
     """
 
     def __init__(self, name: str) -> None:
@@ -131,32 +121,24 @@ class MilpModel:
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
         self.names: list[str] = []
+        self.row_names: list[str] = []
         self._pos: dict[str, int] = {}
-        self._keys: list[tuple[str, str, tuple[int, ...]]] = []
         self._lb, self._ub, self._integrality = array("d"), array("d"), array("b")
         self._row, self._col, self._val = array("i"), array("i"), array("d")
         self._row_lo, self._row_hi = array("d"), array("d")
-        self._rows: list[tuple[str, str, float]] = []
-        self._variables: tuple[VarRef, ...] | None = None
-        self._constraints: tuple[Constraint, ...] | None = None
 
-    def add_var(self, kind: str, entity: str, steps: tuple[int, ...],
-                lb: float, ub: float, is_integer: bool) -> None:
-        name = ".".join((kind, entity, *map(str, steps)))
+    def add_var(self, name: str, lb: float, ub: float, is_integer: bool) -> None:
         if name in self._pos:
             raise EncodingError(f"duplicate variable {name}")
         self._pos[name] = len(self.names)
         self.names.append(name)
-        self._keys.append((kind, entity, steps))
         self._lb.append(lb)
         self._ub.append(ub)
         self._integrality.append(is_integer)
-        self._variables = None
 
     def fix(self, name: str, value: float) -> None:
         j = self._pos[name]
         self._lb[j] = self._ub[j] = value
-        self._variables = None
 
     def add_constraint(self, name: str, terms: dict[str, float], sense: str, rhs: float) -> None:
         pos = self._pos
@@ -183,36 +165,27 @@ class MilpModel:
             vals = [v for v in vals if v != 0.0]
         if cols != sorted(cols):
             cols, vals = map(list, zip(*sorted(zip(cols, vals))))
-        self._row.fromlist([len(self._rows)] * len(cols))
+        self._row.fromlist([len(self.row_names)] * len(cols))
         self._col.fromlist(cols)
         self._val.fromlist(vals)
         self._row_lo.append(lo)
         self._row_hi.append(hi)
-        self._rows.append((name, sense, rhs))
-        self._constraints = None
+        self.row_names.append(name)
 
     @property
     def variables(self) -> tuple[VarRef, ...]:
-        if self._variables is None:
-            self._variables = tuple(
-                VarRef(kind, entity, steps, lb, ub, bool(integer))
-                for (kind, entity, steps), lb, ub, integer
-                in zip(self._keys, self._lb, self._ub, self._integrality)
-            )
-        return self._variables
+        return tuple(map(VarRef, self.names, self._lb, self._ub, map(bool, self._integrality)))
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        if self._constraints is None:
-            names = self.names
-            terms: list[list[tuple[str, float]]] = [[] for _ in self._rows]
-            for i, j, coef in zip(self._row, self._col, self._val):
-                terms[i].append((names[j], coef))
-            self._constraints = tuple(
-                Constraint(name, tuple(sorted(row_terms)), sense, rhs)
-                for (name, sense, rhs), row_terms in zip(self._rows, terms)
-            )
-        return self._constraints
+        names = self.names
+        terms: list[list[tuple[str, float]]] = [[] for _ in self.row_names]
+        for i, j, coef in zip(self._row, self._col, self._val):
+            terms[i].append((names[j], coef))
+        return tuple(
+            Constraint(name, tuple(sorted(row_terms)), *row_sense(lo, hi))
+            for name, row_terms, lo, hi in zip(self.row_names, terms, self._row_lo, self._row_hi)
+        )
 
     def has_var(self, name: str) -> bool:
         return name in self._pos
@@ -222,7 +195,7 @@ class MilpModel:
         return {
             "vars": len(self.names),
             "int_vars": self._integrality.count(1),
-            "rows": len(self._rows),
+            "rows": len(self.row_names),
             "nnz": len(self._val),
         }
 
@@ -248,20 +221,26 @@ class MilpModel:
     def check_assignment(self, assignment: dict[str, float], tol: float = 1e-6
                          ) -> list[str]:
         """Names of constraints and bounds the assignment violates."""
-        bad: list[str] = []
-        for v in self.variables:
-            x = assignment[v.name]
-            if x < v.lb - tol or x > v.ub + tol:
-                bad.append(f"bounds:{v.name}")
-        for c in self.constraints:
-            lhs = math.fsum(coef * assignment[var] for var, coef in c.terms)
-            if c.sense == "<=" and lhs > c.rhs + tol:
-                bad.append(c.name)
-            elif c.sense == ">=" and lhs < c.rhs - tol:
-                bad.append(c.name)
-            elif c.sense == "=" and abs(lhs - c.rhs) > tol:
-                bad.append(c.name)
+        x = [assignment[name] for name in self.names]
+        bad = [f"bounds:{name}" for name, xj, lb, ub in zip(self.names, x, self._lb, self._ub)
+               if xj < lb - tol or xj > ub + tol]
+        products: list[list[float]] = [[] for _ in self.row_names]
+        for i, j, coef in zip(self._row, self._col, self._val):
+            products[i].append(coef * x[j])
+        for name, row, lo, hi in zip(self.row_names, products, self._row_lo, self._row_hi):
+            lhs = math.fsum(row)
+            if lhs < lo - tol or lhs > hi + tol:
+                bad.append(name)
         return bad
+
+
+def row_sense(lo: float, hi: float) -> tuple[str, float]:
+    """The ``(sense, rhs)`` of a row stored with sides ``lo <= a·x <= hi``."""
+    if lo == hi:
+        return "=", lo
+    if lo == -math.inf:
+        return "<=", hi
+    return ">=", lo
 
 
 def encode(case: GridCase) -> MilpModel:
@@ -275,35 +254,35 @@ def encode(case: GridCase) -> MilpModel:
     # --- variables -----------------------------------------------------------
     for g in case.generators:
         for t in steps:
-            m.add_var(GEN_START, g.id, (t,), 0, 1, True)
+            m.add_var(_n(GEN_START, g.id, t), 0, 1, True)
     for f in case.fuel_cells:
         for kind in (FC_START, FC_ON, FC_MAX):
             for t in steps:
-                m.add_var(kind, f.id, (t,), 0, 1, True)
+                m.add_var(_n(kind, f.id, t), 0, 1, True)
         for kind in FC_ANC.values():
             for t1 in steps:
                 for t2 in steps:
-                    m.add_var(kind, f.id, (t1, t2), 0, 1, False)
+                    m.add_var(_n2(kind, f.id, t1, t2), 0, 1, False)
     for b in case.buses:
         for t in steps:
-            m.add_var(BUS_ON, b.id, (t,), 0, 1, True)
+            m.add_var(_n(BUS_ON, b.id, t), 0, 1, True)
     for k in case.branches:
         for t in steps:
-            m.add_var(BRANCH_ON, k.id, (t,), 0, 1, True)
+            m.add_var(_n(BRANCH_ON, k.id, t), 0, 1, True)
     for bt in case.batteries:
         for kind in (BAT_WS, BAT_WE):
             for t in steps:
-                m.add_var(kind, bt.id, (t,), 0, 1, True)
+                m.add_var(_n(kind, bt.id, t), 0, 1, True)
     for g in case.generators:
         draw = 0.0 if g.is_black_start else g.p_crank
         for t in steps:
-            m.add_var(GEN_POWER, g.id, (t,), -draw, g.p_max, False)
+            m.add_var(_n(GEN_POWER, g.id, t), -draw, g.p_max, False)
     for f in case.fuel_cells:
         for t in steps:
-            m.add_var(FC_POWER, f.id, (t,), -f.p_crank, f.p_max, False)
+            m.add_var(_n(FC_POWER, f.id, t), -f.p_crank, f.p_max, False)
     for bt in case.batteries:
         for t in steps:
-            m.add_var(BAT_POWER, bt.id, (t,), 0, bt.p_max, False)
+            m.add_var(_n(BAT_POWER, bt.id, t), 0, bt.p_max, False)
 
     # --- blackout and self-start fixings --------------------------------------
     for g in case.generators:

@@ -10,19 +10,26 @@ reading the file back reproduces the exact doubles.
 A constant objective offset is carried as an RHS entry on the objective
 row with the usual sign convention: objective = c.x - rhs(obj).
 
+The writer reads the model's stored arrays, ``names`` and ``row_names``,
+and gathers each column's entries in one pass over the row-major matrix.
+
 The reader parses exactly this dialect; it exists as the inverse of the
-writer for round-trip checks and for out-of-process solver front ends. It
+writer for round-trip checks and for out-of-process solver front ends.
+Each column is added under the name it was read with. The reader
 accumulates each row's terms while reading COLUMNS, so its time is linear in
 the number of entries: duplicate (column, row) entries are summed, and
 each row goes into the model through ``MilpModel.add_constraint``, which
-drops sums of exactly zero; rows without terms are kept.
+drops sums of exactly zero; rows without terms are kept. NaN is a parse
+error anywhere, and so is an infinite coefficient or RHS; bounds may be
+infinite.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .milp import MilpModel
+from .milp import MilpModel, row_sense
 
 OBJ_ROW = "obj"
 RHS_SET = "rhs"
@@ -38,57 +45,47 @@ def _fmt(x: float) -> str:
 
 def export_mps(model: MilpModel) -> str:
     """Serialize a model to free-format MPS text (deterministic bytes)."""
-    lines: list[str] = []
-    lines.append(f"NAME {model.name}")
-    lines.append("OBJSENSE")
-    lines.append("    MIN")
-    lines.append("ROWS")
-    lines.append(f" N {OBJ_ROW}")
-    for c in model.constraints:
-        lines.append(f" {_SENSE_TO_ROW[c.sense]} {c.name}")
+    a = model.arrays()
+    row_names = model.row_names
+    rows = [(name, *row_sense(lo, hi)) for name, lo, hi in zip(row_names, a.row_lo, a.row_hi)]
+    lines = [f"NAME {model.name}", "OBJSENSE", "    MIN", "ROWS", f" N {OBJ_ROW}"]
+    lines += [f" {_SENSE_TO_ROW[sense]} {name}" for name, sense, _ in rows]
 
-    # Column-major coefficient lists, in variable declaration order. A column
-    # with no nonzero coefficient still gets a zero objective entry so it
-    # survives the round trip; zero objective entries are canonicalized away
-    # on both sides.
-    entries: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
-    for var, coef in model.objective.items():
-        if coef != 0.0:
-            entries[var].append((OBJ_ROW, coef))
-    for c in model.constraints:
-        for var, coef in c.terms:
-            entries[var].append((c.name, coef))
+    # Each column's entries, objective first, then its rows in order (one
+    # pass over the row-major matrix). A column with no nonzero coefficient
+    # still gets a zero objective entry so it survives the round trip; zero
+    # objective entries are canonicalized away on both sides.
+    entries: list[list[str]] = [[f"{OBJ_ROW} {_fmt(c)}"] if c else [] for c in a.c]
+    for i, j, coef in zip(a.row, a.col, a.val):
+        entries[j].append(f"{row_names[i]} {_fmt(coef)}")
 
     lines.append("COLUMNS")
     in_integer = False
     marker = 0
-    for v in model.variables:
-        if v.is_integer != in_integer:
-            kind = "'INTORG'" if v.is_integer else "'INTEND'"
+    for name, integer, column in zip(model.names, a.integrality, entries):
+        if integer != in_integer:
+            kind = "'INTORG'" if integer else "'INTEND'"
             lines.append(f"    MARKER{marker} 'MARKER' {kind}")
             marker += 1
-            in_integer = v.is_integer
-        for row, coef in entries[v.name] or [(OBJ_ROW, 0.0)]:
-            lines.append(f"    {v.name} {row} {_fmt(coef)}")
+            in_integer = integer
+        lines += [f"    {name} {entry}" for entry in column or [f"{OBJ_ROW} 0.0"]]
     if in_integer:
         lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
 
     lines.append("RHS")
     if model.objective_constant:
         lines.append(f"    {RHS_SET} {OBJ_ROW} {_fmt(-model.objective_constant)}")
-    for c in model.constraints:
-        if c.rhs:
-            lines.append(f"    {RHS_SET} {c.name} {_fmt(c.rhs)}")
+    lines += [f"    {RHS_SET} {name} {_fmt(rhs)}" for name, _, rhs in rows if rhs]
 
     lines.append("BOUNDS")
-    for v in model.variables:
-        if v.lb == v.ub:
-            lines.append(f" FX {BOUND_SET} {v.name} {_fmt(v.lb)}")
-        elif v.is_integer and v.lb == 0 and v.ub == 1:
-            lines.append(f" BV {BOUND_SET} {v.name}")
+    for name, lb, ub, integer in zip(model.names, a.lb, a.ub, a.integrality):
+        if lb == ub:
+            lines.append(f" FX {BOUND_SET} {name} {_fmt(lb)}")
+        elif integer and lb == 0 and ub == 1:
+            lines.append(f" BV {BOUND_SET} {name}")
         else:
-            lines.append(f" LO {BOUND_SET} {v.name} {_fmt(v.lb)}")
-            lines.append(f" UP {BOUND_SET} {v.name} {_fmt(v.ub)}")
+            lines.append(f" LO {BOUND_SET} {name} {_fmt(lb)}")
+            lines.append(f" UP {BOUND_SET} {name} {_fmt(ub)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -104,7 +101,7 @@ class MpsParseError(ValueError):
 def import_mps(text: str) -> MilpModel:
     """Parse the dialect emitted by export_mps back into a model."""
     model = MilpModel(name="")
-    row_sense: dict[str, str] = {}
+    senses: dict[str, str] = {}
     row_order: list[str] = []
     row_terms: dict[str, dict[str, float]] = {}
     col_integer: dict[str, bool] = {}
@@ -141,7 +138,7 @@ def import_mps(text: str) -> MilpModel:
                 continue
             if kind not in _ROW_TO_SENSE:
                 raise MpsParseError(f"line {lineno}: unknown row type {kind}")
-            row_sense[name] = _ROW_TO_SENSE[kind]
+            senses[name] = _ROW_TO_SENSE[kind]
             row_terms[name] = {}
             row_order.append(name)
         elif section == "COLUMNS":
@@ -161,26 +158,27 @@ def import_mps(text: str) -> MilpModel:
             if len(pairs) % 2:
                 raise MpsParseError(f"line {lineno}: odd row/value tokens")
             for row, value in zip(pairs[::2], pairs[1::2]):
+                value = _number(lineno, value)
                 if row == obj_row:
-                    obj_terms[col] = obj_terms.get(col, 0.0) + float(value)
+                    obj_terms[col] = obj_terms.get(col, 0.0) + value
                 elif row in row_terms:
                     terms = row_terms[row]
-                    terms[col] = terms.get(col, 0.0) + float(value)
+                    terms[col] = terms.get(col, 0.0) + value
                 else:
                     raise MpsParseError(f"line {lineno}: unknown row {row}")
         elif section == "RHS":
             pairs = tokens[1:]
             for row, value in zip(pairs[::2], pairs[1::2]):
                 if row == obj_row:
-                    model.objective_constant = -float(value)
-                elif row in row_sense:
-                    rhs[row] = float(value)
+                    model.objective_constant = -_number(lineno, value)
+                elif row in senses:
+                    rhs[row] = _number(lineno, value)
                 else:
                     raise MpsParseError(f"line {lineno}: unknown RHS row {row}")
         elif section == "BOUNDS":
             kind = tokens[0].upper()
             name = tokens[2]
-            value = float(tokens[3]) if len(tokens) > 3 else None
+            value = _number(lineno, tokens[3], bound=True) if len(tokens) > 3 else None
             bounds.setdefault(name, []).append((kind, value))
         elif section == "RANGES":
             raise MpsParseError("RANGES sections are not part of this dialect")
@@ -205,26 +203,21 @@ def import_mps(text: str) -> MilpModel:
                 lb = float("-inf")
             else:
                 raise MpsParseError(f"unknown bound type {kind}")
-        model.add_var(*_column_key(col), lb, ub, integer)
+        model.add_var(col, lb, ub, integer)
 
     for name in row_order:
-        model.add_constraint(name, row_terms[name], row_sense[name], rhs.get(name, 0.0))
+        model.add_constraint(name, row_terms[name], senses[name], rhs.get(name, 0.0))
     model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
     return model
 
 
-def _column_key(name: str) -> tuple[str, str, tuple[int, ...]]:
-    """The ``(kind, entity, steps)`` that ``MilpModel.add_var`` joins back
-    into ``name``; a name that no such parts rebuild exactly (``v1``,
-    ``x.a.01``) is a parse error, not a renamed column."""
-    parts = name.split(".")
-    try:
-        key = parts[0], parts[1], tuple(int(p) for p in parts[2:])
-    except (IndexError, ValueError):
-        key = None
-    if key is None or ".".join((key[0], key[1], *map(str, key[2]))) != name:
-        raise MpsParseError(f"column {name!r} is not named <kind>.<entity>.<t...>")
-    return key
+def _number(lineno: int, token: str, bound: bool = False) -> float:
+    """``token`` as a float. NaN is an error anywhere, and ±inf everywhere
+    but in a bound: export writes ``UP bnd x inf`` for an unbounded column."""
+    value = float(token)
+    if math.isnan(value) or (math.isinf(value) and not bound):
+        raise MpsParseError(f"line {lineno}: {token!r} is not a finite number")
+    return value
 
 
 def read_mps(path: str | Path) -> MilpModel:
@@ -232,23 +225,9 @@ def read_mps(path: str | Path) -> MilpModel:
 
 
 def models_structurally_equal(a: MilpModel, b: MilpModel) -> bool:
-    """Same variables (bounds, integrality), constraints, and objective.
+    """Same columns (names, bounds, integrality), rows (names, entries,
+    sides), objective and objective constant.
 
     Zero coefficients are not structure; they compare equal to absent.
     """
-
-    def var_sig(m: MilpModel) -> list[tuple]:
-        return [(v.name, v.lb, v.ub, v.is_integer) for v in m.variables]
-
-    def con_sig(m: MilpModel) -> list[tuple]:
-        return [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints]
-
-    def obj_sig(m: MilpModel) -> dict:
-        return {var: coef for var, coef in m.objective.items() if coef != 0.0}
-
-    return (
-        var_sig(a) == var_sig(b)
-        and con_sig(a) == con_sig(b)
-        and obj_sig(a) == obj_sig(b)
-        and a.objective_constant == b.objective_constant
-    )
+    return a.names == b.names and a.row_names == b.row_names and a.arrays() == b.arrays()

@@ -16,7 +16,12 @@ interpreter starts, and scipy never enters the calling process.
   cause; the next solve forks a fresh host.
 - The host ignores SIGINT, leaving Ctrl-C to its owner. It is a daemon
   process, so multiprocessing's exit handler terminates and reaps it when
-  its owner exits, and it exits on its own when its owner dies.
+  its owner exits. When its owner dies, an idle host reads EOF; a busy
+  one is stopped by its own thread, which checks every ``OWNER_CHECK_S``
+  that its parent is still the owner (a signal handler would wait for
+  HiGHS to return; HiGHS releases the GIL, so the thread runs beside it).
+  A sweep pool worker uses a SIGALRM timer instead: it forks its host,
+  and a thread would be one more at that fork.
 - The host gives HiGHS its share of the usable CPUs as threads,
   ``max(1, usable CPUs // hosts solving at once)``: one host for a plain
   process, the pool's size for a sweep pool worker's host. HiGHS's own
@@ -37,13 +42,14 @@ the host forever. One such fork is certain: after a sweep, the sweep pool
 (``analysis``) keeps its manager thread and its queue-feeder thread
 running in the caller, so a later first default solve forks its host
 beside them. The host cannot block on their locks. ``_serve`` touches
-only its own pipe, ``resource``, ``signal`` and the import of
-``highs_cli`` (the import lock is reset in a forked child), never the
-pool's queues; and dropping the inherited pool at the fork takes only the
-pool's shutdown lock, which an idle pool's threads do not hold (its
-manager takes it only while a worker exits or the pool shuts down, its
-feeder only on a pickling error). Other threads of the caller's own are
-its risk, once per process, at the first default solve.
+only its own pipe, ``resource``, ``signal``, ``threading`` and the
+import of ``highs_cli`` (Python resets the import and ``threading``
+locks in a forked child), never the pool's queues; and dropping the
+inherited pool at the fork takes only the pool's shutdown lock, which an
+idle pool's threads do not hold (its manager takes it only while a
+worker exits or the pool shuts down, its feeder only on a pickling
+error). Other threads of the caller's own are its risk, once per
+process, at the first default solve.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; the model goes out as an MPS file, unreduced and in the
@@ -78,6 +84,9 @@ from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
 INFEASIBLE_SENTINEL = "=infeasible="
+# How often a solver host, or an idle sweep pool worker, checks that its
+# owner is alive.
+OWNER_CHECK_S = 1.0
 # How long past ``timeout_s`` the solver host may take (to import scipy on
 # its first solve and to stop HiGHS at its time limit) before it is killed.
 WORKER_GRACE_S = 2.0
@@ -201,7 +210,7 @@ class _SolverHost:
         ctx = multiprocessing.get_context("fork")
         self.conn, host_end = ctx.Pipe()
         self.owner = os.getpid()
-        self.process = ctx.Process(target=_serve, args=(host_end, self.conn),
+        self.process = ctx.Process(target=_serve, args=(host_end, self.conn, self.owner),
                                    name="blackstart-highs", daemon=True)
         try:
             self.process.start()
@@ -311,18 +320,21 @@ def _highs_threads() -> int:
     return max(1, cpus // _hosts_at_once)
 
 
-def _serve(conn, owner_end) -> None:
+def _serve(conn, owner_end, owner: int) -> None:
     """The solver host's loop: answer each ``(arrays, timeout_s)`` request with
     ``(status, x, info, maxrss_mb, import_s)`` until the owner's end of the
-    pipe closes; ``import_s`` is the seconds this request spent importing
-    ``highs_cli``, 0.0 once it has been imported.
+    pipe closes or ``owner`` is no longer this process's parent;
+    ``import_s`` is the seconds this request spent importing ``highs_cli``,
+    0.0 once it has been imported.
 
     Right after the import the host resets the HiGHS thread scheduler it
-    inherited from its owner and gives HiGHS ``_highs_threads()`` threads;
-    where the reset is missing, HiGHS keeps its default.
+    inherited from its owner and gives HiGHS ``_highs_threads()`` threads
+    (where the reset is missing, HiGHS keeps its default); then it starts
+    the thread that exits the host once its owner is gone.
     """
     import resource
     import signal
+    import threading
 
     owner_end.close()  # so that the owner's death reads as EOF here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
@@ -338,6 +350,12 @@ def _serve(conn, owner_end) -> None:
                     from . import highs_cli
                     import_s = time.perf_counter() - started
                     threads = _highs_threads() if highs_cli.reset_scheduler() else None
+                    # after the reset, which joins the HiGHS threads the fork
+                    # left: started before it, this thread made every solve
+                    # fail ("Invalid argument") on a host forked after an
+                    # in-process HiGHS solve
+                    threading.Thread(target=_exit_when_orphaned, args=(owner,),
+                                     daemon=True).start()
                 status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
                                                         threads=threads)
                 reply = (status, None if x is None else [float(v) for v in x], info)
@@ -347,6 +365,14 @@ def _serve(conn, owner_end) -> None:
             conn.send((*reply, maxrss_mb, import_s))
     except (EOFError, OSError):
         return  # the owner is gone
+
+
+def _exit_when_orphaned(owner: int) -> None:
+    """Exit this process once ``owner`` is no longer its parent, even while
+    the main thread is inside HiGHS."""
+    while os.getppid() == owner:
+        time.sleep(OWNER_CHECK_S)
+    os._exit(1)
 
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,

@@ -41,10 +41,13 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..milp import INTEGRALITY_TOL, ModelArrays
-from ..mps import read_mps
+from ..mps import MpsParseError, read_mps
 from .result import ERROR, INFEASIBLE, OPTIMAL
 
 # scipy.optimize.milp's status codes that have a meaning of their own here.
+# scipy maps HiGHS's kModelError (a NaN in the model, say) to the same 2 as
+# kInfeasible, so a model must reach HiGHS without NaN: caseio rejects it in
+# case documents and import_mps in MPS files.
 _HIGHS_OPTIMAL = 0
 _HIGHS_INFEASIBLE = 2
 # How far the reduction lets a row side or bound be missed before it calls
@@ -302,7 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 2:
         print("usage: blackstart-solve-mps MODEL.mps OUT.sol", file=sys.stderr)
         return 2
-    return solve_mps_file(argv[0], argv[1])
+    try:
+        return solve_mps_file(argv[0], argv[1])
+    except MpsParseError as exc:
+        print(f"bad MPS file {argv[0]}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

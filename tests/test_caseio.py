@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from blackstart import CaseError, dumps_case, load_case
 from blackstart.caseio import case_to_document
 
-from conftest import TOY_NAMES, doc_variant, load_bundled
+from conftest import TOY_NAMES, bundled_document, doc_variant, load_bundled
 
 
 def test_minimal_two_bus_case(minimal_two_bus_doc):
@@ -78,6 +79,22 @@ def test_missing_required_key_names_path(minimal_two_bus_doc):
     bad = doc_variant(minimal_two_bus_doc, **{"generators.0.p_max": None})
     with pytest.raises(CaseError, match=r"generators\[0\]"):
         load_case(bad)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("time.horizon_minutes", math.inf),
+    ("time.step_minutes", math.nan),
+    ("batteries.0.soc_init", math.nan),
+    ("buses.0.importance", math.nan),
+    ("generators.0.p_max", -math.inf),
+    pytest.param("generators.0.p_crank", 10 ** 400, id="generators.0.p_crank-10**400"),
+])
+def test_a_number_that_is_not_finite_is_a_load_error(path, value):
+    """``json`` reads NaN, ±Infinity and integers beyond a float's range."""
+    text = json.dumps(doc_variant(bundled_document("toy_bt"), **{path: value}))
+    key = path.rsplit(".", 1)[1]
+    with pytest.raises(CaseError, match=f"{key}: expected a finite number"):
+        load_case(text)
 
 
 def test_load_accepts_json_text_and_path(minimal_two_bus_doc, tmp_path):

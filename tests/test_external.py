@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from blackstart import decode, encode, load_case, read_mps, solve_enumeration, validate
+from blackstart import (
+    decode,
+    encode,
+    export_mps,
+    import_mps,
+    load_case,
+    models_structurally_equal,
+    read_mps,
+    solve_enumeration,
+    validate,
+)
 from blackstart.cases import bundled_case_path
 from blackstart.milp import MilpModel
 from blackstart.solvers import (
@@ -192,7 +202,8 @@ def test_command_stats_carry_all_six_stages(known_good, tmp_path):
 @pytest.mark.parametrize("name", ["toy_fc", "ieee39_bt50"])
 def test_the_default_solve_never_builds_the_model_views(name, monkeypatch):
     """encode, arrays, the host's values, decode and validate need no
-    ``VarRef`` or ``Constraint``: the solve path reads the stored arrays."""
+    ``VarRef`` or ``Constraint``: the solve path reads the stored arrays, and
+    so do MPS export and import, the structural comparison and the check."""
     def refuse(model):
         raise AssertionError("the solve path built a model view")
 
@@ -203,6 +214,10 @@ def test_the_default_solve_never_builds_the_model_views(name, monkeypatch):
     assert result.status == "optimal", result.message
     assert result.validation.passed
     assert validate(case, result.schedule).passed
+    model = encode(case)
+    back = import_mps(export_mps(model))
+    assert models_structurally_equal(model, back)
+    assert back.check_assignment(result.assignment) == []
 
 
 def test_stats_carry_highs_info(toy_external):
@@ -313,6 +328,18 @@ def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_externa
     assert validate(case, decode(model, assignment, case)).passed
     assert model.objective_of(assignment) == pytest.approx(
         toy_external["toy_path3"].objective, rel=1e-9)
+
+
+def test_solve_mps_front_end_rejects_a_nan_rhs(tmp_path, capsys):
+    """scipy reports HiGHS's error on a NaN in the model as infeasible, so
+    the front end must fail on the file rather than write the sentinel."""
+    mps = tmp_path / "nan.mps"
+    mps.write_text((DATA / "toy_path3.mps").read_text().replace(
+        "    rhs obj -640.0\n", "    rhs obj -640.0\n    rhs eq2.system.t2 nan\n"))
+    sol = tmp_path / "nan.sol"
+    assert highs_cli.main([str(mps), str(sol)]) == 2
+    assert not sol.exists()
+    assert "'nan' is not a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["bus_on.b1.3", "gen_power.g2.4"])

@@ -14,7 +14,16 @@ from blackstart import (
     validate,
 )
 from blackstart.devices import device_trajectories
-from blackstart.milp import BINARY_KINDS, FC_ANC, MilpModel, _n, _n2
+from blackstart.milp import (
+    BAT_POWER,
+    BINARY_KINDS,
+    FC_ANC,
+    FC_POWER,
+    GEN_POWER,
+    MilpModel,
+    _n,
+    _n2,
+)
 from blackstart.schedule import empty_schedule
 from blackstart.solvers.enumeration import _battery_options, _gen_options, _simulate
 
@@ -37,15 +46,16 @@ def fc_only_doc(n_steps=4):
 
 def test_ancillary_and_status_variable_counts():
     model = encode(load_case(fc_only_doc(4)))
-    anc = [v for v in model.variables if v.kind in FC_ANC.values()]
-    status = [v for v in model.variables if v.kind in ("fc_start", "fc_on", "fc_max")]
+    kinds = [name.split(".")[0] for name in model.names]
+    anc = [kind for kind in kinds if kind in FC_ANC.values()]
+    status = [kind for kind in kinds if kind in ("fc_start", "fc_on", "fc_max")]
     assert len(anc) == 3 * 1 * 4 * 4  # three families over t1 x t2
     assert len(status) == 3 * 1 * 4
 
 
 def test_no_fc_no_battery_model_has_no_product_or_window_vars(minimal_two_bus_doc):
     model = encode(load_case(minimal_two_bus_doc))
-    kinds = {v.kind for v in model.variables}
+    kinds = {name.split(".")[0] for name in model.names}
     assert kinds == {"gen_start", "gen_power", "bus_on", "branch_on"}
 
 
@@ -65,14 +75,14 @@ def test_horizon_too_short_is_an_encode_error(minimal_two_bus_doc):
 
 def _one_var_model():
     model = MilpModel(name="guards")
-    model.add_var("x", "a", (1,), 0, 1, True)
+    model.add_var("x.a.1", 0, 1, True)
     return model
 
 
 def test_duplicate_variable_is_an_encode_error():
     model = _one_var_model()
     with pytest.raises(EncodingError, match=r"duplicate variable x\.a\.1"):
-        model.add_var("x", "a", (1,), 0, 5, False)
+        model.add_var("x.a.1", 0, 5, False)
 
 
 def test_constraint_on_an_undeclared_variable_is_an_encode_error():
@@ -94,11 +104,12 @@ def test_constraint_names_follow_the_grammar(toy_cases):
     assert "eq2.system.t5" in names
     assert any(n.startswith("eq23.fc1.") for n in names)
     assert any(n.startswith("eq6.fc1.t1.t") for n in names)
-    var_names = set()
-    for v in model.variables:
-        assert v.name.split(".")[0] == v.kind
-        var_names.add(v.name)
-    assert "bus_on.b1.3" in var_names
+    for name in model.names:
+        kind, entity, *steps = name.split(".")
+        assert kind in BINARY_KINDS | {GEN_POWER, FC_POWER, BAT_POWER, *FC_ANC.values()}, name
+        assert entity and all(t.isdigit() for t in steps), name
+        assert len(steps) == (2 if kind in FC_ANC.values() else 1), name
+    assert "bus_on.b1.3" in model.names
 
 
 def _all_feasible_schedules(case):
@@ -340,8 +351,9 @@ def test_status_monotone_in_solutions(toy_external, toy_cases):
         case = toy_cases[name]
         a = result.assignment
         T = case.time_grid.n_steps
-        for v in encode(case).variables:
-            if v.kind not in BINARY_KINDS or v.steps[0] != 1:
+        for var in encode(case).names:
+            kind, entity, *steps = var.split(".")
+            if kind not in BINARY_KINDS or steps != ["1"]:
                 continue
-            series = [round(a[_n(v.kind, v.entity, t)]) for t in range(1, T + 1)]
-            assert all(x <= y for x, y in zip(series, series[1:])), (name, v.kind, v.entity)
+            series = [round(a[_n(kind, entity, t)]) for t in range(1, T + 1)]
+            assert all(x <= y for x, y in zip(series, series[1:])), (name, kind, entity)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,8 @@ def test_round_trip_structural_identity(name):
 
 def test_tiny_coefficient_full_precision():
     model = MilpModel(name="precision")
-    model.add_var("x", "a", (1,), 0, 10, False)
-    model.add_var("x", "b", (1,), -1e-12, 1e300, False)
+    model.add_var("x.a.1", 0, 10, False)
+    model.add_var("x.b.1", -1e-12, 1e300, False)
     model.add_constraint("row1", {"x.a.1": 1e-12, "x.b.1": 0.1 + 0.2}, "<=", 1e-12)
     model.objective = {"x.a.1": 1e-12}
     back = import_mps(export_mps(model))
@@ -44,7 +45,7 @@ def test_tiny_coefficient_full_precision():
 
 def test_objective_constant_round_trips():
     model = MilpModel(name="const")
-    model.add_var("x", "a", (1,), 0, 1, True)
+    model.add_var("x.a.1", 0, 1, True)
     model.objective = {"x.a.1": -2.5}
     model.objective_constant = 41.25
     back = import_mps(export_mps(model))
@@ -131,7 +132,7 @@ def test_entries_summing_to_zero_are_dropped():
 
 def test_row_without_terms_round_trips():
     model = MilpModel(name="empty_row")
-    model.add_var("x", "a", (1,), 0, 1, True)
+    model.add_var("x.a.1", 0, 1, True)
     model.add_constraint("r1", {"x.a.1": 1.0}, "<=", 1)
     model.add_constraint("r2", {}, ">=", -3.0)
     back = import_mps(export_mps(model))
@@ -150,24 +151,46 @@ def test_unknown_row_rejected():
 
 def test_comment_lines_ignored():
     model = MilpModel(name="c")
-    model.add_var("x", "a", (1,), 0, 1, True)
+    model.add_var("x.a.1", 0, 1, True)
     text = export_mps(model)
     with_comments = text.replace("NAME c", "* leading comment\nNAME c")
     assert models_structurally_equal(import_mps(with_comments), model)
 
 
-def test_a_column_named_outside_the_grammar_is_a_parse_error():
-    # the model would rebuild "v1" as "v1.", and r1 would then name no column
-    with pytest.raises(MpsParseError, match="'v1'"):
-        import_mps("NAME x\nROWS\n N obj\n L r1\nCOLUMNS\n    v1 r1 1.0\nRHS\nENDATA\n")
-
-
-@pytest.mark.parametrize("name", ["x.a.01", "x.a.b", "x.a.1_0", "x.a.+1"])
-def test_a_column_the_model_would_rename_is_a_parse_error(name):
-    with pytest.raises(MpsParseError, match="is not named"):
-        import_mps(_columns_text((name, "r1", "1.0")))
+@pytest.mark.parametrize("name", ["v1", "x.a.01", "x.a.b", "x.a.1_0", "x.a.+1"])
+def test_a_column_named_outside_the_grammar_keeps_its_name(name):
+    """A column is its name: the reader neither renames nor rejects one
+    outside ``<kind>.<entity>.<t...>``, and the row that lists it keeps it."""
+    model = import_mps(_columns_text((name, "r1", "1.0")))
+    arrays = model.arrays()
+    assert model.names == [name]
+    assert (list(arrays.row), list(arrays.col), list(arrays.val)) == ([0], [0], [1.0])
+    assert export_mps(import_mps(export_mps(model))) == export_mps(model)
 
 
 @pytest.mark.parametrize("name", ["x.a", "x.a.1", "x.a.1.12", "x.a.-1"])
 def test_column_names_in_the_grammar_keep_their_spelling(name):
     assert import_mps(_columns_text((name, "r1", "1.0"))).names == [name]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("x.a.1 r1 1.0", "x.a.1 r1 nan"),
+    ("x.a.1 r1 1.0", "x.a.1 r1 -inf"),
+    ("rhs r1 4.0", "rhs r1 NaN"),
+    ("rhs r1 4.0", "rhs r1 inf"),
+    ("rhs r1 4.0", "rhs obj inf"),
+    ("ENDATA", "BOUNDS\n UP bnd x.a.1 nan\nENDATA"),
+], ids=["coefficient-nan", "coefficient-inf", "rhs-nan", "rhs-inf", "objective-rhs-inf",
+        "bound-nan"])
+def test_nan_anywhere_and_infinity_outside_a_bound_are_parse_errors(old, new):
+    text = _columns_text(("x.a.1", "r1", "1.0")).replace(old, new)
+    with pytest.raises(MpsParseError, match="is not a finite number"):
+        import_mps(text)
+
+
+def test_infinite_bounds_round_trip():
+    text = _columns_text(("x.a.1", "r1", "1.0")).replace(
+        "ENDATA", "BOUNDS\n LO bnd x.a.1 -inf\n UP bnd x.a.1 inf\nENDATA")
+    model = import_mps(text)
+    assert (model.arrays().lb[0], model.arrays().ub[0]) == (-math.inf, math.inf)
+    assert models_structurally_equal(import_mps(export_mps(model)), model)

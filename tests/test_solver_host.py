@@ -146,14 +146,19 @@ def test_a_forked_child_solves_on_its_own_host():
 
 def start_owner(tmp_path, then):
     """A fresh interpreter that solves twice, prints its host's pid, then runs ``then``."""
-    owner = subprocess.Popen(python_script(
-        "import blackstart as bs\n"
-        "case = bs.load_case(bs.bundled_case_path('toy_t5'))\n"
-        "pids = {bs.solve_external(case).stats['worker']['pid'] for _ in range(2)}\n"
-        "assert len(pids) == 1, pids\n"
-        "print(*pids, flush=True)\n"
-        + then
-    ), env=clean_env(), cwd=tmp_path, stdout=subprocess.PIPE, text=True)
+    return run_owner(tmp_path,
+                     "import blackstart as bs\n"
+                     "case = bs.load_case(bs.bundled_case_path('toy_t5'))\n"
+                     "pids = {bs.solve_external(case).stats['worker']['pid'] for _ in range(2)}\n"
+                     "assert len(pids) == 1, pids\n"
+                     "print(*pids, flush=True)\n"
+                     + then)
+
+
+def run_owner(tmp_path, body):
+    """A fresh interpreter running ``body``, and the host pid it prints first."""
+    owner = subprocess.Popen(python_script(body), env=clean_env(), cwd=tmp_path,
+                             stdout=subprocess.PIPE, text=True)
     line = owner.stdout.readline()
     host = int(line) if line.strip() else None
     return owner, host
@@ -179,6 +184,31 @@ def test_the_host_exits_when_its_owner_is_killed(tmp_path):
         owner.kill()
         owner.wait(timeout=10)
         assert gone_within(host, 10)
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+        if host is not None and running(host):
+            os.kill(host, signal.SIGKILL)
+
+
+def test_the_host_exits_when_its_owner_is_killed_mid_solve(tmp_path):
+    """A busy host reads no EOF while HiGHS runs; it notices within
+    ``OWNER_CHECK_S`` that its parent is gone."""
+    owner, host = run_owner(tmp_path,
+                            "import os, time\n"
+                            "import blackstart as bs\n"
+                            "from blackstart.solvers import highs_cli\n"
+                            "def sleep(arrays, time_limit=None, threads=None):\n"
+                            "    print(os.getpid(), flush=True)\n"
+                            "    time.sleep(120)\n"
+                            "highs_cli.solve_model = sleep\n"
+                            "bs.solve_external(bs.load_case(bs.bundled_case_path('toy_t5')))\n")
+    try:
+        assert host is not None and running(host)
+        owner.kill()
+        owner.wait(timeout=10)
+        assert gone_within(host, 5)
     finally:
         owner.kill()
         owner.wait()
