@@ -212,9 +212,13 @@ def import_mps(text: str) -> MilpModel:
 
 
 def _number(lineno: int, token: str, bound: bool = False) -> float:
-    """``token`` as a float. NaN is an error anywhere, and ±inf everywhere
-    but in a bound: export writes ``UP bnd x inf`` for an unbounded column."""
-    value = float(token)
+    """``token`` as a float. A token ``float`` cannot read is an error, NaN
+    is one anywhere, and ±inf everywhere but in a bound: export writes
+    ``UP bnd x inf`` for an unbounded column."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise MpsParseError(f"line {lineno}: {token!r} is not a number") from None
     if math.isnan(value) or (math.isinf(value) and not bound):
         raise MpsParseError(f"line {lineno}: {token!r} is not a finite number")
     return value

@@ -13,6 +13,9 @@ ids (earlier starts preferred, then later discharge ends).
 Everything here is straight simulation on the device semantics; none of
 the MILP machinery is consulted, which is what makes agreement between the
 two paths meaningful.
+
+``greedy_schedule`` builds one feasible schedule from a few decisions, by the
+same simulation, for the MILP solver to start from.
 """
 
 from __future__ import annotations
@@ -85,13 +88,11 @@ def energization_closure(case: GridCase, sources: dict[str, int]
     return bus_step, branch_step
 
 
-def _simulate(case: GridCase,
-              gen_starts: dict[str, int | None],
-              bat_windows: dict[str, tuple[int, int] | None]) -> Schedule | None:
-    """Forward-simulate one decision combination; None if infeasible."""
+def _sources(case: GridCase, bat_windows: dict[str, tuple[int, int] | None]
+             ) -> dict[str, int]:
+    """Bus id -> the step a self-start device first lights it: black-start
+    generators and fuel cells at step 2, a battery at its window's start."""
     T = case.time_grid.n_steps
-    hours = case.time_grid.step_minutes / 60.0
-
     sources: dict[str, int] = {}
     for g in case.generators:
         if g.is_black_start:
@@ -102,7 +103,20 @@ def _simulate(case: GridCase,
         window = bat_windows[b.id]
         if window is not None:
             sources[b.bus] = min(sources.get(b.bus, T + 1), window[0])
-    bus_step, branch_step = energization_closure(case, sources)
+    return sources
+
+
+def _simulate(case: GridCase,
+              gen_starts: dict[str, int | None],
+              bat_windows: dict[str, tuple[int, int] | None],
+              closure: tuple[dict[str, int | None], dict[str, int | None]] | None = None
+              ) -> Schedule | None:
+    """Forward-simulate one decision combination; None if infeasible.
+    ``closure`` is the ``energization_closure`` of its ``_sources``, where
+    the caller has it already."""
+    T = case.time_grid.n_steps
+    hours = case.time_grid.step_minutes / 60.0
+    bus_step, branch_step = closure or energization_closure(case, _sources(case, bat_windows))
 
     # every decided start must land on a bus energized by that step
     for g in case.generators:
@@ -187,6 +201,102 @@ def _simulate(case: GridCase,
         s = branch_step[k.id]
         sched.branch_on[k.id] = [s is not None and t >= s for t in range(1, T + 1)]
     return sched
+
+
+def greedy_schedule(case: GridCase) -> Schedule | None:
+    """The best feasible schedule of a few decision sets tried in turn, or
+    None where none of them is feasible.
+
+    Black-start generators and fuel cells start at step 2. The batteries
+    either never discharge, or all open their windows at their earliest
+    start for the same number of steps: 1, 2, 4, ... below the horizon, or
+    the whole horizon. For each such choice and each of a few fixed orders,
+    each other generator takes its earliest start at which its bus is lit
+    and its draw leaves the system's power nonnegative at every step, the
+    open batteries counted at their floor plus their headroom, or never
+    where there is none. Each of these start vectors is simulated with
+    ``_simulate``, which dispatches the batteries as the oracle does, and
+    the lowest ``objective_value`` wins, ties to the one tried first.
+    """
+    T = case.time_grid.n_steps
+    lengths: list[int | None] = [None]
+    if case.batteries:
+        lengths += [2 ** i for i in range(T.bit_length()) if 2 ** i < T] + [T]
+    best: tuple[float, Schedule] | None = None
+    for length in lengths:
+        windows = {b.id: None if length is None
+                   else (b.start_min, min(b.start_min + length, T + 1))
+                   for b in case.batteries}
+        closure = energization_closure(case, _sources(case, windows))
+        for starts in _greedy_starts(case, windows, closure[0]):
+            sched = _simulate(case, starts, windows, closure)
+            if sched is not None:
+                obj = objective_value(case, sched)
+                if best is None or obj < best[0]:
+                    best = (obj, sched)
+    return None if best is None else best[1]
+
+
+def _greedy_starts(case: GridCase, windows: dict[str, tuple[int, int] | None],
+                   bus_step: dict[str, int | None]) -> list[dict[str, int | None]]:
+    """The distinct start vectors from a few fixed orders of the
+    non-black-start generators: case order, ``p_max - p_crank``
+    descending, cranking energy ascending, and the step their bus is first
+    lit."""
+    grid = case.time_grid
+    floor = [0.0] * grid.n_steps  # the self-starting units' output and the open batteries' floors
+    cover = [0.0] * grid.n_steps  # the open batteries' headroom above their floors
+    for g in case.generators:
+        if g.is_black_start:
+            for i, p in enumerate(generator_trajectory(g, 2, grid)):
+                floor[i] += p
+    for f in case.fuel_cells:
+        for i, p in enumerate(fuel_cell_trajectory(f, 2, grid)):
+            floor[i] += p
+    for b in case.batteries:
+        window = windows[b.id]
+        if window is not None:
+            for i in range(window[0] - 1, window[1] - 1):
+                floor[i] += b.p_min
+                cover[i] += b.p_max - b.p_min
+    others = [g for g in case.generators if not g.is_black_start]
+    profile = {g.id: generator_trajectory(g, 1, grid) for g in others}
+
+    def first_lit(g: Generator) -> float:
+        lit = bus_step[g.bus]
+        return math.inf if lit is None else max(lit, g.start_min)
+
+    orders = {tuple(order): None for order in (
+        others,
+        sorted(others, key=lambda g: g.p_crank - g.p_max),
+        sorted(others, key=lambda g: g.p_crank * g.crank_steps),
+        sorted(others, key=first_lit),
+    )}
+    vectors: dict[tuple, dict[str, int | None]] = {}
+    for order in orders:
+        level = list(floor)
+        chosen = {g.id: _earliest_start(g, first_lit(g), profile[g.id], level, cover)
+                  for g in order}
+        starts = {g.id: 2 if g.is_black_start else chosen[g.id] for g in case.generators}
+        vectors.setdefault(tuple(starts.values()), starts)
+    return list(vectors.values())
+
+
+def _earliest_start(g: Generator, first: float, profile: list[float],
+                    level: list[float], cover: list[float]) -> int | None:
+    """The earliest start of ``g`` from ``first`` on at which ``level`` plus
+    its output stays at or above ``-cover`` at every step, added to
+    ``level``; None where there is none. ``profile`` is its output when
+    started at step 1."""
+    if first == math.inf:
+        return None
+    for s in range(int(first), g.start_max + 1):
+        shifted = range(s - 1, len(level))
+        if all(level[i] + profile[i - s + 1] >= -cover[i] - 1e-9 for i in shifted):
+            for i in shifted:
+                level[i] += profile[i - s + 1]
+            return s
+    return None
 
 
 def _tiebreak_key(case: GridCase, gen_starts: dict[str, int | None],

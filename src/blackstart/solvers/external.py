@@ -4,10 +4,20 @@ By default (no command given and BLACKSTART_SOLVER_CMD unset) the bundled
 HiGHS front end, ``highs_cli.solve_model`` (an exact reduction of the
 model, HiGHS with its presolve off, and a postsolve checked against the
 full model), runs on a solver host: one long-lived child per process,
-forked from it (POSIX ``fork``) at its first default solve. The host imports scipy once and then serves every later
-solve of that process; each request is the model as flat arrays
-(``MilpModel.arrays()``) over a pipe, so no file is written, no second
-interpreter starts, and scipy never enters the calling process.
+forked from it (POSIX ``fork``) at its first default solve. The host imports
+numpy and loads scipy's HiGHS binding once (never ``scipy.optimize``), and
+then serves every later solve of that process; each request is the model as
+flat arrays (``MilpModel.arrays()``) over a pipe, so no file is written, no
+second interpreter starts, and neither numpy nor scipy enters the calling
+process.
+
+Each request also carries a start for HiGHS: the oracle's
+``enumeration.greedy_schedule`` (the best of a few decision sets, each
+simulated from the device semantics) as a point in ``model.names`` order, by
+``milp.assignment_from_schedule``, or None where the heuristic finds no
+schedule. It only spares HiGHS the search for a first incumbent: HiGHS
+checks it, and what HiGHS returns is postsolved, checked, decoded,
+re-simulated and validated as any answer is.
 
 - A forked child of the owner (a sweep's pool worker, say) never uses its
   parent's host; it forks its own at its first solve.
@@ -29,8 +39,7 @@ interpreter starts, and scipy never enters the calling process.
   the root's analytic centre, a task HiGHS queues for another thread, runs
   serially. HiGHS's thread scheduler is global to a process, and a forked
   host inherits its owner's without the owner's threads, so the host
-  resets it right after importing ``highs_cli``; where scipy lacks that
-  (private) call, HiGHS keeps its default. ``highs_cli.solve_mps_file``
+  resets it right after importing ``highs_cli``. ``highs_cli.solve_mps_file``
   keeps the default: it runs in its caller's process, whose scheduler
   other HiGHS calls there share, and it cannot know how many solves run
   beside it.
@@ -52,8 +61,8 @@ error). Other threads of the caller's own are its risk, once per
 process, at the first default solve.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
-placeholders; the model goes out as an MPS file, unreduced and in the
-paper's form, and the solution comes back as a document of
+placeholders; the model goes out as an MPS file, unreduced, in the
+paper's form and with no start, and the solution comes back as a document of
 whitespace-separated ``name value`` lines, where ``#`` starts a comment,
 unknown names and non-finite values are an error, missing variables
 default to 0, and a single ``=infeasible=`` line marks a proven-infeasible
@@ -71,15 +80,17 @@ import shlex
 import subprocess
 import tempfile
 import time
+from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 from ..grid import GridCase
-from ..milp import DecodeError, MilpModel, decode, encode
+from ..milp import DecodeError, MilpModel, assignment_from_schedule, decode, encode
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
+from .enumeration import greedy_schedule
 from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
@@ -87,7 +98,7 @@ INFEASIBLE_SENTINEL = "=infeasible="
 # How often a solver host, or an idle sweep pool worker, checks that its
 # owner is alive.
 OWNER_CHECK_S = 1.0
-# How long past ``timeout_s`` the solver host may take (to import scipy on
+# How long past ``timeout_s`` the solver host may take (to load HiGHS on
 # its first solve and to stop HiGHS at its time limit) before it is killed.
 WORKER_GRACE_S = 2.0
 # How many solver hosts solve at once: 1 for a plain process. A sweep pool
@@ -139,13 +150,15 @@ def solve_external(case: GridCase, command: str | None = None,
     """Encode, solve (HiGHS solver host or solver command), decode, validate.
 
     ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
-    stage reached: encode, solver, decode, validate, and for a solver
-    command also export and import_solution) and ``model`` (vars, int_vars,
-    rows, nnz). The solver host adds ``highs`` (status, message,
-    objective, mip_node_count, mip_gap, mip_dual_bound; reduce_s, time_s,
-    reduced_rows and reduced_cols: the reduction's and HiGHS's seconds and
-    the size of the model HiGHS was handed; and threads, the host's share
-    of the CPUs that HiGHS was given) and ``worker``
+    stage reached: encode, solver, decode, validate; for the solver host
+    also start, the heuristic start's; for a solver command also export and
+    import_solution) and ``model`` (vars, int_vars, rows, nnz). The solver
+    host adds ``highs`` (status, message, objective, mip_node_count,
+    mip_gap, mip_dual_bound; reduce_s, time_s, reduced_rows and
+    reduced_cols: the reduction's and HiGHS's seconds and the size of the
+    model HiGHS was handed; threads, the host's share of the CPUs that
+    HiGHS was given; version, HiGHS's; and start_objective, the objective
+    of the start HiGHS was handed, None for none) and ``worker``
     (the host's ``pid``, its own peak RSS, ``maxrss_mb``, and ``import_s``,
     the seconds it spent importing HiGHS for this solve: nonzero on a new
     host's first solve, 0.0 after); a solver command adds
@@ -165,8 +178,10 @@ def solve_external(case: GridCase, command: str | None = None,
     template = resolve_solver_command(command)
     try:
         if template is None:
+            with _stage(stages, "start"):
+                start = _start(model, case)
             with _stage(stages, "solver"):
-                assignment = _solve_on_host(model, timeout_s, stats)
+                assignment = _solve_on_host(model, start, timeout_s, stats)
         else:
             assignment = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -193,6 +208,16 @@ def solve_external(case: GridCase, command: str | None = None,
         OPTIMAL, assignment=assignment, objective=objective,
         schedule=schedule, validation=report,
     )
+
+
+def _start(model: MilpModel, case: GridCase) -> array | None:
+    """``greedy_schedule`` as a point in ``model.names`` order, or None where
+    it finds no schedule."""
+    schedule = greedy_schedule(case)
+    if schedule is None:
+        return None
+    assignment = assignment_from_schedule(model, case, schedule)
+    return array("d", [assignment[name] for name in model.names])
 
 
 class _SolverFailed(Exception):
@@ -264,12 +289,12 @@ def _forget_inherited_host() -> None:
 os.register_at_fork(after_in_child=_forget_inherited_host)
 
 
-def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
+def _solve_on_host(model: MilpModel, start: array | None, timeout_s: float, stats: dict
                    ) -> dict[str, float] | None:
     """Solve with ``highs_cli.solve_model`` on this process's solver host.
 
     Returns the assignment, or None for a proven-infeasible model. The
-    request is ``model.arrays()``; the reply is the status, the values,
+    request is ``model.arrays()`` and ``start``; the reply is the status, the values,
     HiGHS's info, the host's peak RSS and its import seconds. A host that
     times out, or any exception while it is in use, kills it; a host that
     died is reaped and its exit code reported. Either way the next solve
@@ -283,7 +308,7 @@ def _solve_on_host(model: MilpModel, timeout_s: float, stats: dict
             raise _SolverFailed(f"solver host did not start: {exc}") from exc
     host = _host
     worker = stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None, "import_s": None}
-    request = (model.arrays(), timeout_s)
+    request = (model.arrays(), start, timeout_s)
     try:
         host.conn.send(request)
         if not host.conn.poll(timeout_s + WORKER_GRACE_S):
@@ -321,16 +346,15 @@ def _highs_threads() -> int:
 
 
 def _serve(conn, owner_end, owner: int) -> None:
-    """The solver host's loop: answer each ``(arrays, timeout_s)`` request with
+    """The solver host's loop: answer each ``(arrays, start, timeout_s)`` request with
     ``(status, x, info, maxrss_mb, import_s)`` until the owner's end of the
     pipe closes or ``owner`` is no longer this process's parent;
     ``import_s`` is the seconds this request spent importing ``highs_cli``,
     0.0 once it has been imported.
 
     Right after the import the host resets the HiGHS thread scheduler it
-    inherited from its owner and gives HiGHS ``_highs_threads()`` threads
-    (where the reset is missing, HiGHS keeps its default); then it starts
-    the thread that exits the host once its owner is gone.
+    inherited from its owner and gives HiGHS ``_highs_threads()`` threads;
+    then it starts the thread that exits the host once its owner is gone.
     """
     import resource
     import signal
@@ -341,23 +365,26 @@ def _serve(conn, owner_end, owner: int) -> None:
     highs_cli = threads = None
     try:
         while True:
-            arrays, timeout_s = conn.recv()
+            arrays, start, timeout_s = conn.recv()
             import_s = 0.0
             try:
                 if highs_cli is None:
-                    # inside the try, so that a failed import is the solve's cause
+                    # inside the try, so that a failed import or reset is
+                    # the solve's cause, and the next request tries again
                     started = time.perf_counter()
-                    from . import highs_cli
+                    from . import highs_cli as loaded
                     import_s = time.perf_counter() - started
-                    threads = _highs_threads() if highs_cli.reset_scheduler() else None
+                    loaded.reset_scheduler()
+                    threads = _highs_threads()
                     # after the reset, which joins the HiGHS threads the fork
                     # left: started before it, this thread made every solve
                     # fail ("Invalid argument") on a host forked after an
                     # in-process HiGHS solve
                     threading.Thread(target=_exit_when_orphaned, args=(owner,),
                                      daemon=True).start()
+                    highs_cli = loaded
                 status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
-                                                        threads=threads)
+                                                        threads=threads, start=start)
                 reply = (status, None if x is None else [float(v) for v in x], info)
             except Exception as exc:  # reported by the owner as the solve's cause
                 reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})

@@ -1,4 +1,4 @@
-"""The bundled MILP front end: HiGHS through scipy, on a model's arrays or an MPS file.
+"""The bundled MILP front end: HiGHS through its own binding, on a model's arrays or an MPS file.
 
 ``solve_model`` takes the flat arrays of ``MilpModel.arrays()`` and reduces
 them exactly, in numpy, before HiGHS sees them: it substitutes out every
@@ -13,11 +13,27 @@ columns' values, and the point is checked against the full arrays (rows,
 bounds and integrality, to ``CHECK_TOL``) before it is returned. Only the
 solve is reduced: the model, and its MPS export, keep the paper's form.
 
+HiGHS is scipy's bundled binding, ``scipy/optimize/_highspy/_core``, loaded
+by file when this module is imported (about 10 ms): scipy's package code,
+``scipy.optimize`` among it, is never imported. ``solve_model`` builds the
+reduced model's ``HighsLp`` itself (column-wise, sorted by numpy) and sets
+the options ``scipy.optimize.milp`` would: presolve off, zero relative gap,
+the time limit, the thread count, and no console log, since a caller's
+stdout may carry a JSON document. The binding is private ABI; a solve that
+finds an attribute of it missing is ERROR and names the attribute.
+
+A caller may hand ``solve_model`` a start, one value per model variable
+(the solver host hands it the oracle's ``greedy_schedule`` as a point):
+HiGHS is given it as its first incumbent, which spares it the search for
+one. It is only a hint. HiGHS checks it, and whatever HiGHS returns goes
+through the same postsolve and check; the caller still decodes, re-simulates
+and validates the schedule.
+
 ``solve_external`` calls ``solve_model`` on the solver host, the one
 long-lived child each process forks at its first default solve, so that
 process pays the import once; the host gives HiGHS its share of the CPUs
 as threads (``solvers.external`` says how). Importing this module imports
-scipy, so callers that must stay lean import it only where they solve.
+numpy, so callers that must stay lean import it only where they solve.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
@@ -30,29 +46,33 @@ HiGHS's default thread count.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import sys
 import time
-import warnings
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..milp import INTEGRALITY_TOL, ModelArrays
 from ..mps import MpsParseError, read_mps
 from .result import ERROR, INFEASIBLE, OPTIMAL
 
-# scipy.optimize.milp's status codes that have a meaning of their own here.
-# scipy maps HiGHS's kModelError (a NaN in the model, say) to the same 2 as
-# kInfeasible, so a model must reach HiGHS without NaN: caseio rejects it in
-# case documents and import_mps in MPS files.
-_HIGHS_OPTIMAL = 0
-_HIGHS_INFEASIBLE = 2
+BINDING = "scipy.optimize._highspy._core"
+# ``info["status"]`` keeps scipy.optimize.milp's codes for HiGHS's model
+# status: 0 optimal, 1 a time or iteration limit, 2 infeasible, 3
+# unbounded, 4 anything else.
+_STATUS_CODES = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+                 "kInfeasible": 2, "kUnbounded": 3}
+_OTHER = 4
+_HIGHS_OPTIMAL = _STATUS_CODES["kOptimal"]
+_HIGHS_INFEASIBLE = _STATUS_CODES["kInfeasible"]
 # How far the reduction lets a row side or bound be missed before it calls
 # the model infeasible, and how close to an integer a bound of an integer
-# column rounds to it: HiGHS's own mip_feasibility_tolerance.
+# column rounds to it: HiGHS's own mip_feasibility_tolerance. A start that
+# misses a fixed column's value by more is dropped.
 REDUCE_TOL = 1e-6
 # How far the postsolved point may miss a row side, a bound or an integer:
 # the margin decode allows, above HiGHS's tolerance.
@@ -60,8 +80,49 @@ CHECK_TOL = INTEGRALITY_TOL
 MAX_ROUNDS = 50
 
 
+def _load_binding():
+    """scipy's bundled HiGHS extension module, loaded by file and registered
+    in ``sys.modules`` under its own dotted name, so that an ``import
+    scipy.optimize`` in the same process, before or after, shares it (an
+    extension module's types register once per process)."""
+    module = sys.modules.get(BINDING)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("HiGHS binding not found: scipy is not installed")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"HiGHS binding not found in {folder}")
+    spec = importlib.util.spec_from_file_location(BINDING, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[BINDING] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[BINDING]
+        raise
+    return module
+
+
+_core = _load_binding()
+
+
 class Infeasible(Exception):
     """The reduction proved the model infeasible; the message says where."""
+
+
+class Csc(NamedTuple):
+    """A sparse matrix stored column-wise, as HiGHS takes it: column ``j``'s
+    row indices and values are ``index[start[j]:start[j + 1]]`` and
+    ``value[start[j]:start[j + 1]]``, rows ascending."""
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    shape: tuple[int, int]
 
 
 class Reduced(NamedTuple):
@@ -75,7 +136,7 @@ class Reduced(NamedTuple):
     """
 
     c: np.ndarray
-    a: sparse.csc_matrix
+    a: Csc
     row_lo: np.ndarray
     row_hi: np.ndarray
     lb: np.ndarray
@@ -141,10 +202,13 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
 
     keep = live_col
     entry = nonzero & keep[col] & live_row[row]
-    new_row = np.cumsum(live_row) - 1
-    new_col = np.cumsum(keep) - 1
-    a = sparse.csc_matrix((val[entry], (new_row[row[entry]], new_col[col[entry]])),
-                          shape=(int(live_row.sum()), int(keep.sum())))
+    new_row = (np.cumsum(live_row) - 1)[row[entry]]
+    new_col = (np.cumsum(keep) - 1)[col[entry]]
+    cols = int(keep.sum())
+    order = np.lexsort((new_row, new_col))
+    a = Csc(start=np.concatenate(([0], np.cumsum(np.bincount(new_col, minlength=cols)))),
+            index=new_row[order], value=val[entry][order],
+            shape=(int(live_row.sum()), cols))
     return Reduced(
         c=c[keep], a=a, row_lo=row_lo[live_row], row_hi=row_hi[live_row],
         lb=lb[keep], ub=ub[keep], integrality=integer[keep].astype(np.uint8),
@@ -183,26 +247,34 @@ def violations(arrays: ModelArrays, x: np.ndarray) -> str | None:
 
 
 def solve_model(arrays: ModelArrays, time_limit: float | None = None,
-                threads: int | None = None) -> tuple[str, np.ndarray | None, dict]:
+                threads: int | None = None, start: Sequence[float] | None = None
+                ) -> tuple[str, np.ndarray | None, dict]:
     """Solve a model, given as ``MilpModel.arrays()``, by ``reduce_model`` and HiGHS.
+
+    ``start``, one value per model variable in ``model.names`` order (any
+    sequence of floats), is handed to HiGHS as a first incumbent when it
+    agrees with every column the reduction fixed (to ``REDUCE_TOL``) and
+    dropped otherwise. ``threads`` is the thread count HiGHS is given (None
+    leaves HiGHS's default, half the machine's CPUs).
 
     Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
     value per model variable, in ``model.names`` order, and satisfies
     the full model to ``CHECK_TOL``), INFEASIBLE (proved by HiGHS or by the
-    reduction) or ERROR (``x`` is None). ``info`` holds HiGHS's ``status``
-    code (2 also for the reduction's proof) and ``message``, the
-    ``objective``, and the MIP's ``mip_node_count``, ``mip_gap`` and
+    reduction) or ERROR (``x`` is None). ``info`` holds the ``status`` code
+    (``_STATUS_CODES``; 2 also for the reduction's proof) and ``message``,
+    the ``objective``, and the MIP's ``mip_node_count``, ``mip_gap`` and
     ``mip_dual_bound``, where the objective and the bound include the
     model's constant and the fixed columns' share; ``reduce_s`` and
-    ``time_s``, the seconds spent reducing and inside HiGHS; and
+    ``time_s``, the seconds spent reducing and inside HiGHS;
     ``reduced_rows`` and ``reduced_cols``, the size of the model HiGHS was
-    handed; and ``threads``, the thread count HiGHS is given (None leaves
-    HiGHS's default, half the machine's CPUs). A value that was not reached
-    is None.
+    handed; ``threads``; HiGHS's ``version``; and ``start_objective``, the
+    objective of the start HiGHS was handed (None when it was handed none).
+    A value that was not reached is None.
     """
     info = {"status": None, "message": "", "objective": None, "mip_node_count": None,
             "mip_gap": None, "mip_dual_bound": None, "reduce_s": None, "time_s": None,
-            "reduced_rows": None, "reduced_cols": None, "threads": threads}
+            "reduced_rows": None, "reduced_cols": None, "threads": threads,
+            "version": None, "start_objective": None}
     started = time.perf_counter()
     try:
         reduced = reduce_model(arrays)
@@ -219,39 +291,26 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
         info.update(status=_HIGHS_OPTIMAL, message="solved by the reduction", time_s=0.0,
                     objective=offset, mip_node_count=0, mip_gap=0.0, mip_dual_bound=offset)
     else:
-        options = {"mip_rel_gap": 0.0, "presolve": False}
-        if time_limit is not None:
-            options["time_limit"] = time_limit
-        if threads is not None:
-            options["threads"] = threads
-        constraints = []
-        if rows:
-            constraints = [LinearConstraint(reduced.a, reduced.row_lo, reduced.row_hi)]
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            fixed = ~reduced.keep
+            if len(start) != len(x) or np.any(np.abs(start[fixed] - x[fixed]) > REDUCE_TOL):
+                start = None
+            else:
+                start = start[reduced.keep]
         started = time.perf_counter()
-        with warnings.catch_warnings():
-            # scipy hands ``threads`` to HiGHS verbatim, and warns that it does
-            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            res = milp(
-                c=reduced.c,
-                constraints=constraints,
-                integrality=reduced.integrality,
-                bounds=Bounds(reduced.lb, reduced.ub),
-                options=options,
-            )
-        info.update(
-            time_s=time.perf_counter() - started,
-            status=int(res.status),
-            message=str(res.message),
-            objective=_plus(res.fun, offset),
-            mip_node_count=None if res.get("mip_node_count") is None else int(res.mip_node_count),
-            mip_gap=None if res.get("mip_gap") is None else float(res.mip_gap),
-            mip_dual_bound=_plus(res.get("mip_dual_bound"), offset),
-        )
-        if res.status == _HIGHS_INFEASIBLE:
-            return INFEASIBLE, None, info
-        if res.status != _HIGHS_OPTIMAL or res.x is None:
+        try:
+            values = _run_highs(reduced, time_limit, threads, start, offset, info)
+        except AttributeError as exc:
+            info["message"] = f"the HiGHS binding lacks an attribute: {exc}"
             return ERROR, None, info
-        x[reduced.keep] = res.x
+        finally:
+            info["time_s"] = time.perf_counter() - started
+        if info["status"] == _HIGHS_INFEASIBLE:
+            return INFEASIBLE, None, info
+        if values is None:
+            return ERROR, None, info
+        x[reduced.keep] = values
 
     bad = violations(arrays, x)
     if bad is not None:
@@ -260,27 +319,74 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
     return OPTIMAL, x, info
 
 
-def reset_scheduler() -> bool:
+def _run_highs(reduced: Reduced, time_limit: float | None, threads: int | None,
+               start: np.ndarray | None, offset: float, info: dict) -> list[float] | None:
+    """Solve the reduced model with a fresh ``_Highs``, from ``start`` if it
+    is not None; fills ``info``'s version, start_objective, status, message,
+    objective and MIP fields, and returns the values of an optimum (None
+    otherwise)."""
+    highs = _core._Highs()
+    info["version"] = highs.version()
+    options = {"log_to_console": False, "presolve": "off", "mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if threads is not None:
+        options["threads"] = int(threads)
+    ok = _core.HighsStatus.kOk
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != ok:
+            info.update(status=_OTHER, message=f"HiGHS refused option {name}={value!r}")
+            return None
+
+    rows, cols = reduced.a.shape
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, rows
+    lp.col_cost_ = reduced.c.tolist()
+    lp.col_lower_ = reduced.lb.tolist()
+    lp.col_upper_ = reduced.ub.tolist()
+    lp.row_lower_ = reduced.row_lo.tolist()
+    lp.row_upper_ = reduced.row_hi.tolist()
+    matrix = lp.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = cols, rows
+    matrix.start_ = reduced.a.start.tolist()
+    matrix.index_ = reduced.a.index.tolist()
+    matrix.value_ = reduced.a.value.tolist()
+    kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+    lp.integrality_ = [kinds[k] for k in reduced.integrality.tolist()]
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        info.update(status=_OTHER, message="HiGHS rejected the model")
+        return None
+    if start is not None:
+        solution = _core.HighsSolution()
+        solution.col_value = start.tolist()
+        if highs.setSolution(solution) != _core.HighsStatus.kError:
+            info["start_objective"] = float(reduced.c @ start) + offset
+
+    highs.run()
+    model_status = highs.getModelStatus()
+    info.update(status=_STATUS_CODES.get(model_status.name, _OTHER),
+                message=highs.modelStatusToString(model_status))
+    if model_status != _core.HighsModelStatus.kOptimal:
+        return None
+    result = highs.getInfo()
+    info["objective"] = result.objective_function_value + offset
+    if reduced.integrality.any():
+        info.update(mip_node_count=int(result.mip_node_count), mip_gap=float(result.mip_gap),
+                    mip_dual_bound=result.mip_dual_bound + offset)
+    return highs.getSolution().col_value
+
+
+def reset_scheduler() -> None:
     """Drop HiGHS's thread scheduler, so that the next solve starts one with
     its own thread count.
 
     The scheduler is global to a process, and a forked child inherits its
     parent's without the parent's worker threads: a solve with another
-    thread count then fails ("HiGHS Status 0: Not Set"), and one with the
-    same count may wait forever on a dead worker. The call is scipy's
-    private binding of ``Highs::resetGlobalScheduler``; returns False where
-    this scipy lacks it.
+    thread count then fails, and one with the same count may wait forever
+    on a dead worker. The call is the binding's ``Highs::resetGlobalScheduler``.
     """
-    try:
-        from scipy.optimize._highspy._core import _Highs
-        _Highs.resetGlobalScheduler(True)
-    except (ImportError, AttributeError):
-        return False
-    return True
-
-
-def _plus(value, constant: float) -> float | None:
-    return None if value is None else float(value) + constant
+    _core._Highs.resetGlobalScheduler(True)
 
 
 def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:

@@ -199,7 +199,10 @@ def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
     assert one.to_csv() == two.to_csv()
     for row in one.rows + two.rows:
         assert {"stages", "model", "highs", "worker"} <= set(row.stats)
-        assert {"time_s", "reduce_s", "reduced_rows", "reduced_cols"} <= set(row.stats["highs"])
+        assert {"time_s", "reduce_s", "reduced_rows", "reduced_cols", "version",
+                "start_objective"} <= set(row.stats["highs"])
+        assert row.stats["highs"]["start_objective"] >= row.objective - 1e-9
+        assert row.stats["stages"]["start"] > 0
     # one pool worker, so one solver host serves both scenarios
     assert len({row.stats["worker"]["pid"] for row in one.rows}) == 1
 

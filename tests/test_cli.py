@@ -31,7 +31,7 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     rc = main(["run", "--case", case_arg("toy_t5"), "--out-dir", str(tmp_path)])
     assert rc == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
-    assert set(stats["stages"]) == {"encode", "solver", "decode", "validate"}
+    assert set(stats["stages"]) == {"encode", "start", "solver", "decode", "validate"}
     assert sum(stats["stages"].values()) <= stats["wall_time_s"]
     assert set(stats["model"]) == {"vars", "int_vars", "rows", "nnz"}
     assert stats["highs"]["status"] == 0
@@ -43,6 +43,10 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     assert highs["reduce_s"] + highs["time_s"] < stats["stages"]["solver"]
     assert isinstance(stats["worker"]["pid"], int)
     assert stats["worker"]["maxrss_mb"] > 0
+    assert highs["version"].count(".") == 2
+    # toy_t5's heuristic start is its optimum
+    assert highs["start_objective"] == pytest.approx(highs["objective"], rel=1e-9)
+    assert stats["stages"]["start"] > 0
 
 
 def test_run_load_error_exit_code(tmp_path):

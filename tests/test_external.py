@@ -33,7 +33,7 @@ from blackstart.solvers.external import SolutionFormatError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
-FORKED_STAGES = {"encode", "solver", "decode", "validate"}
+FORKED_STAGES = {"encode", "start", "solver", "decode", "validate"}
 COMMAND_STAGES = {"encode", "export", "solver", "import_solution", "decode", "validate"}
 
 
@@ -230,18 +230,18 @@ def test_stats_carry_highs_info(toy_external):
 
 
 def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
-    def exit_at_once(model, time_limit=None, threads=None):
+    def exit_at_once(model, time_limit=None, threads=None, start=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
     result = solve_external(known_good[0])
     assert result.status == "error"
     assert "code 3" in result.message
-    assert set(result.stats["stages"]) == {"encode", "solver"}
+    assert set(result.stats["stages"]) == {"encode", "start", "solver"}
 
 
 def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fresh_solver_host):
-    def sleep(model, time_limit=None, threads=None):
+    def sleep(model, time_limit=None, threads=None, start=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -253,7 +253,7 @@ def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fre
 
 
 def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch, fresh_solver_host):
-    def short(model, time_limit=None, threads=None):
+    def short(model, time_limit=None, threads=None, start=None):
         return "optimal", [0.0], {"message": "stub"}
 
     monkeypatch.setattr(highs_cli, "solve_model", short)
@@ -331,8 +331,8 @@ def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_externa
 
 
 def test_solve_mps_front_end_rejects_a_nan_rhs(tmp_path, capsys):
-    """scipy reports HiGHS's error on a NaN in the model as infeasible, so
-    the front end must fail on the file rather than write the sentinel."""
+    """A NaN in the model must fail on the file, before HiGHS sees it, and
+    never write the sentinel."""
     mps = tmp_path / "nan.mps"
     mps.write_text((DATA / "toy_path3.mps").read_text().replace(
         "    rhs obj -640.0\n", "    rhs obj -640.0\n    rhs eq2.system.t2 nan\n"))
@@ -340,6 +340,21 @@ def test_solve_mps_front_end_rejects_a_nan_rhs(tmp_path, capsys):
     assert highs_cli.main([str(mps), str(sol)]) == 2
     assert not sol.exists()
     assert "'nan' is not a finite number" in capsys.readouterr().err
+
+
+def test_solve_mps_front_end_rejects_an_unreadable_number(tmp_path):
+    golden = (DATA / "toy_path3.mps").read_text()
+    line = golden.splitlines().index("    rhs obj -640.0") + 2  # the line added below it
+    mps = tmp_path / "abc.mps"
+    mps.write_text(golden.replace("    rhs obj -640.0\n",
+                                  "    rhs obj -640.0\n    rhs eq2.system.t2 abc\n"))
+    sol = tmp_path / "abc.sol"
+    proc = subprocess.run([sys.executable, "-m", "blackstart.solvers.highs_cli", str(mps), str(sol)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"bad MPS file {mps}: line {line}: 'abc' is not a number"]
+    assert not sol.exists()
 
 
 @pytest.mark.parametrize("name", ["bus_on.b1.3", "gen_power.g2.4"])

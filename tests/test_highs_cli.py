@@ -4,13 +4,12 @@ small hand-made models."""
 import math
 from array import array
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
-from scipy.optimize import OptimizeResult
 
 from blackstart.milp import ModelArrays
-from blackstart.solvers import highs_cli
-from blackstart.solvers.highs_cli import Infeasible, reduce_model, solve_model
+from blackstart.solvers.highs_cli import _core, Infeasible, reduce_model, solve_model
 
 INF = math.inf
 
@@ -96,20 +95,61 @@ def test_the_reduction_proves_infeasibility(arrays, where):
     assert "infeasible by reduction" in info["message"]
 
 
-def test_a_point_that_violates_a_dropped_row_is_an_error(monkeypatch):
+class StubHighs:
+    """A stand-in for the binding's ``_Highs`` that answers ``col_value`` as
+    an optimum and records the options and the start it was given."""
+
+    col_value: list = []
+    options: dict = {}
+    starts: list = []
+
+    def version(self):
+        return "stub"
+
+    def setOptionValue(self, name, value):
+        self.options[name] = value
+        return _core.HighsStatus.kOk
+
+    def passModel(self, lp):
+        return _core.HighsStatus.kOk
+
+    def setSolution(self, solution):
+        self.starts.append(list(solution.col_value))
+        return _core.HighsStatus.kOk
+
+    def run(self):
+        return _core.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return _core.HighsModelStatus.kOptimal
+
+    def modelStatusToString(self, status):
+        return "stub"
+
+    def getInfo(self):
+        value = float(sum(self.col_value))
+        return SimpleNamespace(objective_function_value=value, mip_node_count=0,
+                               mip_gap=0.0, mip_dual_bound=value)
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=self.col_value)
+
+
+@pytest.fixture()
+def stub_highs(monkeypatch):
+    monkeypatch.setattr(StubHighs, "options", {})
+    monkeypatch.setattr(StubHighs, "starts", [])
+    monkeypatch.setattr(_core, "_Highs", StubHighs)
+    return StubHighs
+
+
+def test_a_point_that_violates_a_dropped_row_is_an_error(stub_highs, monkeypatch):
     # row 0 becomes the bound x0 <= 1 and is dropped; HiGHS's stand-in
     # answers x0 = 5, inside x0's own bounds but not row 0
     arrays = model(c=[1, 1], rows=[(-INF, {0: 1}, 1), (1, {0: 1, 1: 1}, INF)],
                    lb=[0, 0], ub=[10, 10])
-    calls = []
-
-    def stub(**kwargs):
-        calls.append(kwargs)
-        return OptimizeResult(status=0, message="stub", x=np.array([5.0, 0.0]), fun=5.0,
-                              mip_node_count=0, mip_gap=0.0, mip_dual_bound=5.0)
-
-    monkeypatch.setattr(highs_cli, "milp", stub)
+    monkeypatch.setattr(stub_highs, "col_value", [5.0, 0.0])
     status, x, info = solve_model(arrays)
     assert (status, x) == ("error", None)
     assert "postsolved point violates the model: row [0]" in info["message"]
-    assert calls[0]["options"]["presolve"] is False
+    assert stub_highs.options["presolve"] == "off"

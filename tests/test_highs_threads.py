@@ -78,16 +78,19 @@ def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
 
 
 def test_the_hosts_solution_equals_the_one_thread_solution():
+    # both solves start HiGHS from the same point, the host's heuristic start
     script = python_script(
         "from blackstart import load_case, solve_external\n"
         "from blackstart.cases import bundled_case_path\n"
         "from blackstart.milp import encode\n"
-        "from blackstart.solvers import highs_cli\n"
+        "from blackstart.solvers import external, highs_cli\n"
         f"for name in {IEEE39!r}:\n"
         "    case = load_case(bundled_case_path(name))\n"
         "    result = solve_external(case)\n"
         "    model = encode(case)\n"
-        "    status, x, info = highs_cli.solve_model(model.arrays(), threads=1)\n"
+        "    start = external._start(model, case)\n"
+        "    status, x, info = highs_cli.solve_model(model.arrays(), threads=1, start=start)\n"
+        "    assert info['start_objective'] == result.stats['highs']['start_objective'], name\n"
         "    assert result.ok and status == 'optimal', (name, result.message, info)\n"
         "    assert [result.assignment[n] for n in model.names] == x.tolist(), name\n"
         "    print(name, result.stats['highs']['threads'])\n"
@@ -98,8 +101,8 @@ def test_the_hosts_solution_equals_the_one_thread_solution():
 
 
 def test_blackstart_run_prints_nothing_on_stderr(tmp_path):
-    # scipy warns that it passes ``threads`` to HiGHS verbatim; the host
-    # shares the caller's stderr, so the warning would reach the user
+    # the host shares the caller's stdout and stderr, so HiGHS's log must
+    # reach neither: stdout carries the summary JSON, which must parse
     script = python_script(
         "from blackstart.cli import main\n"
         f"sys.exit(main(['run', '--case', {str(bundled_case_path('toy_fc'))!r}, "

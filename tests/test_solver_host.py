@@ -65,7 +65,7 @@ def test_only_a_new_hosts_first_solve_reports_its_import(toy_cases, fresh_solver
 
 
 def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def exit_at_once(arrays, time_limit=None, threads=None):
+    def exit_at_once(arrays, time_limit=None, threads=None, start=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
@@ -80,7 +80,7 @@ def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host
 
 
 def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None, threads=None):
+    def sleep(arrays, time_limit=None, threads=None, start=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -94,7 +94,7 @@ def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_
 
 
 def test_an_interrupted_solve_kills_the_host(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None, threads=None):
+    def sleep(arrays, time_limit=None, threads=None, start=None):
         time.sleep(60)
 
     def interrupt(signum, frame):
@@ -199,7 +199,7 @@ def test_the_host_exits_when_its_owner_is_killed_mid_solve(tmp_path):
                             "import os, time\n"
                             "import blackstart as bs\n"
                             "from blackstart.solvers import highs_cli\n"
-                            "def sleep(arrays, time_limit=None, threads=None):\n"
+                            "def sleep(arrays, time_limit=None, threads=None, start=None):\n"
                             "    print(os.getpid(), flush=True)\n"
                             "    time.sleep(120)\n"
                             "highs_cli.solve_model = sleep\n"
@@ -209,6 +209,53 @@ def test_the_host_exits_when_its_owner_is_killed_mid_solve(tmp_path):
         owner.kill()
         owner.wait(timeout=10)
         assert gone_within(host, 5)
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+        if host is not None and running(host):
+            os.kill(host, signal.SIGKILL)
+
+
+def test_the_host_exits_when_its_owner_is_killed_inside_highs(tmp_path):
+    """The same, with the host inside ``_Highs.run`` on a hard model (a
+    market split instance, which HiGHS does not close in a minute): HiGHS
+    releases the GIL, so the host's thread exits it mid-run. The host writes
+    ``returned`` if ``run`` ever returns."""
+    owner, host = run_owner(tmp_path,
+                            "import os, random\n"
+                            "from array import array\n"
+                            "import blackstart as bs\n"
+                            "from blackstart.milp import ModelArrays\n"
+                            "from blackstart.solvers import highs_cli\n"
+                            "rng, rows, cols = random.Random(1), 4, 36\n"
+                            "a = [[rng.randint(0, 99) for _ in range(cols)] for _ in range(rows)]\n"
+                            "sides = array('d', [sum(r) // 2 for r in a])\n"
+                            "hard = ModelArrays(\n"
+                            "    c=array('d', [0.0] * cols),\n"
+                            "    row=array('i', [i for i in range(rows) for _ in range(cols)]),\n"
+                            "    col=array('i', [j for _ in range(rows) for j in range(cols)]),\n"
+                            "    val=array('d', [v for r in a for v in r]), row_lo=sides,\n"
+                            "    row_hi=sides, lb=array('d', [0.0] * cols),\n"
+                            "    ub=array('d', [1.0] * cols), integrality=array('b', [1] * cols),\n"
+                            "    constant=0.0)\n"
+                            "Highs, solve = highs_cli._core._Highs, highs_cli.solve_model\n"
+                            "run = Highs.run\n"
+                            "def announce_and_run(self):\n"
+                            "    print(os.getpid(), flush=True)\n"
+                            "    run(self)\n"
+                            "    open('returned', 'w').close()\n"
+                            "Highs.run = announce_and_run\n"
+                            "highs_cli.solve_model = lambda *args, **kwargs: solve(\n"
+                            "    hard, time_limit=60, threads=1)\n"
+                            "bs.solve_external(bs.load_case(bs.bundled_case_path('toy_t5')))\n")
+    try:
+        assert host is not None and running(host)
+        time.sleep(0.5)
+        owner.kill()
+        owner.wait(timeout=10)
+        assert gone_within(host, 5)
+        assert not (tmp_path / "returned").exists()
     finally:
         owner.kill()
         owner.wait()
