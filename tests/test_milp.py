@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from blackstart import (
     DecodeError,
@@ -9,6 +10,8 @@ from blackstart import (
     assignment_from_schedule,
     decode,
     encode,
+    export_mps,
+    import_mps,
     load_case,
     objective_value,
     validate,
@@ -27,7 +30,8 @@ from blackstart.milp import (
 from blackstart.schedule import empty_schedule
 from blackstart.solvers.enumeration import _battery_options, _gen_options, _simulate
 
-from conftest import doc_variant
+from conftest import doc_variant, load_bundled
+from strategies import case_documents
 
 
 def fc_only_doc(n_steps=4):
@@ -357,3 +361,37 @@ def test_status_monotone_in_solutions(toy_external, toy_cases):
                 continue
             series = [round(a[_n(kind, entity, t)]) for t in range(1, T + 1)]
             assert all(x <= y for x, y in zip(series, series[1:])), (name, kind, entity)
+
+
+def assert_the_stored_form(model):
+    """The form every row append keeps: each row's columns strictly
+    ascending, no stored zero, unique column and row names, ``size()`` the
+    count of what is stored, and an MPS round trip that gives the same arrays."""
+    arrays = model.arrays()
+    entries = list(zip(arrays.row, arrays.col))
+    assert entries == sorted(entries)
+    assert all(i == k and j < col for (i, j), (k, col) in zip(entries, entries[1:]) if i == k)
+    assert all(i < len(model.row_names) and j < len(model.names) for i, j in entries)
+    assert 0.0 not in arrays.val
+    assert len(set(model.names)) == len(model.names)
+    assert len(set(model.row_names)) == len(model.row_names)
+    assert model.size() == {
+        "vars": len(arrays.lb), "int_vars": sum(arrays.integrality),
+        "rows": len(arrays.row_lo), "nnz": len(arrays.val),
+    }
+    assert len(arrays.ub) == len(arrays.integrality) == len(arrays.c) == len(model.names)
+    assert len(arrays.row_hi) == len(model.row_names)
+    assert len(arrays.row) == len(arrays.col) == len(arrays.val)
+    assert import_mps(export_mps(model)).arrays() == arrays
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case_documents())
+def test_encoded_models_keep_the_stored_form(doc):
+    assert_the_stored_form(encode(load_case(doc)))
+
+
+@pytest.mark.parametrize("name", ["toy_fc", "toy_bt_tight", "ieee39_bt50"])
+def test_bundled_models_keep_the_stored_form(name):
+    assert_the_stored_form(encode(load_bundled(name)))

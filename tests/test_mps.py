@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from blackstart import encode, export_mps, import_mps, models_structurally_equal
+from blackstart import encode, export_mps, import_mps, load_case, models_structurally_equal
 from blackstart.cases import bundled_cases
 from blackstart.milp import MilpModel
 from blackstart.mps import MpsParseError, read_mps, write_mps
@@ -88,6 +88,19 @@ def test_bundled_model_export_is_pinned(name):
     variables, rows, coefficients, bounds and their order do not move."""
     text = export_mps(encode(load_bundled(name)))
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_MPS_SHA256[name]
+
+
+DRAWN_CASES = json.loads((DATA / "drawn_mps_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(DRAWN_CASES))
+def test_drawn_model_export_is_pinned(name):
+    """Small drawn cases (``strategies.case_documents``: meshes, fuel cells
+    with and without a cranking draw, batteries, 4-9 steps) keep the MPS
+    bytes recorded with them, zero coefficients dropped and all."""
+    pin = DRAWN_CASES[name]
+    text = export_mps(encode(load_case(pin["document"])))
+    assert hashlib.sha256(text.encode()).hexdigest() == pin["mps_sha256"]
 
 
 def test_golden_file_gives_the_encoded_model_arrays():
