@@ -28,14 +28,12 @@ from .grid import (
 )
 from .milp import (
     DecodeError,
-    EncodingError,
-    MilpModel,
-    VarRef,
     assignment_from_schedule,
     decode,
     encode,
     objective_value,
 )
+from .model import EncodingError, MilpModel, VarRef
 from .mps import export_mps, import_mps, models_structurally_equal, read_mps, write_mps
 from .schedule import Schedule, empty_schedule
 from .solvers import (

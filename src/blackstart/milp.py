@@ -12,22 +12,22 @@ series u_on rises exactly crank_steps later, and the at-maximum series
 u_max exactly ramp_steps after that. Products of status binaries are
 linearized with one lower and two upper envelope inequalities per pair.
 
-``MilpModel`` stores each fact of the model once, as it is built, in the
-form HiGHS takes: a column is its name beside bound and integrality
-arrays, a row is its name beside its sides and its entries in a COO
-matrix, in ascending column order. ``arrays()`` hands them out without
-another pass over the model; MPS export, ``check_assignment`` and
-``models_structurally_equal`` read them too.
+The model is a ``model.MilpModel``. ``encode`` declares each variable
+family as one block of columns per entity (T, or T² for a fuel cell's
+products), so step t of a series is its block's offset plus t; ``decode``
+and ``point_from_schedule`` read and write values at those offsets. Each
+equation family appends its rows in bulk with ``MilpModel.add_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import NamedTuple
+from collections.abc import Iterable
 
 from .devices import phase_output
 from .grid import GridCase
+from .model import EncodingError, MilpModel, row_sides
 from .schedule import Schedule
 
 # How far a binary may sit from 0 or 1 and still decode: a stated margin
@@ -51,196 +51,8 @@ BAT_POWER = "bat_power"
 BINARY_KINDS = {GEN_START, FC_START, FC_ON, FC_MAX, BUS_ON, BRANCH_ON, BAT_WS, BAT_WE}
 
 
-class EncodingError(ValueError):
-    """The case cannot be encoded into a meaningful model."""
-
-
 class DecodeError(ValueError):
     """An assignment cannot be read back as a schedule."""
-
-
-class VarRef(NamedTuple):
-    """One model variable: its name, bounds and integrality."""
-
-    name: str
-    lb: float
-    ub: float
-    is_integer: bool
-
-
-class Constraint(NamedTuple):
-    """Linear constraint: sum of terms <sense> rhs, sense in {<=, >=, =}."""
-
-    name: str
-    terms: tuple[tuple[str, float], ...]
-    sense: str
-    rhs: float
-
-
-class ModelArrays(NamedTuple):
-    """A model as flat arrays, in its column (``MilpModel.names``) and row order.
-
-    The constraint matrix is COO (``row``, ``col``, ``val``); each row is
-    ``row_lo <= a·x <= row_hi`` with infinite sides for one-sided senses;
-    ``integrality`` is 1 for an integer variable. The objective is
-    ``c·x + constant``, minimized.
-    """
-
-    c: array
-    row: array
-    col: array
-    val: array
-    row_lo: array
-    row_hi: array
-    lb: array
-    ub: array
-    integrality: array
-    constant: float
-
-
-class MilpModel:
-    """Immutable-after-build MILP, stored as the arrays HiGHS takes; minimize objective.
-
-    Columns are ``names`` (declaration order) with bound and integrality
-    ``array.array``s beside them; rows are ``row_names`` with a COO matrix
-    (row, column, value arrays) and lower and upper side arrays, from
-    which ``row_sense`` gives back each row's sense and rhs.
-    ``add_constraint`` resolves each term to its column as it appends the
-    row, drops zero coefficients, and stores a row's entries in ascending
-    column order (the order an MPS import reads them in), so ``arrays()``
-    and ``size()`` only copy or count what is stored.
-
-    ``variables`` and ``constraints`` are views rebuilt from the arrays on
-    each access (``VarRef``s, and ``Constraint``s with name-sorted terms).
-    The program's only reader is the benchmark's ``trace_layers``; they go
-    once that reads ``size()`` instead.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.objective: dict[str, float] = {}
-        self.objective_constant = 0.0
-        self.names: list[str] = []
-        self.row_names: list[str] = []
-        self._pos: dict[str, int] = {}
-        self._lb, self._ub, self._integrality = array("d"), array("d"), array("b")
-        self._row, self._col, self._val = array("i"), array("i"), array("d")
-        self._row_lo, self._row_hi = array("d"), array("d")
-
-    def add_var(self, name: str, lb: float, ub: float, is_integer: bool) -> None:
-        if name in self._pos:
-            raise EncodingError(f"duplicate variable {name}")
-        self._pos[name] = len(self.names)
-        self.names.append(name)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._integrality.append(is_integer)
-
-    def fix(self, name: str, value: float) -> None:
-        j = self._pos[name]
-        self._lb[j] = self._ub[j] = value
-
-    def add_constraint(self, name: str, terms: dict[str, float], sense: str, rhs: float) -> None:
-        pos = self._pos
-        try:
-            cols = [pos[var] for var in terms]
-        except KeyError as exc:
-            raise EncodingError(
-                f"constraint {name} references undeclared variable {exc.args[0]}") from None
-        self._add_row(name, cols, list(terms.values()), sense, rhs)
-
-    def _add_row(self, name: str, cols: list[int], vals: list[float], sense: str,
-                 rhs: float) -> None:
-        """Append a row by column index; ``cols`` are distinct declared columns."""
-        if sense == "<=":
-            lo, hi = -math.inf, rhs
-        elif sense == ">=":
-            lo, hi = rhs, math.inf
-        elif sense == "=":
-            lo = hi = rhs
-        else:
-            raise EncodingError(f"constraint {name}: bad sense {sense!r}")
-        if 0.0 in vals:
-            cols = [j for j, v in zip(cols, vals) if v != 0.0]
-            vals = [v for v in vals if v != 0.0]
-        if cols != sorted(cols):
-            cols, vals = map(list, zip(*sorted(zip(cols, vals))))
-        self._row.fromlist([len(self.row_names)] * len(cols))
-        self._col.fromlist(cols)
-        self._val.fromlist(vals)
-        self._row_lo.append(lo)
-        self._row_hi.append(hi)
-        self.row_names.append(name)
-
-    @property
-    def variables(self) -> tuple[VarRef, ...]:
-        return tuple(map(VarRef, self.names, self._lb, self._ub, map(bool, self._integrality)))
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        names = self.names
-        terms: list[list[tuple[str, float]]] = [[] for _ in self.row_names]
-        for i, j, coef in zip(self._row, self._col, self._val):
-            terms[i].append((names[j], coef))
-        return tuple(
-            Constraint(name, tuple(sorted(row_terms)), *row_sense(lo, hi))
-            for name, row_terms, lo, hi in zip(self.row_names, terms, self._row_lo, self._row_hi)
-        )
-
-    def has_var(self, name: str) -> bool:
-        return name in self._pos
-
-    def size(self) -> dict[str, int]:
-        """Variable, integer-variable, row and constraint-nonzero counts."""
-        return {
-            "vars": len(self.names),
-            "int_vars": self._integrality.count(1),
-            "rows": len(self.row_names),
-            "nnz": len(self._val),
-        }
-
-    def arrays(self) -> ModelArrays:
-        """The model as flat ``array.array``s, cheap to pickle and to wrap in numpy."""
-        pos = self._pos
-        c = array("d", [0.0]) * len(self.names)
-        for name, coef in self.objective.items():
-            c[pos[name]] += coef
-        return ModelArrays(
-            c, self._row[:], self._col[:], self._val[:], self._row_lo[:], self._row_hi[:],
-            lb=self._lb[:], ub=self._ub[:], integrality=self._integrality[:],
-            constant=self.objective_constant,
-        )
-
-    def objective_of(self, assignment: dict[str, float]) -> float:
-        """Objective value of an assignment (compensated summation)."""
-        return (
-            math.fsum(coef * assignment[var] for var, coef in self.objective.items())
-            + self.objective_constant
-        )
-
-    def check_assignment(self, assignment: dict[str, float], tol: float = 1e-6
-                         ) -> list[str]:
-        """Names of constraints and bounds the assignment violates."""
-        x = [assignment[name] for name in self.names]
-        bad = [f"bounds:{name}" for name, xj, lb, ub in zip(self.names, x, self._lb, self._ub)
-               if xj < lb - tol or xj > ub + tol]
-        products: list[list[float]] = [[] for _ in self.row_names]
-        for i, j, coef in zip(self._row, self._col, self._val):
-            products[i].append(coef * x[j])
-        for name, row, lo, hi in zip(self.row_names, products, self._row_lo, self._row_hi):
-            lhs = math.fsum(row)
-            if lhs < lo - tol or lhs > hi + tol:
-                bad.append(name)
-        return bad
-
-
-def row_sense(lo: float, hi: float) -> tuple[str, float]:
-    """The ``(sense, rhs)`` of a row stored with sides ``lo <= a·x <= hi``."""
-    if lo == hi:
-        return "=", lo
-    if lo == -math.inf:
-        return "<=", hi
-    return ">=", lo
 
 
 def encode(case: GridCase) -> MilpModel:
@@ -250,312 +62,253 @@ def encode(case: GridCase) -> MilpModel:
     _check_horizon(case)
 
     m = MilpModel(name="blackstart")
+    step_names = [str(t) for t in steps]
+    row_steps = [f"t{t}" for t in range(T + 1)]
 
-    # --- variables -----------------------------------------------------------
-    for g in case.generators:
-        for t in steps:
-            m.add_var(_n(GEN_START, g.id, t), 0, 1, True)
+    def series(prefixes: list[str], lb: float = 0, ub: float = 1,
+               integer: bool = True) -> list[int]:
+        """Declare ``<prefix>1`` .. ``<prefix>T`` for each prefix, one block
+        after another; step t of the i-th is column ``series(...)[i] + t``."""
+        first = m.add_vars([p + t for p in prefixes for t in step_names], lb, ub, integer) - 1
+        return [first + T * i for i in range(len(prefixes))]
+
+    def rows(entity: str, ts: range, *templates: tuple) -> None:
+        """For each t in ``ts``, one row per template ``(tag, terms, sense,
+        rhs)``, named ``<tag>.<entity>.t<t>``, with coefficient ``coef`` at
+        column ``off + t`` for each ``(off, coef)`` in terms (distinct
+        offsets); zero coefficients are dropped."""
+        n, per_t, first = len(ts), len(templates), len(m.row_names)
+        entries, coefs, lo, hi = [], [], [], []
+        for i, (tag, terms, sense, rhs) in enumerate(templates):
+            for off, coef in sorted(terms):
+                if coef != 0.0:
+                    entries.append((first + i, off))
+                    coefs.append(coef)
+            sides = row_sides(tag, sense, rhs)
+            lo.append(sides[0])
+            hi.append(sides[1])
+        width = len(entries)
+        row, col = array("i", [0]) * (width * n), array("i", [0]) * (width * n)
+        for e, (r, off) in enumerate(entries):
+            row[e::width] = array("i", range(r, r + per_t * n, per_t))
+            col[e::width] = array("i", range(off + ts.start, off + ts.stop))
+        prefixes = [f"{tag}.{entity}." for tag, *_ in templates]
+        m.add_rows([p + t for t in row_steps[ts.start:ts.stop] for p in prefixes],
+                   array("d", lo) * n, array("d", hi) * n, row, col, array("d", coefs) * n)
+
+    def flat(names: list[str], sense: str, rhs: float, widths: list[int], cols: Iterable[int],
+             coefs: list[float]) -> None:
+        """Rows ``names`` with one sense and rhs; row i's entries are the next
+        ``widths[i]`` of ``cols`` and ``coefs``: ascending columns, nonzero coefs."""
+        first = len(m.row_names)
+        lo, hi = row_sides(names[0], sense, rhs)
+        m.add_rows(names, array("d", [lo]) * len(names), array("d", [hi]) * len(names),
+                   array("i", [i for i, w in enumerate(widths, first) for _ in range(w)]),
+                   array("i", cols), array("d", coefs))
+
+    def per_entity(kind: str, entities: tuple) -> dict[str, int]:
+        """A ``kind`` series for each entity: its id -> its block's offset."""
+        return dict(zip((e.id for e in entities), series([f"{kind}.{e.id}." for e in entities])))
+
+    # --- variables: one block per family and entity, in this order -----------
+    gs = per_entity(GEN_START, case.generators)
+    fc: dict[str, list[int]] = {}  # status offsets, then the product blocks' first columns
+    pairs = [f"{t1}.{t2}" for t1 in steps for t2 in steps] if case.fuel_cells else []
     for f in case.fuel_cells:
-        for kind in (FC_START, FC_ON, FC_MAX):
-            for t in steps:
-                m.add_var(_n(kind, f.id, t), 0, 1, True)
-        for kind in FC_ANC.values():
-            for t1 in steps:
-                for t2 in steps:
-                    m.add_var(_n2(kind, f.id, t1, t2), 0, 1, False)
-    for b in case.buses:
-        for t in steps:
-            m.add_var(_n(BUS_ON, b.id, t), 0, 1, True)
-    for k in case.branches:
-        for t in steps:
-            m.add_var(_n(BRANCH_ON, k.id, t), 0, 1, True)
-    for bt in case.batteries:
-        for kind in (BAT_WS, BAT_WE):
-            for t in steps:
-                m.add_var(_n(kind, bt.id, t), 0, 1, True)
-    for g in case.generators:
-        draw = 0.0 if g.is_black_start else g.p_crank
-        for t in steps:
-            m.add_var(_n(GEN_POWER, g.id, t), -draw, g.p_max, False)
-    for f in case.fuel_cells:
-        for t in steps:
-            m.add_var(_n(FC_POWER, f.id, t), -f.p_crank, f.p_max, False)
-    for bt in case.batteries:
-        for t in steps:
-            m.add_var(_n(BAT_POWER, bt.id, t), 0, bt.p_max, False)
+        fc[f.id] = series([f"{kind}.{f.id}." for kind in (FC_START, FC_ON, FC_MAX)])
+        fc[f.id] += [m.add_vars([f"{kind}.{f.id}." + pair for pair in pairs], 0, 1, False)
+                     for kind in FC_ANC.values()]
+    bus = per_entity(BUS_ON, case.buses)
+    br = per_entity(BRANCH_ON, case.branches)
+    win = {bt.id: series([f"{BAT_WS}.{bt.id}.", f"{BAT_WE}.{bt.id}."]) for bt in case.batteries}
+    gp = {g.id: series([f"{GEN_POWER}.{g.id}."], -(0.0 if g.is_black_start else g.p_crank),
+                       g.p_max, False)[0] for g in case.generators}
+    fp = {f.id: series([f"{FC_POWER}.{f.id}."], -f.p_crank, f.p_max, False)[0]
+          for f in case.fuel_cells}
+    bp = {bt.id: series([f"{BAT_POWER}.{bt.id}."], 0, bt.p_max, False)[0]
+          for bt in case.batteries}
 
     # --- blackout and self-start fixings --------------------------------------
-    for g in case.generators:
-        m.fix(_n(GEN_START, g.id, 1), 0)  # eq35
-    for f in case.fuel_cells:
-        m.fix(_n(FC_START, f.id, 1), 0)  # eq36
-    for b in case.buses:
-        m.fix(_n(BUS_ON, b.id, 1), 0)  # eq37
-    for k in case.branches:
-        m.fix(_n(BRANCH_ON, k.id, 1), 0)  # eq38
-    for bt in case.batteries:
-        m.fix(_n(BAT_WS, bt.id, 1), 0)
-        m.fix(_n(BAT_WE, bt.id, 1), 0)
+    dark = [*gs.values(), *(offs[0] for offs in fc.values()), *bus.values(), *br.values(),
+            *(off for pair in win.values() for off in pair)]
+    m.fix([off + 1 for off in dark], 0)  # eq35-38
     for g in case.generators:
         if g.is_black_start:
-            for t in range(2, T + 1):
-                m.fix(_n(GEN_START, g.id, t), 1)  # eq39
+            m.fix(range(gs[g.id] + 2, gs[g.id] + T + 1), 1)  # eq39
         else:
-            for t in range(2, g.start_min):
-                m.fix(_n(GEN_START, g.id, t), 0)  # eq3
+            m.fix(range(gs[g.id] + 2, gs[g.id] + g.start_min), 0)  # eq3
     for f in case.fuel_cells:
-        for t in range(2, T + 1):
-            m.fix(_n(FC_START, f.id, t), 1)  # eq40
+        m.fix(range(fc[f.id][0] + 2, fc[f.id][0] + T + 1), 1)  # eq40
     for bt in case.batteries:
-        for t in range(2, bt.start_min):
-            m.fix(_n(BAT_WS, bt.id, t), 0)  # eq45
+        m.fix(range(win[bt.id][0] + 2, win[bt.id][0] + bt.start_min), 0)  # eq45
 
     # --- status monotonicity and start windows --------------------------------
     for g in case.generators:
-        for t in range(1, T):
-            m.add_constraint(
-                f"eq24.{g.id}.t{t}",
-                {_n(GEN_START, g.id, t): 1, _n(GEN_START, g.id, t + 1): -1},
-                "<=", 0,
-            )
+        s = gs[g.id]
+        rows(g.id, range(1, T), ("eq24", [(s, 1), (s + 1, -1)], "<=", 0))
         if not g.is_black_start and g.start_max < T:
-            for t in range(g.start_max + 1, T + 1):
-                m.add_constraint(
-                    f"eq4.{g.id}.t{t}",
-                    {_n(GEN_START, g.id, t): 1, _n(GEN_START, g.id, g.start_max): -1},
-                    "=", 0,
-                )
+            late = range(g.start_max + 1, T + 1)
+            flat([f"eq4.{g.id}.t{t}" for t in late], "=", 0, [2] * len(late),
+                 [j for t in late for j in (s + g.start_max, s + t)], [-1, 1] * len(late))
     for f in case.fuel_cells:
-        for t in range(1, T):
-            m.add_constraint(
-                f"eq24.{f.id}.t{t}",
-                {_n(FC_START, f.id, t): 1, _n(FC_START, f.id, t + 1): -1},
-                "<=", 0,
-            )
-            m.add_constraint(
-                f"eq25.{f.id}.t{t}",
-                {_n(FC_MAX, f.id, t): 1, _n(FC_MAX, f.id, t + 1): -1},
-                "<=", 0,
-            )
+        s, _, mx, *_ = fc[f.id]
+        rows(f.id, range(1, T), ("eq24", [(s, 1), (s + 1, -1)], "<=", 0),
+             ("eq25", [(mx, 1), (mx + 1, -1)], "<=", 0))
 
     # --- fuel-cell stage links and product linearization ----------------------
+    if case.fuel_cells:
+        # y = u1·u2 for every (t1, t2): y >= u1 + u2 - 1 (u1 and u2 merged on
+        # the diagonal), y <= u1 and y <= u2. The status series are declared
+        # before the products, so each row lists u before y. Every family of
+        # these rows has the same sides, coefficients and row pattern.
+        diagonal = [t1 == t2 for t1 in steps for t2 in steps]
+        prod_lo = array("d", [-1, -math.inf, -math.inf]) * (T * T)
+        prod_hi = array("d", [math.inf, 0, 0]) * (T * T)
+        prod_vals = array("d", [v for diag in diagonal for v in (
+            (-2, 1, -1, 1, -1, 1) if diag else (-1, -1, 1, -1, 1, -1, 1))])
+        prod_rows = array("i", [3 * q + r for q, diag in enumerate(diagonal)
+                                for r in ((0, 0, 1, 1, 2, 2) if diag else (0, 0, 0, 1, 1, 2, 2))])
+        pair_rows = [f".t{t1}.t{t2}" for t1 in steps for t2 in steps]
     for f in case.fuel_cells:
-        for t in steps:
-            if t - f.crank_steps >= 1:
-                m.add_constraint(
-                    f"eq19.{f.id}.t{t}",
-                    {_n(FC_ON, f.id, t): 1, _n(FC_START, f.id, t - f.crank_steps): -1},
-                    "=", 0,
-                )
-            else:
-                m.fix(_n(FC_ON, f.id, t), 0)
-            if t - f.ramp_steps >= 1:
-                m.add_constraint(
-                    f"eq22.{f.id}.t{t}",
-                    {_n(FC_MAX, f.id, t): 1, _n(FC_ON, f.id, t - f.ramp_steps): -1},
-                    "=", 0,
-                )
-            else:
-                m.fix(_n(FC_MAX, f.id, t), 0)
-        for fam, status_kind, tags in (
-            ("start", FC_START, ("eq6", "eq7", "eq8")),
-            ("on", FC_ON, ("eq10", "eq11", "eq12")),
-            ("max", FC_MAX, ("eq14", "eq15", "eq16")),
-        ):
-            anc = FC_ANC[fam]
-            lo, up1, up2 = tags
-            # these 3·T² rows are most of a fuel-cell model, so they go in
-            # by column index, not through per-row name dicts; the status
-            # series are declared before the ancillaries, so each row below
-            # lists its columns in ascending order and needs no sort
-            u = {t: m._pos[_n(status_kind, f.id, t)] for t in steps}
-            for t1 in steps:
-                for t2 in steps:
-                    y = m._pos[_n2(anc, f.id, t1, t2)]
-                    u1, u2 = u[t1], u[t2]
-                    # u1 and u2 coincide on the diagonal; merge them so the
-                    # lower envelope reads y >= 2u - 1 there
-                    if t1 == t2:
-                        m._add_row(f"{lo}.{f.id}.t{t1}.t{t2}", [u1, y], [-2.0, 1.0], ">=", -1)
-                    else:
-                        m._add_row(f"{lo}.{f.id}.t{t1}.t{t2}", [min(u1, u2), max(u1, u2), y],
-                                   [-1.0, -1.0, 1.0], ">=", -1)
-                    m._add_row(f"{up1}.{f.id}.t{t1}.t{t2}", [u1, y], [-1.0, 1.0], "<=", 0)
-                    m._add_row(f"{up2}.{f.id}.t{t1}.t{t2}", [u2, y], [-1.0, 1.0], "<=", 0)
+        s, on, mx, *products = fc[f.id]
+        m.fix(range(on + 1, on + f.crank_steps + 1), 0)
+        m.fix(range(mx + 1, mx + f.ramp_steps + 1), 0)
+        eq19 = ("eq19", [(on, 1), (s - f.crank_steps, -1)], "=", 0)
+        eq22 = ("eq22", [(mx, 1), (on - f.ramp_steps, -1)], "=", 0)
+        early, late = sorted((f.crank_steps, f.ramp_steps))
+        rows(f.id, range(early + 1, late + 1), eq19 if f.crank_steps < f.ramp_steps else eq22)
+        rows(f.id, range(late + 1, T + 1), eq19, eq22)
+        for tags, u, y in zip((("eq6", "eq7", "eq8"), ("eq10", "eq11", "eq12"),
+                               ("eq14", "eq15", "eq16")), (s, on, mx), products):
+            first, width = len(m.row_names), 7 * T - 1  # entries per t1
+            rows_of, cols = array("i"), array("i")
+            for t1 in steps:  # a t1 at a time, so no list holds a whole family
+                rows_of.fromlist([first + r for r in prod_rows[(t1 - 1) * width:t1 * width]])
+                u1, y1 = u + t1, y + (t1 - 1) * T - 1  # y1 + t2 is y's column
+                cols.fromlist([j for t2 in range(1, t1)
+                               for j in (u + t2, u1, y1 + t2, u1, y1 + t2, u + t2, y1 + t2)]
+                              + [u1, y1 + t1, u1, y1 + t1, u1, y1 + t1]
+                              + [j for t2 in range(t1 + 1, T + 1)
+                                 for j in (u1, u + t2, y1 + t2, u1, y1 + t2, u + t2, y1 + t2)])
+            heads = [f"{tag}.{f.id}" for tag in tags]
+            m.add_rows([head + pair for pair in pair_rows for head in heads], prod_lo, prod_hi,
+                       rows_of, cols, prod_vals)
 
     # --- device output ---------------------------------------------------------
     # Fuel cell: -p_crank while cranking, then p_max/ramp_steps per elapsed
     # generating step until the at-max series catches up and pins p_max.
     for f in case.fuel_cells:
+        s, on, _, _, y_on, y_max = fc[f.id]
         slope = f.p_max / f.ramp_steps
+        status = [(off, coef) for off, coef in ((s, f.p_crank), (on, -f.p_crank)) if coef]
+        ramp = [(y, coef) for y, coef in ((y_on, -slope), (y_max, slope)) if coef]
+        cols, coefs = [], []
         for t2 in steps:
-            terms = {
-                _n(FC_POWER, f.id, t2): 1.0,
-                _n(FC_START, f.id, t2): f.p_crank,
-            }
-            _add_term(terms, _n(FC_ON, f.id, t2), -f.p_crank)
-            for t1 in range(1, t2 + 1):
-                _add_term(terms, _n2(FC_ANC["on"], f.id, t1, t2), -slope)
-                _add_term(terms, _n2(FC_ANC["max"], f.id, t1, t2), slope)
-            m.add_constraint(f"eq23.{f.id}.t{t2}", terms, "=", 0)
+            cols += [off + t2 for off, _ in status]
+            cols += [y + (t1 - 1) * T + t2 - 1 for y, _ in ramp for t1 in range(1, t2 + 1)]
+            cols.append(fp[f.id] + t2)
+            coefs += [c for _, c in status] + [c for _, c in ramp for _ in range(t2)] + [1.0]
+        flat([f"eq23.{f.id}.t{t2}" for t2 in steps], "=", 0,
+             [len(status) + len(ramp) * t2 + 1 for t2 in steps], cols, coefs)
 
     # Generator: the start series is monotone, so output is the convolution of
     # the lifecycle increments with the start indicators.
     for g in case.generators:
         draw = 0.0 if g.is_black_start else g.p_crank
+        out = [phase_output(g.p_max, draw, g.crank_steps, g.ramp_steps, d) for d in range(-1, T)]
+        inc = [out[d + 1] - out[d] for d in range(T)]  # d steps after the start
+        cols, coefs, widths = [], [], []
         for t in steps:
-            terms = {_n(GEN_POWER, g.id, t): 1.0}
-            for tau in range(2, t + 1):
-                d = t - tau
-                inc = (phase_output(g.p_max, draw, g.crank_steps, g.ramp_steps, d)
-                       - phase_output(g.p_max, draw, g.crank_steps, g.ramp_steps, d - 1))
-                if inc != 0.0:
-                    _add_term(terms, _n(GEN_START, g.id, tau), -inc)
-            m.add_constraint(f"eq23g.{g.id}.t{t}", terms, "=", 0)
+            taus = [tau for tau in range(2, t + 1) if inc[t - tau] != 0.0]
+            cols += [gs[g.id] + tau for tau in taus] + [gp[g.id] + t]
+            coefs += [-inc[t - tau] for tau in taus] + [1.0]
+            widths.append(len(taus) + 1)
+        flat([f"eq23g.{g.id}.t{t}" for t in steps], "=", 0, widths, cols, coefs)
 
     # --- battery discharge window and SOC ---------------------------------------
+    hours = case.time_grid.step_minutes / 60.0
     for bt in case.batteries:
-        for t in steps:
-            m.add_constraint(
-                f"eq41.{bt.id}.t{t}",
-                {_n(BAT_WE, bt.id, t): 1, _n(BAT_WS, bt.id, t): -1},
-                "<=", 0,
-            )
-            m.add_constraint(
-                f"eq46lo.{bt.id}.t{t}",
-                {_n(BAT_POWER, bt.id, t): 1,
-                 _n(BAT_WS, bt.id, t): -bt.p_min, _n(BAT_WE, bt.id, t): bt.p_min},
-                ">=", 0,
-            )
-            m.add_constraint(
-                f"eq46hi.{bt.id}.t{t}",
-                {_n(BAT_POWER, bt.id, t): 1,
-                 _n(BAT_WS, bt.id, t): -bt.p_max, _n(BAT_WE, bt.id, t): bt.p_max},
-                "<=", 0,
-            )
-        for t in range(1, T):
-            m.add_constraint(
-                f"eq42.{bt.id}.t{t}",
-                {_n(BAT_WS, bt.id, t): 1, _n(BAT_WS, bt.id, t + 1): -1},
-                "<=", 0,
-            )
-            m.add_constraint(
-                f"eq43.{bt.id}.t{t}",
-                {_n(BAT_WE, bt.id, t): 1, _n(BAT_WE, bt.id, t + 1): -1},
-                "<=", 0,
-            )
-        hours = case.time_grid.step_minutes / 60.0
-        m.add_constraint(
-            f"eq47.{bt.id}",
-            {_n(BAT_POWER, bt.id, t): hours for t in steps},
-            "<=", bt.soc_init - bt.soc_min,
-        )
+        ws, we = win[bt.id]
+        p = bp[bt.id]
+        rows(bt.id, steps, ("eq41", [(we, 1), (ws, -1)], "<=", 0),
+             ("eq46lo", [(p, 1), (ws, -bt.p_min), (we, bt.p_min)], ">=", 0),
+             ("eq46hi", [(p, 1), (ws, -bt.p_max), (we, bt.p_max)], "<=", 0))
+        rows(bt.id, range(1, T), ("eq42", [(ws, 1), (ws + 1, -1)], "<=", 0),
+             ("eq43", [(we, 1), (we + 1, -1)], "<=", 0))
+        flat([f"eq47.{bt.id}"], "<=", bt.soc_init - bt.soc_min, [T], range(p + 1, p + T + 1),
+             [hours] * T)
 
     # --- energization ------------------------------------------------------------
     adj = case.adjacency
-    by_gen = {g.id: g for g in case.generators}
+    # Every branch has the same rows: eq30 and eq31 at each step, then eq32 at
+    # t and eq33 at t + 1 alternating, all <= 0 with coefficients +-1. Its
+    # buses' blocks come before its own, so each row lists them first.
+    heads = [(tag, f".t{t}") for t in steps for tag in ("eq30.", "eq31.")]
+    heads += [(tag, f".t{t + dt}") for t in range(1, T) for tag, dt in (("eq32.", 0), ("eq33.", 1))]
+    rel = [i for i, w in enumerate([2] * (2 * T) + [2, 3] * (T - 1)) for _ in range(w)]
+    names, rows_of, cols = [], array("i"), array("i")
     for k in case.branches:
-        for t in steps:
-            m.add_constraint(
-                f"eq30.{k.id}.t{t}",
-                {_n(BRANCH_ON, k.id, t): 1, _n(BUS_ON, k.from_bus, t): -1},
-                "<=", 0,
-            )
-            m.add_constraint(
-                f"eq31.{k.id}.t{t}",
-                {_n(BRANCH_ON, k.id, t): 1, _n(BUS_ON, k.to_bus, t): -1},
-                "<=", 0,
-            )
-        for t in range(1, T):
-            m.add_constraint(
-                f"eq32.{k.id}.t{t}",
-                {_n(BRANCH_ON, k.id, t): 1, _n(BRANCH_ON, k.id, t + 1): -1},
-                "<=", 0,
-            )
-            m.add_constraint(
-                f"eq33.{k.id}.t{t + 1}",
-                {_n(BRANCH_ON, k.id, t + 1): 1,
-                 _n(BUS_ON, k.from_bus, t): -1, _n(BUS_ON, k.to_bus, t): -1},
-                "<=", 0,
-            )
+        j, u, v = br[k.id], bus[k.from_bus], bus[k.to_bus]
+        near, far = sorted((u, v))
+        rows_of.fromlist([len(m.row_names) + len(names) + r for r in rel])
+        names += [tag + k.id + t for tag, t in heads]
+        cols.fromlist([c for t in steps for c in (u + t, j + t, v + t, j + t)]
+                      + [c for t in range(1, T) for c in (j + t, j + t + 1, near + t, far + t,
+                                                          j + t + 1)])
+    m.add_rows(names, array("d", [-math.inf]) * len(names), array("d", bytes(8 * len(names))),
+               rows_of, cols,
+               array("d", [-1, 1] * (2 * T) + [1, -1, -1, -1, 1] * (T - 1)) * len(case.branches))
+    # Per bus, eq32, then at each step: a live bus needs a live incident
+    # branch or a co-located source: a self-start device from its start, a
+    # generator crank_steps after its start, a battery while its window is
+    # open (ws - we). Each term is (the step it counts from, offset, coef).
+    by_gen = {g.id: g for g in case.generators}
     for b in case.buses:
-        for t in range(1, T):
-            m.add_constraint(
-                f"eq32.{b.id}.t{t}",
-                {_n(BUS_ON, b.id, t): 1, _n(BUS_ON, b.id, t + 1): -1},
-                "<=", 0,
-            )
-        # A live bus needs a live incident branch or a co-located source:
-        # a self-start device from its start, or a generating unit.
-        for t in steps:
-            terms = {_n(BUS_ON, b.id, t): 1.0}
-            for k_id in adj.branches[b.id]:
-                _add_term(terms, _n(BRANCH_ON, k_id, t), -1.0)
-            for g_id in adj.generators[b.id]:
-                g = by_gen[g_id]
-                if g.is_black_start:
-                    _add_term(terms, _n(GEN_START, g_id, t), -1.0)
-                elif t - g.crank_steps >= 1:
-                    _add_term(terms, _n(GEN_START, g_id, t - g.crank_steps), -1.0)
-            for f_id in adj.fuel_cells[b.id]:
-                _add_term(terms, _n(FC_START, f_id, t), -1.0)
-            # a battery is a source while its window is open: ws - we
-            for bt_id in adj.batteries[b.id]:
-                _add_term(terms, _n(BAT_WS, bt_id, t), -1.0)
-                _add_term(terms, _n(BAT_WE, bt_id, t), 1.0)
-            tag = "eq48" if adj.batteries[b.id] else "eq34"
-            m.add_constraint(f"{tag}.{b.id}.t{t}", terms, "<=", 0)
+        j = bus[b.id]
+        terms = [(1, j, 1.0), *((1, br[k_id], -1.0) for k_id in adj.branches[b.id])]
+        for g in map(by_gen.get, adj.generators[b.id]):
+            delay = 0 if g.is_black_start else g.crank_steps
+            terms.append((delay + 1, gs[g.id] - delay, -1.0))
+        terms += [(1, fc[f_id][0], -1.0) for f_id in adj.fuel_cells[b.id]]
+        for bt_id in adj.batteries[b.id]:
+            terms += [(1, win[bt_id][0], -1.0), (1, win[bt_id][1], 1.0)]
+        tag = "eq48" if adj.batteries[b.id] else "eq34"
+        names = [f"eq32.{b.id}.t{t}" for t in range(1, T)] + [f"{tag}.{b.id}.t{t}" for t in steps]
+        cols = [c for t in range(1, T) for c in (j + t, j + t + 1)]
+        coefs, widths = [1.0, -1.0] * (T - 1), [2] * (T - 1)
+        edges = sorted({1, T + 1, *(since for since, _, _ in terms if since <= T)})
+        for start, stop in zip(edges, edges[1:]):
+            live = sorted((off, coef) for since, off, coef in terms if since <= start)
+            cols += [off + t for t in range(start, stop) for off, _ in live]
+            coefs += [coef for _, coef in live] * (stop - start)
+            widths += [len(live)] * (stop - start)
+        flat(names, "<=", 0, widths, cols, coefs)
 
     # A device may only be in its started state on an energized bus.
     for g in case.generators:
-        for t in steps:
-            m.add_constraint(
-                f"eq29.{g.id}.t{t}",
-                {_n(GEN_START, g.id, t): 1, _n(BUS_ON, g.bus, t): -1},
-                "<=", 0,
-            )
+        rows(g.id, steps, ("eq29", [(gs[g.id], 1), (bus[g.bus], -1)], "<=", 0))
     for f in case.fuel_cells:
-        for t in steps:
-            m.add_constraint(
-                f"eq29.{f.id}.t{t}",
-                {_n(FC_START, f.id, t): 1, _n(BUS_ON, f.bus, t): -1},
-                "<=", 0,
-            )
+        rows(f.id, steps, ("eq29", [(fc[f.id][0], 1), (bus[f.bus], -1)], "<=", 0))
     for bt in case.batteries:
-        for t in steps:
-            m.add_constraint(
-                f"eq29.{bt.id}.t{t}",
-                {_n(BAT_WS, bt.id, t): 1, _n(BUS_ON, bt.bus, t): -1},
-                "<=", 0,
-            )
+        rows(bt.id, steps, ("eq29", [(win[bt.id][0], 1), (bus[bt.bus], -1)], "<=", 0))
 
     # --- cranking-power balance ----------------------------------------------
-    for t in steps:
-        terms: dict[str, float] = {}
-        for g in case.generators:
-            terms[_n(GEN_POWER, g.id, t)] = 1.0
-        for f in case.fuel_cells:
-            terms[_n(FC_POWER, f.id, t)] = 1.0
-        for bt in case.batteries:
-            terms[_n(BAT_POWER, bt.id, t)] = 1.0
-        if terms:
-            m.add_constraint(f"eq2.system.t{t}", terms, ">=", 0)
+    supply = [*gp.values(), *fp.values(), *bp.values()]
+    if supply:
+        rows("system", steps, ("eq2", [(off, 1.0) for off in supply], ">=", 0))
 
     # --- objective -------------------------------------------------------------
     # Startup time of a generator is the count of steps its start series is
     # still 0; a unit that never starts pays the full horizon.
-    importance = {b.id: b.importance for b in case.buses}
     for g in case.generators:
         weight = g.p_max - g.p_crank
         m.objective_constant += weight * T
-        for t in steps:
-            _add_term(m.objective, _n(GEN_START, g.id, t), -weight)
+        m.objective.update(zip(m.names[gs[g.id] + 1:gs[g.id] + T + 1], [-weight] * T))
     if case.beta:
         for b in case.buses:
-            if importance[b.id] == 0.0:
-                continue
-            for t in steps:
-                _add_term(m.objective, _n(BUS_ON, b.id, t), -case.beta * importance[b.id] / t)
+            if b.importance != 0.0:
+                m.objective.update(zip(m.names[bus[b.id] + 1:bus[b.id] + T + 1],
+                                       [-case.beta * b.importance / t for t in steps]))
     return m
 
 
@@ -563,31 +316,33 @@ def decode(model: MilpModel, assignment: dict[str, float], case: GridCase) -> Sc
     """Read a (near-)integral assignment back into a Schedule."""
     T = case.time_grid.n_steps
 
-    def binval(name: str) -> int:
-        x = assignment[name]
-        r = round(x)
-        if abs(x - r) > INTEGRALITY_TOL or r not in (0, 1):
-            raise DecodeError(f"{name}: value {x} is not integral within {INTEGRALITY_TOL}")
-        return int(r)
+    def values(kind: str, entity: str) -> list[float]:
+        first = _block(model, kind, entity, T)
+        return [assignment[name] for name in model.names[first:first + T]]
 
     def rise(kind: str, entity: str) -> int | None:
-        series = [binval(_n(kind, entity, t)) for t in range(1, T + 1)]
-        for a, b in zip(series, series[1:]):
-            if a > b:
-                raise DecodeError(f"{kind}.{entity}: status sequence is not monotone")
-        for t, v in enumerate(series, start=1):
-            if v:
-                return t
-        return None
+        series = binary(kind, entity)
+        if series != sorted(series):
+            raise DecodeError(f"{kind}.{entity}: status sequence is not monotone")
+        return series.index(1) + 1 if 1 in series else None
+
+    def binary(kind: str, entity: str) -> list[int]:
+        xs = values(kind, entity)
+        bits = [round(x) for x in xs]
+        for t, x, r in zip(range(1, T + 1), xs, bits):
+            if abs(x - r) > INTEGRALITY_TOL or r not in (0, 1):
+                raise DecodeError(f"{_n(kind, entity, t)}: value {x} is not integral within "
+                                  f"{INTEGRALITY_TOL}")
+        return bits
 
     sched = Schedule(n_steps=T)
     sched.solver_power = {}
     for g in case.generators:
         sched.gen_start[g.id] = rise(GEN_START, g.id)
-        sched.solver_power[g.id] = [assignment[_n(GEN_POWER, g.id, t)] for t in range(1, T + 1)]
+        sched.solver_power[g.id] = values(GEN_POWER, g.id)
     for f in case.fuel_cells:
         sched.fc_start[f.id] = rise(FC_START, f.id)
-        sched.solver_power[f.id] = [assignment[_n(FC_POWER, f.id, t)] for t in range(1, T + 1)]
+        sched.solver_power[f.id] = values(FC_POWER, f.id)
     for bt in case.batteries:
         s = rise(BAT_WS, bt.id)
         e = rise(BAT_WE, bt.id)
@@ -600,11 +355,11 @@ def decode(model: MilpModel, assignment: dict[str, float], case: GridCase) -> Sc
             if end < s:
                 raise DecodeError(f"{bt.id}: discharge end step {end} precedes start {s}")
             sched.bat_window[bt.id] = (s, end)
-        sched.bat_dispatch[bt.id] = [assignment[_n(BAT_POWER, bt.id, t)] for t in range(1, T + 1)]
+        sched.bat_dispatch[bt.id] = values(BAT_POWER, bt.id)
     for b in case.buses:
-        sched.bus_on[b.id] = [bool(binval(_n(BUS_ON, b.id, t))) for t in range(1, T + 1)]
+        sched.bus_on[b.id] = [bool(v) for v in binary(BUS_ON, b.id)]
     for k in case.branches:
-        sched.branch_on[k.id] = [bool(binval(_n(BRANCH_ON, k.id, t))) for t in range(1, T + 1)]
+        sched.branch_on[k.id] = [bool(v) for v in binary(BRANCH_ON, k.id)]
     return sched
 
 
@@ -633,58 +388,54 @@ def assignment_from_schedule(model: MilpModel, case: GridCase, schedule: Schedul
     the products of the statuses, and injection variables from the semantic
     trajectories, so a valid schedule yields a model-feasible point.
     """
+    return dict(zip(model.names, point_from_schedule(model, case, schedule)))
+
+
+def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) -> array:
+    """``assignment_from_schedule`` as a point in ``model.names`` order,
+    written series by series at the columns the encoder declared them at."""
     from .devices import device_trajectories
 
     T = case.time_grid.n_steps
-    out: dict[str, float] = {}
+    x = array("d", bytes(8 * len(model.names)))
+    covered = 0
+
+    def put(kind: str, entity: str, values: list[float], products: bool = False) -> None:
+        nonlocal covered
+        first = _block(model, kind, entity, T, products)
+        x[first:first + len(values)] = array("d", values)
+        covered += len(values)
 
     def step_series(start: int | None) -> list[int]:
         return [1 if start is not None and t >= start else 0 for t in range(1, T + 1)]
 
     traj = device_trajectories(case, schedule)
     for g in case.generators:
-        series = step_series(schedule.gen_start[g.id])
-        for t in range(1, T + 1):
-            out[_n(GEN_START, g.id, t)] = series[t - 1]
-            out[_n(GEN_POWER, g.id, t)] = traj[g.id][t - 1]
+        put(GEN_START, g.id, step_series(schedule.gen_start[g.id]))
+        put(GEN_POWER, g.id, traj[g.id])
     for f in case.fuel_cells:
         start = schedule.fc_start[f.id]
         on_start = None if start is None else start + f.crank_steps
         max_start = None if on_start is None else on_start + f.ramp_steps
-        series = {
-            FC_START: step_series(start),
-            FC_ON: step_series(on_start),
-            FC_MAX: step_series(max_start),
-        }
-        for kind, s in series.items():
-            for t in range(1, T + 1):
-                out[_n(kind, f.id, t)] = s[t - 1]
-        for fam, kind in (("start", FC_START), ("on", FC_ON), ("max", FC_MAX)):
-            s = series[kind]
-            for t1 in range(1, T + 1):
-                for t2 in range(1, T + 1):
-                    out[_n2(FC_ANC[fam], f.id, t1, t2)] = s[t1 - 1] * s[t2 - 1]
-        for t in range(1, T + 1):
-            out[_n(FC_POWER, f.id, t)] = traj[f.id][t - 1]
+        for anc, kind, first in zip(FC_ANC.values(), (FC_START, FC_ON, FC_MAX),
+                                    (start, on_start, max_start)):
+            s = step_series(first)
+            put(kind, f.id, s)
+            put(anc, f.id, [a * b for a in s for b in s], products=True)
+        put(FC_POWER, f.id, traj[f.id])
     for bt in case.batteries:
         window = schedule.bat_window[bt.id]
         s, e = window if window is not None else (None, None)
-        ws = step_series(s)
-        we = step_series(e if e is not None and e <= T else None)
-        for t in range(1, T + 1):
-            out[_n(BAT_WS, bt.id, t)] = ws[t - 1]
-            out[_n(BAT_WE, bt.id, t)] = we[t - 1]
-            out[_n(BAT_POWER, bt.id, t)] = traj[bt.id][t - 1]
+        put(BAT_WS, bt.id, step_series(s))
+        put(BAT_WE, bt.id, step_series(e if e is not None and e <= T else None))
+        put(BAT_POWER, bt.id, traj[bt.id])
     for b in case.buses:
-        for t in range(1, T + 1):
-            out[_n(BUS_ON, b.id, t)] = 1.0 if schedule.bus_on[b.id][t - 1] else 0.0
+        put(BUS_ON, b.id, schedule.bus_on[b.id])
     for k in case.branches:
-        for t in range(1, T + 1):
-            out[_n(BRANCH_ON, k.id, t)] = 1.0 if schedule.branch_on[k.id][t - 1] else 0.0
-    missing = [name for name in model.names if name not in out]
-    if missing:
-        raise DecodeError(f"schedule does not cover variables: {missing[:5]}...")
-    return out
+        put(BRANCH_ON, k.id, schedule.branch_on[k.id])
+    if covered != len(x):
+        raise DecodeError(f"schedule covers {covered} of the model's {len(x)} variables")
+    return x
 
 
 def _check_horizon(case: GridCase) -> None:
@@ -704,13 +455,22 @@ def _check_horizon(case: GridCase) -> None:
         )
 
 
+def _block(model: MilpModel, kind: str, entity: str, T: int, products: bool = False) -> int:
+    """The first column of ``kind.entity``: the block ``encode`` declares as
+    ``kind.entity.1`` .. ``kind.entity.T``, or ``.1.1`` .. ``.T.T`` for products."""
+    if products:
+        first, last, size = _n2(kind, entity, 1, 1), _n2(kind, entity, T, T), T * T
+    else:
+        first, last, size = _n(kind, entity, 1), _n(kind, entity, T), T
+    j = model.column(first)
+    if j is None or model.names[j + size - 1:j + size] != [last]:
+        raise DecodeError(f"{kind}.{entity}: the model does not hold it as one block")
+    return j
+
+
 def _n(kind: str, entity: str, t: int) -> str:
     return f"{kind}.{entity}.{t}"
 
 
 def _n2(kind: str, entity: str, t1: int, t2: int) -> str:
     return f"{kind}.{entity}.{t1}.{t2}"
-
-
-def _add_term(terms: dict[str, float], var: str, coef: float) -> None:
-    terms[var] = terms.get(var, 0.0) + coef

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .milp import MilpModel, row_sense
+from .model import MilpModel, row_sense
 
 OBJ_ROW = "obj"
 RHS_SET = "rhs"

@@ -58,33 +58,28 @@ def energization_closure(case: GridCase, sources: dict[str, int]
 
     sources maps bus id -> step at which a self-start device lights it.
     A branch lights one step after either endpoint; it lights its far
-    endpoint in the same step it comes up.
+    endpoint in the same step it comes up. One pass over the buses in the
+    order they light, kept in a bucket per step: a breadth-first search
+    whose sources start at their own steps.
     """
     T = case.time_grid.n_steps
     bus_step: dict[str, int | None] = {b.id: None for b in case.buses}
     branch_step: dict[str, int | None] = {k.id: None for k in case.branches}
-    frontier: list[str] = []
+    ends = {k.id: (k.from_bus, k.to_bus) for k in case.branches}
+    lit: list[list[str]] = [[] for _ in range(T + 1)]  # lit[s]: buses lit at step s
     for b_id, s in sources.items():
-        if s <= T and (bus_step[b_id] is None or s < bus_step[b_id]):
+        if s <= T:
             bus_step[b_id] = s
-    # Dijkstra with unit hop costs and per-source offsets; grids are small,
-    # so a simple repeated relaxation over steps is clear and fast enough.
-    changed = True
-    while changed:
-        changed = False
-        for k in case.branches:
-            ends = (bus_step[k.from_bus], bus_step[k.to_bus])
-            reach = min((s for s in ends if s is not None), default=None)
-            if reach is None or reach + 1 > T:
-                continue
-            step = reach + 1
-            if branch_step[k.id] is None or step < branch_step[k.id]:
-                branch_step[k.id] = step
-                changed = True
-            for end in (k.from_bus, k.to_bus):
-                if bus_step[end] is None or branch_step[k.id] < bus_step[end]:
-                    bus_step[end] = branch_step[k.id]
-                    changed = True
+            lit[s].append(b_id)
+    for s in range(T):  # a bus lit at T lights no branch within the horizon
+        for b_id in lit[s]:
+            for k_id in case.adjacency.branches[b_id]:
+                if branch_step[k_id] is None:
+                    branch_step[k_id] = s + 1
+                    for end in ends[k_id]:
+                        if bus_step[end] is None or s + 1 < bus_step[end]:
+                            bus_step[end] = s + 1
+                            lit[s + 1].append(end)
     return bus_step, branch_step
 
 

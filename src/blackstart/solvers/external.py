@@ -14,7 +14,7 @@ process.
 Each request also carries a start for HiGHS: the oracle's
 ``enumeration.greedy_schedule`` (the best of a few decision sets, each
 simulated from the device semantics) as a point in ``model.names`` order, by
-``milp.assignment_from_schedule``, or None where the heuristic finds no
+``milp.point_from_schedule``, or None where the heuristic finds no
 schedule. It only spares HiGHS the search for a first incumbent: HiGHS
 checks it, and what HiGHS returns is postsolved, checked, decoded,
 re-simulated and validated as any answer is.
@@ -86,7 +86,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ..grid import GridCase
-from ..milp import DecodeError, MilpModel, assignment_from_schedule, decode, encode
+from ..milp import DecodeError, MilpModel, decode, encode, point_from_schedule
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
@@ -132,7 +132,7 @@ def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
         if len(tokens) != 2:
             raise SolutionFormatError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, value = tokens
-        if not model.has_var(name):
+        if model.column(name) is None:
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
         try:
             assignment[name] = float(value)
@@ -214,10 +214,7 @@ def _start(model: MilpModel, case: GridCase) -> array | None:
     """``greedy_schedule`` as a point in ``model.names`` order, or None where
     it finds no schedule."""
     schedule = greedy_schedule(case)
-    if schedule is None:
-        return None
-    assignment = assignment_from_schedule(model, case, schedule)
-    return array("d", [assignment[name] for name in model.names])
+    return None if schedule is None else point_from_schedule(model, case, schedule)
 
 
 class _SolverFailed(Exception):

@@ -56,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..milp import INTEGRALITY_TOL, ModelArrays
+from ..milp import INTEGRALITY_TOL
+from ..model import ModelArrays
 from ..mps import MpsParseError, read_mps
 from .result import ERROR, INFEASIBLE, OPTIMAL
 

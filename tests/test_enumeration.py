@@ -1,9 +1,15 @@
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blackstart import load_case, solve_enumeration, validate
+from blackstart.cases import bundled_cases
 from blackstart.solvers import EnumerationCapError, energization_closure
 
-from conftest import bundled_document, doc_variant
+from conftest import bundled_document, doc_variant, load_bundled
+from strategies import case_documents
 
 
 def test_toy_t5_optimum(toy_cases, toy_enum):
@@ -109,3 +115,51 @@ def test_battery_tight_soc_budget(toy_cases, toy_enum):
     assert used <= b.soc_init - b.soc_min + 1e-9
     report = validate(case, result.schedule)
     assert report.passed
+
+
+def fixed_point_closure(case, sources):
+    """The closure by relaxing every branch until nothing changes: the
+    definition ``energization_closure`` must agree with."""
+    T = case.time_grid.n_steps
+    bus_step = {b.id: None for b in case.buses}
+    branch_step = {k.id: None for k in case.branches}
+    for b_id, s in sources.items():
+        if s <= T:
+            bus_step[b_id] = s
+    changed = True
+    while changed:
+        changed = False
+        for k in case.branches:
+            reach = min((s for s in (bus_step[k.from_bus], bus_step[k.to_bus]) if s is not None),
+                        default=None)
+            if reach is None or reach + 1 > T:
+                continue
+            if branch_step[k.id] is None or reach + 1 < branch_step[k.id]:
+                branch_step[k.id] = reach + 1
+                changed = True
+            for end in (k.from_bus, k.to_bus):
+                if bus_step[end] is None or branch_step[k.id] < bus_step[end]:
+                    bus_step[end] = branch_step[k.id]
+                    changed = True
+    return bus_step, branch_step
+
+
+def assert_closures_agree(case, rng):
+    T = case.time_grid.n_steps
+    buses = [b.id for b in case.buses]
+    for _ in range(5):
+        picked = rng.sample(buses, rng.randint(1, min(4, len(buses))))
+        sources = {b_id: rng.randint(1, T + 1) for b_id in picked}
+        assert energization_closure(case, sources) == fixed_point_closure(case, sources), sources
+
+
+@pytest.mark.parametrize("name", bundled_cases())
+def test_the_closure_is_the_fixed_point_on_bundled_cases(name):
+    assert_closures_agree(load_bundled(name), random.Random(name))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case_documents(), st.randoms(use_true_random=False))
+def test_the_closure_is_the_fixed_point_on_drawn_cases(doc, rng):
+    assert_closures_agree(load_case(doc), rng)

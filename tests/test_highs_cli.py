@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from blackstart.milp import ModelArrays
+from blackstart.model import ModelArrays
 from blackstart.solvers.highs_cli import _core, Infeasible, reduce_model, solve_model
 
 INF = math.inf

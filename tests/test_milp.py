@@ -278,6 +278,22 @@ def test_decode_rejects_non_monotone(toy_cases):
         decode(model, assignment, case)
 
 
+def test_decode_and_the_start_need_each_series_as_one_block(toy_cases):
+    """Both read a series at its first column's offset, so a model that
+    does not hold it as one block is refused, not misread."""
+    case = toy_cases["toy_path3"]
+    model = encode(case)
+    sched = empty_schedule(case)
+    sched.gen_start.update({"g1": 2, "g2": None})
+    assignment = assignment_from_schedule(model, case, sched)
+    reversed_model = MilpModel(name="reversed")
+    reversed_model.add_vars(model.names[::-1], 0, 1, True)
+    with pytest.raises(DecodeError, match="gen_start.g1: the model does not hold it as one block"):
+        decode(reversed_model, assignment, case)
+    with pytest.raises(DecodeError, match="one block"):
+        assignment_from_schedule(reversed_model, case, sched)
+
+
 def test_objective_single_generator():
     doc = {
         "time": {"step_minutes": 20, "horizon_minutes": 160},

@@ -226,7 +226,7 @@ def test_the_host_exits_when_its_owner_is_killed_inside_highs(tmp_path):
                             "import os, random\n"
                             "from array import array\n"
                             "import blackstart as bs\n"
-                            "from blackstart.milp import ModelArrays\n"
+                            "from blackstart.model import ModelArrays\n"
                             "from blackstart.solvers import highs_cli\n"
                             "rng, rows, cols = random.Random(1), 4, 36\n"
                             "a = [[rng.randint(0, 99) for _ in range(cols)] for _ in range(rows)]\n"
