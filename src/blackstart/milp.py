@@ -78,15 +78,13 @@ def encode(case: GridCase) -> MilpModel:
         column ``off + t`` for each ``(off, coef)`` in terms (distinct
         offsets); zero coefficients are dropped."""
         n, per_t, first = len(ts), len(templates), len(m.row_names)
-        entries, coefs, lo, hi = [], [], [], []
+        entries, coefs, sides = [], [], []
         for i, (tag, terms, sense, rhs) in enumerate(templates):
             for off, coef in sorted(terms):
                 if coef != 0.0:
                     entries.append((first + i, off))
                     coefs.append(coef)
-            sides = row_sides(tag, sense, rhs)
-            lo.append(sides[0])
-            hi.append(sides[1])
+            sides.append(row_sides(tag, sense, rhs))
         width = len(entries)
         row, col = array("i", [0]) * (width * n), array("i", [0]) * (width * n)
         for e, (r, off) in enumerate(entries):
@@ -94,7 +92,8 @@ def encode(case: GridCase) -> MilpModel:
             col[e::width] = array("i", range(off + ts.start, off + ts.stop))
         prefixes = [f"{tag}.{entity}." for tag, *_ in templates]
         m.add_rows([p + t for t in row_steps[ts.start:ts.stop] for p in prefixes],
-                   array("d", lo) * n, array("d", hi) * n, row, col, array("d", coefs) * n)
+                   array("d", [lo for lo, _ in sides]) * n, array("d", [hi for _, hi in sides]) * n,
+                   row, col, array("d", coefs) * n)
 
     def flat(names: list[str], sense: str, rhs: float, widths: list[int], cols: Iterable[int],
              coefs: list[float]) -> None:
@@ -137,8 +136,6 @@ def encode(case: GridCase) -> MilpModel:
             m.fix(range(gs[g.id] + 2, gs[g.id] + T + 1), 1)  # eq39
         else:
             m.fix(range(gs[g.id] + 2, gs[g.id] + g.start_min), 0)  # eq3
-    for f in case.fuel_cells:
-        m.fix(range(fc[f.id][0] + 2, fc[f.id][0] + T + 1), 1)  # eq40
     for bt in case.batteries:
         m.fix(range(win[bt.id][0] + 2, win[bt.id][0] + bt.start_min), 0)  # eq45
 
@@ -171,6 +168,7 @@ def encode(case: GridCase) -> MilpModel:
         pair_rows = [f".t{t1}.t{t2}" for t1 in steps for t2 in steps]
     for f in case.fuel_cells:
         s, on, mx, *products = fc[f.id]
+        m.fix(range(s + 2, s + T + 1), 1)  # eq40
         m.fix(range(on + 1, on + f.crank_steps + 1), 0)
         m.fix(range(mx + 1, mx + f.ramp_steps + 1), 0)
         eq19 = ("eq19", [(on, 1), (s - f.crank_steps, -1)], "=", 0)

@@ -1,13 +1,4 @@
-"""A MILP as the arrays HiGHS takes, solver-agnostic.
-
-``MilpModel`` stores each fact of the model once, as it is built, in the
-form HiGHS takes: a column is its name beside bound and integrality
-arrays, a row is its name beside its sides and its entries in a COO
-matrix, in ascending column order. ``arrays()`` hands them out without
-another pass over the model; MPS export, ``check_assignment`` and
-``models_structurally_equal`` read them too. ``add_vars`` and ``add_rows``
-append whole blocks of columns and rows straight into the arrays.
-"""
+"""A solver-agnostic MILP, stored as the arrays HiGHS takes: ``MilpModel``."""
 
 from __future__ import annotations
 
@@ -63,17 +54,16 @@ class ModelArrays(NamedTuple):
 class MilpModel:
     """Immutable-after-build MILP, stored as the arrays HiGHS takes; minimize objective.
 
-    Columns are ``names`` (declaration order) with bound and integrality
-    ``array.array``s beside them; rows are ``row_names`` with a COO matrix
-    (row, column, value arrays) and lower and upper side arrays, from
-    which ``row_sense`` gives back each row's sense and rhs. ``add_vars``
-    appends a block of columns and ``add_rows`` a block of rows, each
-    straight into the arrays; ``add_var`` and ``add_constraint`` are
-    one-column and one-row calls of them. ``add_constraint`` resolves each
-    term to its column, drops zero coefficients and sorts the row's entries
-    into ascending column order (the order an MPS import reads them in),
-    the form ``add_rows`` takes, so ``arrays()`` and ``size()`` only copy or
-    count what is stored.
+    Each fact is stored once, as it is built: columns are ``names``
+    (declaration order) with bound and integrality ``array.array``s beside
+    them; rows are ``row_names`` with lower and upper side arrays (from
+    which ``row_sense`` gives back a row's sense and rhs) and a COO matrix
+    whose rows list their entries in ascending column order, as an MPS
+    import reads them. ``add_vars`` and ``add_rows`` append blocks straight
+    into the arrays, and ``add_var`` and ``add_constraint(s)`` are calls of
+    them, so ``arrays()`` and ``size()`` only copy or count what is stored;
+    MPS export, ``check_assignment`` and ``models_structurally_equal`` read
+    the arrays too.
 
     ``variables`` and ``constraints`` are views rebuilt from the arrays on
     each access (``VarRef``s, and ``Constraint``s with name-sorted terms).
@@ -95,15 +85,15 @@ class MilpModel:
     def add_vars(self, names: list[str], lb: float, ub: float, is_integer: bool) -> int:
         """Append columns ``names`` with one bound pair and integrality; returns
         the first one's index."""
-        first, pos = len(self.names), self._pos
+        first, pos, n = len(self.names), self._pos, len(names)
         self.names += names
-        pos.update(zip(names, range(first, len(self.names))))
+        pos.update(zip(names, range(first, first + n)))
         if len(pos) != len(self.names):
             dup = next(name for j, name in enumerate(self.names) if pos[name] != j)
             raise EncodingError(f"duplicate variable {dup}")
-        self._lb += array("d", [lb]) * len(names)
-        self._ub += array("d", [ub]) * len(names)
-        self._integrality += array("b", [is_integer]) * len(names)
+        self._lb += array("d", [lb]) * n
+        self._ub += array("d", [ub]) * n
+        self._integrality += array("b", [is_integer]) * n
         return first
 
     def add_var(self, name: str, lb: float, ub: float, is_integer: bool) -> None:
@@ -133,17 +123,31 @@ class MilpModel:
                                 "do not line up")
 
     def add_constraint(self, name: str, terms: dict[str, float], sense: str, rhs: float) -> None:
-        pos = self._pos
-        try:
-            cols = [pos[var] for var in terms]
-        except KeyError as exc:
-            raise EncodingError(
-                f"constraint {name} references undeclared variable {exc.args[0]}") from None
-        lo, hi = row_sides(name, sense, rhs)
-        entries = sorted((j, v) for j, v in zip(cols, terms.values()) if v != 0.0)
-        self.add_rows([name], array("d", [lo]), array("d", [hi]),
-                      array("i", [len(self.row_names)]) * len(entries),
-                      array("i", [j for j, _ in entries]), array("d", [v for _, v in entries]))
+        self.add_constraints([(name, terms, sense, rhs)])
+
+    def add_constraints(self, constraints: Iterable[tuple[str, dict[str, float], str, float]]
+                        ) -> None:
+        """Append rows ``(name, terms, sense, rhs)`` in one ``add_rows``: each
+        term resolved to its column, zeros dropped, entries sorted by column."""
+        pos, first = self._pos, len(self.row_names)
+        names, sides, rows, cols, vals = [], [], [], [], []
+        for i, (name, terms, sense, rhs) in enumerate(constraints, first):
+            try:
+                row_cols = [pos[var] for var in terms]
+            except KeyError as exc:
+                raise EncodingError(
+                    f"constraint {name} references undeclared variable {exc.args[0]}") from None
+            row_vals = list(terms.values())
+            if 0.0 in row_vals or row_cols != sorted(row_cols):
+                entries = sorted((j, v) for j, v in zip(row_cols, row_vals) if v != 0.0)
+                row_cols, row_vals = [j for j, _ in entries], [v for _, v in entries]
+            names.append(name)
+            sides.append(row_sides(name, sense, rhs))
+            rows += [i] * len(row_cols)
+            cols += row_cols
+            vals += row_vals
+        self.add_rows(names, array("d", [s[0] for s in sides]), array("d", [s[1] for s in sides]),
+                      array("i", rows), array("i", cols), array("d", vals))
 
     @property
     def variables(self) -> tuple[VarRef, ...]:

@@ -205,8 +205,8 @@ def import_mps(text: str) -> MilpModel:
                 raise MpsParseError(f"unknown bound type {kind}")
         model.add_var(col, lb, ub, integer)
 
-    for name in row_order:
-        model.add_constraint(name, row_terms[name], senses[name], rhs.get(name, 0.0))
+    model.add_constraints((name, row_terms[name], senses[name], rhs.get(name, 0.0))
+                          for name in row_order)
     model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
     return model
 
