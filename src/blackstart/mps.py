@@ -18,7 +18,7 @@ writer for round-trip checks and for out-of-process solver front ends.
 Each column is added under the name it was read with. The reader
 accumulates each row's terms while reading COLUMNS, so its time is linear in
 the number of entries: duplicate (column, row) entries are summed, and
-each row goes into the model through ``MilpModel.add_constraint``, which
+the rows go into the model in one ``MilpModel.add_constraints``, which
 drops sums of exactly zero; rows without terms are kept. NaN is a parse
 error anywhere, and so is an infinite coefficient or RHS; bounds may be
 infinite.
