@@ -1,13 +1,17 @@
 """The exact reduction in front of HiGHS, its postsolve and its check, on
 small hand-made models."""
 
+import hashlib
+import json
 import math
 from array import array
-
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from blackstart import encode, load_case
+from blackstart.cases import bundled_case_path, bundled_cases
 from blackstart.model import ModelArrays
 from blackstart.solvers.highs_cli import _core, Infeasible, reduce_model, solve_model
 
@@ -153,3 +157,33 @@ def test_a_point_that_violates_a_dropped_row_is_an_error(stub_highs, monkeypatch
     assert (status, x) == ("error", None)
     assert "postsolved point violates the model: row [0]" in info["message"]
     assert stub_highs.options["presolve"] == "off"
+
+
+REDUCED_SHA256 = json.loads((Path(__file__).parent / "data" / "reduced_sha256.json").read_text())
+DRAWN_DOCUMENTS = {name: pin["document"] for name, pin in json.loads(
+    (Path(__file__).parent / "data" / "drawn_mps_sha256.json").read_text()).items()}
+
+
+def test_reduced_digests_cover_the_bundled_and_drawn_cases():
+    assert sorted(REDUCED_SHA256) == sorted([*bundled_cases(), *DRAWN_DOCUMENTS])
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_SHA256))
+def test_what_highs_is_given_is_pinned(name):
+    """HiGHS's input for each bundled and drawn case, the reduced model,
+    keeps its recorded bytes: an encoder change that leaves this digest in
+    place hands HiGHS the same problem. Where the reduction proves the case
+    infeasible only that is pinned, since the message names row and column
+    numbers."""
+    case = load_case(DRAWN_DOCUMENTS.get(name) or bundled_case_path(name))
+    try:
+        r = reduce_model(encode(case).arrays())
+    except Infeasible:
+        assert REDUCED_SHA256[name] == "infeasible"
+        return
+    h = hashlib.sha256()
+    for a in (r.c, r.a.start, r.a.index, r.a.value, r.row_lo, r.row_hi, r.lb, r.ub,
+              r.integrality):
+        h.update(a.tobytes())
+    h.update(repr(r.offset).encode())
+    assert h.hexdigest() == REDUCED_SHA256[name]
