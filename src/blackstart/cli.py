@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Verbs: run, sweep, validate, export-mps, report. Exit codes: 0 success;
-2 usage error, a case that does not load or encode, or a schedule that
-does not load or fit the case; 3 solve failure (error, infeasible, or over
-the enumeration cap); 4 validation failure.
+2 usage error, a case that does not load or encode, a schedule that does
+not load or fit the case, or an output path that cannot be written (``run``
+makes its artifact directory before it solves); 3 solve failure (error,
+infeasible, or over the enumeration cap); 4 validation failure.
 """
 
 from __future__ import annotations
@@ -107,12 +108,11 @@ def _parse_values(axis: str, text: str) -> list:
 
 def cmd_run(args: argparse.Namespace) -> int:
     case = _load(args.case)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     result = solvers.solve(case, args.backend, solver_command=args.solver_cmd,
                            enum_cap=args.enum_cap)
     if result.status == solvers.ERROR and result.validation is not None:
-        analysis_dir = Path(args.out_dir)
-        analysis_dir.mkdir(parents=True, exist_ok=True)
-        (analysis_dir / "validation.json").write_text(result.validation.dumps())
+        (Path(args.out_dir) / "validation.json").write_text(result.validation.dumps())
         print(f"solve produced an invalid solution: {result.message}", file=sys.stderr)
         return EXIT_VALIDATION
     if not result.ok or result.schedule is None:
@@ -213,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     except EncodingError as exc:
         print(f"case cannot be encoded: {exc}", file=sys.stderr)
+        return EXIT_LOAD
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_LOAD
     except solvers.EnumerationCapError as exc:
         print(f"enumeration refused: {exc}", file=sys.stderr)

@@ -1,22 +1,24 @@
 """Time-expanded MILP of the restoration problem, as a solver-agnostic model.
 
-Variable names follow the wire grammar ``<kind>.<entity>.<t>`` (and
-``<kind>.<entity>.<t1>.<t2>`` for the product-linearization families);
-constraint names are ``<eq-tag>.<entity>.<t...>``. Both are deterministic
-for a given case, so exported models and imported solutions line up across
-runs and processes.
+Variable names follow the wire grammar ``<kind>.<entity>.<t>``;
+constraint names are ``<eq-tag>.<entity>.t<t>`` (``eq47.<entity>``, a
+battery's energy budget, has no step). Both are deterministic for a given
+case, so exported models and imported solutions line up across runs and
+processes.
 
 Status binaries are monotone step functions of time: a device's start
 series u_start is 0 until the start step and 1 afterwards, the generating
 series u_on rises exactly crank_steps later, and the at-maximum series
-u_max exactly ramp_steps after that. Products of status binaries are
-linearized with one lower and two upper envelope inequalities per pair.
+u_max exactly ramp_steps after that. For such series u(t1)·u(t2) =
+u(min(t1, t2)), so the paper's products of status binaries and their
+envelope rows (its eq6-16) are left out: a fuel cell's output (eq23) sums
+u_on and u_max over the steps so far, which is linear already.
 
 The model is a ``model.MilpModel``. ``encode`` declares each variable
-family as one block of columns per entity (T, or T² for a fuel cell's
-products), so step t of a series is its block's offset plus t; ``decode``
-and ``point_from_schedule`` read and write values at those offsets. Each
-equation family appends its rows in bulk with ``MilpModel.add_rows``.
+family as one block of T columns per entity, so step t of a series is its
+block's offset plus t; ``decode`` and ``point_from_schedule`` read and
+write values at those offsets. Each equation family appends its rows in
+bulk with ``MilpModel.add_rows``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ GEN_START = "gen_start"
 FC_START = "fc_start"
 FC_ON = "fc_on"
 FC_MAX = "fc_max"
-FC_ANC = {"start": "fc_anc_start", "on": "fc_anc_on", "max": "fc_anc_max"}
 BUS_ON = "bus_on"
 BRANCH_ON = "branch_on"
 BAT_WS = "bat_ws"
@@ -111,12 +112,8 @@ def encode(case: GridCase) -> MilpModel:
 
     # --- variables: one block per family and entity, in this order -----------
     gs = per_entity(GEN_START, case.generators)
-    fc: dict[str, list[int]] = {}  # status offsets, then the product blocks' first columns
-    pairs = [f"{t1}.{t2}" for t1 in steps for t2 in steps] if case.fuel_cells else []
-    for f in case.fuel_cells:
-        fc[f.id] = series([f"{kind}.{f.id}." for kind in (FC_START, FC_ON, FC_MAX)])
-        fc[f.id] += [m.add_vars([f"{kind}.{f.id}." + pair for pair in pairs], 0, 1, False)
-                     for kind in FC_ANC.values()]
+    fc = {f.id: series([f"{kind}.{f.id}." for kind in (FC_START, FC_ON, FC_MAX)])
+          for f in case.fuel_cells}
     bus = per_entity(BUS_ON, case.buses)
     br = per_entity(BRANCH_ON, case.branches)
     win = {bt.id: series([f"{BAT_WS}.{bt.id}.", f"{BAT_WE}.{bt.id}."]) for bt in case.batteries}
@@ -148,26 +145,13 @@ def encode(case: GridCase) -> MilpModel:
             flat([f"eq4.{g.id}.t{t}" for t in late], "=", 0, [2] * len(late),
                  [j for t in late for j in (s + g.start_max, s + t)], [-1, 1] * len(late))
     for f in case.fuel_cells:
-        s, _, mx, *_ = fc[f.id]
+        s, _, mx = fc[f.id]
         rows(f.id, range(1, T), ("eq24", [(s, 1), (s + 1, -1)], "<=", 0),
              ("eq25", [(mx, 1), (mx + 1, -1)], "<=", 0))
 
-    # --- fuel-cell stage links and product linearization ----------------------
-    if case.fuel_cells:
-        # y = u1·u2 for every (t1, t2): y >= u1 + u2 - 1 (u1 and u2 merged on
-        # the diagonal), y <= u1 and y <= u2. The status series are declared
-        # before the products, so each row lists u before y. Every family of
-        # these rows has the same sides, coefficients and row pattern.
-        diagonal = [t1 == t2 for t1 in steps for t2 in steps]
-        prod_lo = array("d", [-1, -math.inf, -math.inf]) * (T * T)
-        prod_hi = array("d", [math.inf, 0, 0]) * (T * T)
-        prod_vals = array("d", [v for diag in diagonal for v in (
-            (-2, 1, -1, 1, -1, 1) if diag else (-1, -1, 1, -1, 1, -1, 1))])
-        prod_rows = array("i", [3 * q + r for q, diag in enumerate(diagonal)
-                                for r in ((0, 0, 1, 1, 2, 2) if diag else (0, 0, 0, 1, 1, 2, 2))])
-        pair_rows = [f".t{t1}.t{t2}" for t1 in steps for t2 in steps]
+    # --- fuel-cell stage links ------------------------------------------------
     for f in case.fuel_cells:
-        s, on, mx, *products = fc[f.id]
+        s, on, mx = fc[f.id]
         m.fix(range(s + 2, s + T + 1), 1)  # eq40
         m.fix(range(on + 1, on + f.crank_steps + 1), 0)
         m.fix(range(mx + 1, mx + f.ramp_steps + 1), 0)
@@ -176,38 +160,24 @@ def encode(case: GridCase) -> MilpModel:
         early, late = sorted((f.crank_steps, f.ramp_steps))
         rows(f.id, range(early + 1, late + 1), eq19 if f.crank_steps < f.ramp_steps else eq22)
         rows(f.id, range(late + 1, T + 1), eq19, eq22)
-        for tags, u, y in zip((("eq6", "eq7", "eq8"), ("eq10", "eq11", "eq12"),
-                               ("eq14", "eq15", "eq16")), (s, on, mx), products):
-            first, width = len(m.row_names), 7 * T - 1  # entries per t1
-            rows_of, cols = array("i"), array("i")
-            for t1 in steps:  # a t1 at a time, so no list holds a whole family
-                rows_of.fromlist([first + r for r in prod_rows[(t1 - 1) * width:t1 * width]])
-                u1, y1 = u + t1, y + (t1 - 1) * T - 1  # y1 + t2 is y's column
-                cols.fromlist([j for t2 in range(1, t1)
-                               for j in (u + t2, u1, y1 + t2, u1, y1 + t2, u + t2, y1 + t2)]
-                              + [u1, y1 + t1, u1, y1 + t1, u1, y1 + t1]
-                              + [j for t2 in range(t1 + 1, T + 1)
-                                 for j in (u1, u + t2, y1 + t2, u1, y1 + t2, u + t2, y1 + t2)])
-            heads = [f"{tag}.{f.id}" for tag in tags]
-            m.add_rows([head + pair for pair in pair_rows for head in heads], prod_lo, prod_hi,
-                       rows_of, cols, prod_vals)
 
     # --- device output ---------------------------------------------------------
-    # Fuel cell: -p_crank while cranking, then p_max/ramp_steps per elapsed
-    # generating step until the at-max series catches up and pins p_max.
+    # Fuel cell: -p_crank while started but not yet generating, then
+    # p_max/ramp_steps for each step so far that was generating but not yet
+    # at maximum: the sums of fc_on and fc_max up to t.
     for f in case.fuel_cells:
-        s, on, _, _, y_on, y_max = fc[f.id]
+        s, on, mx = fc[f.id]
         slope = f.p_max / f.ramp_steps
-        status = [(off, coef) for off, coef in ((s, f.p_crank), (on, -f.p_crank)) if coef]
-        ramp = [(y, coef) for y, coef in ((y_on, -slope), (y_max, slope)) if coef]
-        cols, coefs = [], []
-        for t2 in steps:
-            cols += [off + t2 for off, _ in status]
-            cols += [y + (t1 - 1) * T + t2 - 1 for y, _ in ramp for t1 in range(1, t2 + 1)]
-            cols.append(fp[f.id] + t2)
-            coefs += [c for _, c in status] + [c for _, c in ramp for _ in range(t2)] + [1.0]
-        flat([f"eq23.{f.id}.t{t2}" for t2 in steps], "=", 0,
-             [len(status) + len(ramp) * t2 + 1 for t2 in steps], cols, coefs)
+        cols, coefs, widths = [], [], []
+        for t in steps:
+            terms = [(s + t, f.p_crank), *((on + tau, -slope) for tau in range(1, t)),
+                     (on + t, -slope - f.p_crank), *((mx + tau, slope) for tau in range(1, t + 1)),
+                     (fp[f.id] + t, 1.0)]
+            live = [(j, a) for j, a in terms if a]
+            cols += [j for j, _ in live]
+            coefs += [a for _, a in live]
+            widths.append(len(live))
+        flat([f"eq23.{f.id}.t{t}" for t in steps], "=", 0, widths, cols, coefs)
 
     # Generator: the start series is monotone, so output is the convolution of
     # the lifecycle increments with the start indicators.
@@ -382,9 +352,9 @@ def assignment_from_schedule(model: MilpModel, case: GridCase, schedule: Schedul
                              ) -> dict[str, float]:
     """Full model assignment consistent with a schedule.
 
-    Status series come from the schedule's decisions, product variables from
-    the products of the statuses, and injection variables from the semantic
-    trajectories, so a valid schedule yields a model-feasible point.
+    Status series come from the schedule's decisions and injection variables
+    from the semantic trajectories, so a valid schedule yields a
+    model-feasible point.
     """
     return dict(zip(model.names, point_from_schedule(model, case, schedule)))
 
@@ -398,9 +368,9 @@ def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) ->
     x = array("d", bytes(8 * len(model.names)))
     covered = 0
 
-    def put(kind: str, entity: str, values: list[float], products: bool = False) -> None:
+    def put(kind: str, entity: str, values: list[float]) -> None:
         nonlocal covered
-        first = _block(model, kind, entity, T, products)
+        first = _block(model, kind, entity, T)
         x[first:first + len(values)] = array("d", values)
         covered += len(values)
 
@@ -415,11 +385,8 @@ def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) ->
         start = schedule.fc_start[f.id]
         on_start = None if start is None else start + f.crank_steps
         max_start = None if on_start is None else on_start + f.ramp_steps
-        for anc, kind, first in zip(FC_ANC.values(), (FC_START, FC_ON, FC_MAX),
-                                    (start, on_start, max_start)):
-            s = step_series(first)
-            put(kind, f.id, s)
-            put(anc, f.id, [a * b for a in s for b in s], products=True)
+        for kind, first in zip((FC_START, FC_ON, FC_MAX), (start, on_start, max_start)):
+            put(kind, f.id, step_series(first))
         put(FC_POWER, f.id, traj[f.id])
     for bt in case.batteries:
         window = schedule.bat_window[bt.id]
@@ -453,22 +420,14 @@ def _check_horizon(case: GridCase) -> None:
         )
 
 
-def _block(model: MilpModel, kind: str, entity: str, T: int, products: bool = False) -> int:
+def _block(model: MilpModel, kind: str, entity: str, T: int) -> int:
     """The first column of ``kind.entity``: the block ``encode`` declares as
-    ``kind.entity.1`` .. ``kind.entity.T``, or ``.1.1`` .. ``.T.T`` for products."""
-    if products:
-        first, last, size = _n2(kind, entity, 1, 1), _n2(kind, entity, T, T), T * T
-    else:
-        first, last, size = _n(kind, entity, 1), _n(kind, entity, T), T
-    j = model.column(first)
-    if j is None or model.names[j + size - 1:j + size] != [last]:
+    ``kind.entity.1`` .. ``kind.entity.T``."""
+    j = model.column(_n(kind, entity, 1))
+    if j is None or model.names[j + T - 1:j + T] != [_n(kind, entity, T)]:
         raise DecodeError(f"{kind}.{entity}: the model does not hold it as one block")
     return j
 
 
 def _n(kind: str, entity: str, t: int) -> str:
     return f"{kind}.{entity}.{t}"
-
-
-def _n2(kind: str, entity: str, t1: int, t2: int) -> str:
-    return f"{kind}.{entity}.{t1}.{t2}"

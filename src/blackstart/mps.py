@@ -131,6 +131,8 @@ def import_mps(text: str) -> MilpModel:
             if tokens[0].upper() not in ("MIN", "MINIMIZE"):
                 raise MpsParseError(f"line {lineno}: only minimization is supported")
         elif section == "ROWS":
+            if len(tokens) != 2:
+                raise MpsParseError(f"line {lineno}: a row is a type and a name")
             kind, name = tokens[0].upper(), tokens[1]
             if kind == "N":
                 if obj_row is None:
@@ -168,6 +170,8 @@ def import_mps(text: str) -> MilpModel:
                     raise MpsParseError(f"line {lineno}: unknown row {row}")
         elif section == "RHS":
             pairs = tokens[1:]
+            if len(pairs) % 2:
+                raise MpsParseError(f"line {lineno}: odd row/value tokens")
             for row, value in zip(pairs[::2], pairs[1::2]):
                 if row == obj_row:
                     model.objective_constant = -_number(lineno, value)
@@ -177,7 +181,11 @@ def import_mps(text: str) -> MilpModel:
                     raise MpsParseError(f"line {lineno}: unknown RHS row {row}")
         elif section == "BOUNDS":
             kind = tokens[0].upper()
+            if len(tokens) < (3 if kind in ("BV", "FR", "MI") else 4):
+                raise MpsParseError(f"line {lineno}: {kind} bound without a column or value")
             name = tokens[2]
+            if name not in col_integer:
+                raise MpsParseError(f"line {lineno}: bound on undeclared column {name}")
             value = _number(lineno, tokens[3], bound=True) if len(tokens) > 3 else None
             bounds.setdefault(name, []).append((kind, value))
         elif section == "RANGES":

@@ -11,7 +11,7 @@ with its own presolve off, which on these models costs more than the solve.
 Postsolve scatters HiGHS's values back into model order beside the fixed
 columns' values, and the point is checked against the full arrays (rows,
 bounds and integrality, to ``CHECK_TOL``) before it is returned. Only the
-solve is reduced: the model, and its MPS export, keep the paper's form.
+solve is reduced: the model, and its MPS export, keep the encoder's form.
 
 HiGHS is scipy's bundled binding, ``scipy/optimize/_highspy/_core``, loaded
 by file when this module is imported (about 10 ms): scipy's package code,
@@ -40,7 +40,9 @@ As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 MPS file, solves its arrays with ``solve_model``, and writes ``name value``
 lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
 model, and exits nonzero on anything else, which is exactly the contract
-``solve_external`` expects of a configured solver command. It keeps
+``solve_external`` expects of a configured solver command: 2, with one
+stderr line, for a file it cannot read or parse or a solution path it
+cannot write. It keeps
 HiGHS's default thread count.
 """
 
@@ -416,7 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         return solve_mps_file(argv[0], argv[1])
     except MpsParseError as exc:
         print(f"bad MPS file {argv[0]}: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        print(f"blackstart-solve-mps: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ from blackstart.solvers.external import stop_solver_host
 
 TOY_NAMES = ["toy_t5", "toy_path3", "toy_fc", "toy_bt", "toy_bt_tight"]
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Small drawn cases (``strategies.case_documents``) kept with their MPS digests.
+DRAWN_DOCUMENTS = {name: pin["document"] for name, pin in json.loads(
+    (Path(__file__).parent / "data" / "drawn_mps_sha256.json").read_text()).items()}
 
 
 @pytest.fixture(scope="session", autouse=True)

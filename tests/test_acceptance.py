@@ -20,7 +20,8 @@ from blackstart import (
     validate,
 )
 from blackstart.analysis import SweepSpec, gsus_table, restored_power_series, sweep
-from blackstart.milp import FC_ANC, _n, _n2
+from blackstart.devices import fuel_cell_trajectory
+from blackstart.milp import FC_POWER, _n
 
 from conftest import TOY_NAMES, load_bundled
 
@@ -131,8 +132,9 @@ def test_criterion_5_resource_benefit(ieee39_solved):
     assert fc_gain and bt_gain
 
 
-def test_criterion_6_constraint_system_integrity(toy_cases, toy_enum):
-    """Mutations all caught; y=u*u exact; statuses monotone; SOC and balance hold."""
+def test_criterion_6_constraint_system_integrity(toy_cases, toy_enum, ieee39_solved):
+    """Mutations all caught; fuel-cell output is the device model's; statuses
+    monotone; SOC and balance hold."""
     all_caught = True
     for name in TOY_NAMES:
         case = toy_cases[name]
@@ -140,18 +142,14 @@ def test_criterion_6_constraint_system_integrity(toy_cases, toy_enum):
         assert result.total > 0 or not case.generators
         all_caught &= result.all_caught
         assert result.all_caught, f"{name}: missed {result.total - result.detected}"
-    for name in TOY_NAMES:
-        case = toy_cases[name]
-        ext = solve_external(case)
-        a = ext.assignment
-        T = case.time_grid.n_steps
+    solved = {name: (toy_cases[name], solve_external(toy_cases[name])) for name in TOY_NAMES}
+    for name, (case, ext) in {**solved, "ieee39_fc50": ieee39_solved["ieee39_fc50"]}.items():
+        assert ext.status == "optimal", f"{name}: {ext.status} {ext.message}"
         for f in case.fuel_cells:
-            for fam, kind in (("start", "fc_start"), ("on", "fc_on"), ("max", "fc_max")):
-                for t1 in range(1, T + 1):
-                    for t2 in range(1, T + 1):
-                        y = round(a[_n2(FC_ANC[fam], f.id, t1, t2)])
-                        product = round(a[_n(kind, f.id, t1)]) * round(a[_n(kind, f.id, t2)])
-                        assert y == product, f"{name}: linearization broke at {f.id} {t1},{t2}"
+            semantics = fuel_cell_trajectory(f, ext.schedule.fc_start[f.id], case.time_grid)
+            for t, p in zip(case.time_grid.steps, semantics):
+                assert abs(ext.assignment[_n(FC_POWER, f.id, t)] - p) <= 1e-6, (name, f.id, t)
+    for name, (case, ext) in solved.items():
         rep = validate(case, ext.schedule)
         assert rep.passed
         assert all(p >= -1e-6 for p in rep.system_power)

@@ -100,6 +100,21 @@ def test_export_mps_verb(tmp_path):
     assert any(name.startswith("gen_start.") for name in model.names)
 
 
+@pytest.mark.parametrize("verb, flag, below", [
+    ("export-mps", "--out", "x.mps"), ("run", "--out-dir", ""), ("run", "--out-dir", "out")])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch,
+                                                        verb, flag, below):
+    """Under a regular file, or a regular file itself, the output path is
+    one stderr line naming it and exit 2; ``run`` says so before it solves."""
+    monkeypatch.setattr("blackstart.solvers.solve", lambda *a, **k: pytest.fail("solved"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main([verb, "--case", case_arg("toy_path3"), flag, str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(out if verb == "export-mps" else blocker) in err[0], err
+
+
 def test_report_verb(tmp_path, capsys):
     assert main(["run", "--case", case_arg("toy_t5"), "--backend", "enum",
                  "--out-dir", str(tmp_path)]) == 0

@@ -330,16 +330,29 @@ def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_externa
         toy_external["toy_path3"].objective, rel=1e-9)
 
 
-def test_solve_mps_front_end_rejects_a_nan_rhs(tmp_path, capsys):
-    """A NaN in the model must fail on the file, before HiGHS sees it, and
-    never write the sentinel."""
-    mps = tmp_path / "nan.mps"
-    mps.write_text((DATA / "toy_path3.mps").read_text().replace(
-        "    rhs obj -640.0\n", "    rhs obj -640.0\n    rhs eq2.system.t2 nan\n"))
-    sol = tmp_path / "nan.sol"
+@pytest.mark.parametrize("old, new, err", [
+    ("    rhs obj -640.0\n", "    rhs obj -640.0\n    rhs eq2.system.t2 nan\n",
+     "line 567: 'nan' is not a finite number"),
+    (" N obj\n", " N obj\n L\n", "line 6: a row is a type and a name"),
+    ("BOUNDS\n", "BOUNDS\n UP bnd\n", "line 568: UP bound without a column or value"),
+    ("BOUNDS\n", "BOUNDS\n UP bnd w.a.1 3\n", "line 568: bound on undeclared column w.a.1"),
+    ("    rhs obj -640.0\n", "    rhs obj -640.0\n    rhs eq2.system.t2\n",
+     "line 567: odd row/value tokens"),
+    ("", "", "No such file or directory"),
+], ids=["rhs-nan", "row-without-name", "bound-without-column", "bound-on-undeclared-column",
+        "rhs-without-value", "missing-file"])
+def test_solve_mps_front_end_rejects_a_bad_file(tmp_path, capsys, old, new, err):
+    """A file that does not read or parse (a NaN, a malformed line, no file
+    at all) must fail on the file, before HiGHS sees it, with one stderr
+    line, exit 2, and never write the sentinel."""
+    mps = tmp_path / "bad.mps"
+    if old:
+        mps.write_text((DATA / "toy_path3.mps").read_text().replace(old, new, 1))
+    sol = tmp_path / "bad.sol"
     assert highs_cli.main([str(mps), str(sol)]) == 2
     assert not sol.exists()
-    assert "'nan' is not a finite number" in capsys.readouterr().err
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1 and err in stderr[0] and str(mps) in stderr[0]
 
 
 def test_solve_mps_front_end_rejects_an_unreadable_number(tmp_path):

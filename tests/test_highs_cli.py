@@ -15,6 +15,8 @@ from blackstart.cases import bundled_case_path, bundled_cases
 from blackstart.model import ModelArrays
 from blackstart.solvers.highs_cli import _core, Infeasible, reduce_model, solve_model
 
+from conftest import DRAWN_DOCUMENTS
+
 INF = math.inf
 
 
@@ -160,8 +162,6 @@ def test_a_point_that_violates_a_dropped_row_is_an_error(stub_highs, monkeypatch
 
 
 REDUCED_SHA256 = json.loads((Path(__file__).parent / "data" / "reduced_sha256.json").read_text())
-DRAWN_DOCUMENTS = {name: pin["document"] for name, pin in json.loads(
-    (Path(__file__).parent / "data" / "drawn_mps_sha256.json").read_text()).items()}
 
 
 def test_reduced_digests_cover_the_bundled_and_drawn_cases():

@@ -16,21 +16,20 @@ from blackstart import (
     objective_value,
     validate,
 )
+from blackstart.cases import bundled_case_path
 from blackstart.devices import device_trajectories
 from blackstart.milp import (
     BAT_POWER,
     BINARY_KINDS,
-    FC_ANC,
     FC_POWER,
     GEN_POWER,
     MilpModel,
     _n,
-    _n2,
 )
 from blackstart.schedule import empty_schedule
 from blackstart.solvers.enumeration import _battery_options, _gen_options, _simulate
 
-from conftest import doc_variant, load_bundled
+from conftest import DRAWN_DOCUMENTS, doc_variant, load_bundled
 from strategies import case_documents
 
 
@@ -49,12 +48,14 @@ def fc_only_doc(n_steps=4):
 
 
 def test_ancillary_and_status_variable_counts():
-    model = encode(load_case(fc_only_doc(4)))
-    kinds = [name.split(".")[0] for name in model.names]
-    anc = [kind for kind in kinds if kind in FC_ANC.values()]
-    status = [kind for kind in kinds if kind in ("fc_start", "fc_on", "fc_max")]
-    assert len(anc) == 3 * 1 * 4 * 4  # three families over t1 x t2
-    assert len(status) == 3 * 1 * 4
+    """A fuel cell has its three status series and no product columns."""
+    doc = fc_only_doc(4)
+    doc["fuel_cells"].append({**doc["fuel_cells"][0], "id": "fc2"})
+    model = encode(load_case(doc))
+    assert not [name for name in model.names if name.startswith("fc_anc_")]
+    for f_id in ("fc1", "fc2"):
+        series = {f"{kind}.{f_id}" for kind in ("fc_start", "fc_on", "fc_max")}
+        assert sum(name.rsplit(".", 1)[0] in series for name in model.names) == 3 * 4
 
 
 def test_no_fc_no_battery_model_has_no_product_or_window_vars(minimal_two_bus_doc):
@@ -107,12 +108,11 @@ def test_constraint_names_follow_the_grammar(toy_cases):
     assert "eq33.l1_2.t4" in names
     assert "eq2.system.t5" in names
     assert any(n.startswith("eq23.fc1.") for n in names)
-    assert any(n.startswith("eq6.fc1.t1.t") for n in names)
+    assert not any(n.startswith("eq6.") for n in names)
     for name in model.names:
         kind, entity, *steps = name.split(".")
-        assert kind in BINARY_KINDS | {GEN_POWER, FC_POWER, BAT_POWER, *FC_ANC.values()}, name
-        assert entity and all(t.isdigit() for t in steps), name
-        assert len(steps) == (2 if kind in FC_ANC.values() else 1), name
+        assert kind in BINARY_KINDS | {GEN_POWER, FC_POWER, BAT_POWER}, name
+        assert entity and len(steps) == 1 and steps[0].isdigit(), name
     assert "bus_on.b1.3" in model.names
 
 
@@ -347,22 +347,29 @@ def test_model_arrays_agree_with_the_model(toy_cases, toy_enum, name):
     assert list(arrays.integrality) == [int(v.is_integer) for v in model.variables]
 
 
-def test_linearization_identity_in_solutions(toy_external, toy_cases):
-    """y == u*u exactly (after integral rounding) in solver solutions."""
-    for name in ("toy_t5", "toy_fc"):
-        case = toy_cases[name]
-        result = toy_external[name]
-        assert result.status == "optimal"
-        a = result.assignment
-        T = case.time_grid.n_steps
-        for f in case.fuel_cells:
-            for fam, kind in (("start", "fc_start"), ("on", "fc_on"), ("max", "fc_max")):
-                for t1 in range(1, T + 1):
-                    for t2 in range(1, T + 1):
-                        y = round(a[_n2(FC_ANC[fam], f.id, t1, t2)])
-                        u1 = round(a[_n(kind, f.id, t1)])
-                        u2 = round(a[_n(kind, f.id, t2)])
-                        assert y == u1 * u2
+FUEL_CELL_CASES = ["toy_fc", "toy_t5", "ieee39_fc50"] + sorted(
+    name for name, doc in DRAWN_DOCUMENTS.items() if doc["fuel_cells"])
+
+
+@pytest.mark.parametrize("name", FUEL_CELL_CASES)
+def test_eq23_is_exact_for_every_fuel_cell_start(name):
+    """For every start of every fuel cell (crank draws, crank and ramp
+    lengths among the drawn cases), the device model's output satisfies the
+    cell's eq23 rows, and moving any of its ``fc_power`` values breaks them:
+    eq23 pins the output to the device model given the status series."""
+    case = load_case(DRAWN_DOCUMENTS.get(name) or bundled_case_path(name))
+    model = encode(case)
+    T = case.time_grid.n_steps
+    for f in case.fuel_cells:
+        rows = [f"eq23.{f.id}.t{t}" for t in range(1, T + 1)]
+        for start in (None, *range(2, T + 1)):
+            sched = empty_schedule(case)
+            sched.fc_start[f.id] = start
+            assignment = assignment_from_schedule(model, case, sched)
+            assert [r for r in model.check_assignment(assignment) if r in rows] == []
+            for t in range(1, T + 1):
+                assignment[_n(FC_POWER, f.id, t)] += 1e-3
+            assert [r for r in model.check_assignment(assignment) if r in rows] == rows
 
 
 def test_status_monotone_in_solutions(toy_external, toy_cases):

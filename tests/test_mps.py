@@ -186,18 +186,29 @@ def test_column_names_in_the_grammar_keep_their_spelling(name):
     assert import_mps(_columns_text((name, "r1", "1.0"))).names == [name]
 
 
-@pytest.mark.parametrize("old, new", [
-    ("x.a.1 r1 1.0", "x.a.1 r1 nan"),
-    ("x.a.1 r1 1.0", "x.a.1 r1 -inf"),
-    ("rhs r1 4.0", "rhs r1 NaN"),
-    ("rhs r1 4.0", "rhs r1 inf"),
-    ("rhs r1 4.0", "rhs obj inf"),
-    ("ENDATA", "BOUNDS\n UP bnd x.a.1 nan\nENDATA"),
+NOT_FINITE = "line [0-9]+: .* is not a finite number"
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("x.a.1 r1 1.0", "x.a.1 r1 nan", NOT_FINITE),
+    ("x.a.1 r1 1.0", "x.a.1 r1 -inf", NOT_FINITE),
+    ("rhs r1 4.0", "rhs r1 NaN", NOT_FINITE),
+    ("rhs r1 4.0", "rhs r1 inf", NOT_FINITE),
+    ("rhs r1 4.0", "rhs obj inf", NOT_FINITE),
+    ("ENDATA", "BOUNDS\n UP bnd x.a.1 nan\nENDATA", NOT_FINITE),
+    (" G r2", " G r2\n L", "line 6: a row is a type and a name"),
+    ("ENDATA", "BOUNDS\n UP bnd\nENDATA", "line 11: UP bound without a column or value"),
+    ("ENDATA", "BOUNDS\n UP bnd x.a.1\nENDATA", "line 11: UP bound without a column or value"),
+    ("ENDATA", "BOUNDS\n UP bnd w.a.1 3\nENDATA", "line 11: bound on undeclared column w.a.1"),
+    ("rhs r1 4.0", "rhs r1", "line 9: odd row/value tokens"),
 ], ids=["coefficient-nan", "coefficient-inf", "rhs-nan", "rhs-inf", "objective-rhs-inf",
-        "bound-nan"])
-def test_nan_anywhere_and_infinity_outside_a_bound_are_parse_errors(old, new):
+        "bound-nan", "row-without-name", "bound-without-column", "bound-without-value",
+        "bound-on-undeclared-column", "rhs-without-value"])
+def test_nan_anywhere_and_infinity_outside_a_bound_are_parse_errors(old, new, match):
+    """So are malformed lines: each names its line, none is a traceback or
+    dropped."""
     text = _columns_text(("x.a.1", "r1", "1.0")).replace(old, new)
-    with pytest.raises(MpsParseError, match="is not a finite number"):
+    with pytest.raises(MpsParseError, match=match):
         import_mps(text)
 
 
