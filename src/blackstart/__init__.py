@@ -28,12 +28,12 @@ from .grid import (
 )
 from .milp import (
     DecodeError,
-    assignment_from_schedule,
     decode,
     encode,
     objective_value,
+    point_from_schedule,
 )
-from .model import EncodingError, MilpModel, VarRef
+from .model import EncodingError, MilpModel
 from .mps import export_mps, import_mps, models_structurally_equal, read_mps, write_mps
 from .schedule import Schedule, empty_schedule
 from .solvers import (

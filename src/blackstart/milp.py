@@ -16,16 +16,18 @@ u_on and u_max over the steps so far, which is linear already.
 
 The model is a ``model.MilpModel``. ``encode`` declares each variable
 family as one block of T columns per entity, so step t of a series is its
-block's offset plus t; ``decode`` and ``point_from_schedule`` read and
-write values at those offsets. Each equation family appends its rows in
-bulk with ``MilpModel.add_rows``.
+block's offset plus t. Each equation family appends its rows in bulk
+with ``MilpModel.add_rows``, and the objective is added into the model's
+``c``. A solution is a point, a sequence of floats in ``model.names``
+order; ``decode`` and ``point_from_schedule`` read and write its values at
+the blocks' offsets.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .devices import phase_output
 from .grid import GridCase
@@ -53,7 +55,7 @@ BINARY_KINDS = {GEN_START, FC_START, FC_ON, FC_MAX, BUS_ON, BRANCH_ON, BAT_WS, B
 
 
 class DecodeError(ValueError):
-    """An assignment cannot be read back as a schedule."""
+    """A point cannot be read back as a schedule."""
 
 
 def encode(case: GridCase) -> MilpModel:
@@ -267,26 +269,28 @@ def encode(case: GridCase) -> MilpModel:
 
     # --- objective -------------------------------------------------------------
     # Startup time of a generator is the count of steps its start series is
-    # still 0; a unit that never starts pays the full horizon.
+    # still 0; a unit that never starts pays the full horizon. Each weight is
+    # added into the zeros add_vars left in c, so a zero weight stays +0.0.
     for g in case.generators:
         weight = g.p_max - g.p_crank
         m.objective_constant += weight * T
-        m.objective.update(zip(m.names[gs[g.id] + 1:gs[g.id] + T + 1], [-weight] * T))
+        for j in range(gs[g.id] + 1, gs[g.id] + T + 1):
+            m.c[j] += -weight
     if case.beta:
         for b in case.buses:
             if b.importance != 0.0:
-                m.objective.update(zip(m.names[bus[b.id] + 1:bus[b.id] + T + 1],
-                                       [-case.beta * b.importance / t for t in steps]))
+                for t in steps:
+                    m.c[bus[b.id] + t] += -case.beta * b.importance / t
     return m
 
 
-def decode(model: MilpModel, assignment: dict[str, float], case: GridCase) -> Schedule:
-    """Read a (near-)integral assignment back into a Schedule."""
+def decode(model: MilpModel, x: Sequence[float], case: GridCase) -> Schedule:
+    """Read a (near-)integral point, in ``model.names`` order, back into a Schedule."""
     T = case.time_grid.n_steps
 
     def values(kind: str, entity: str) -> list[float]:
         first = _block(model, kind, entity, T)
-        return [assignment[name] for name in model.names[first:first + T]]
+        return list(x[first:first + T])
 
     def rise(kind: str, entity: str) -> int | None:
         series = binary(kind, entity)
@@ -348,20 +352,14 @@ def objective_value(case: GridCase, schedule: Schedule) -> float:
     return math.fsum(terms)
 
 
-def assignment_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule
-                             ) -> dict[str, float]:
-    """Full model assignment consistent with a schedule.
+def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) -> array:
+    """The model point, in ``model.names`` order, that a schedule describes.
 
     Status series come from the schedule's decisions and injection variables
     from the semantic trajectories, so a valid schedule yields a
-    model-feasible point.
+    model-feasible point. Each series is written at the columns the encoder
+    declared it at.
     """
-    return dict(zip(model.names, point_from_schedule(model, case, schedule)))
-
-
-def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) -> array:
-    """``assignment_from_schedule`` as a point in ``model.names`` order,
-    written series by series at the columns the encoder declared them at."""
     from .devices import device_trajectories
 
     T = case.time_grid.n_steps

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 
@@ -54,26 +55,30 @@ class ModelArrays(NamedTuple):
 class MilpModel:
     """Immutable-after-build MILP, stored as the arrays HiGHS takes; minimize objective.
 
-    Each fact is stored once, as it is built: columns are ``names``
-    (declaration order) with bound and integrality ``array.array``s beside
-    them; rows are ``row_names`` with lower and upper side arrays (from
-    which ``row_sense`` gives back a row's sense and rhs) and a COO matrix
-    whose rows list their entries in ascending column order, as an MPS
-    import reads them. ``add_vars`` and ``add_rows`` append blocks straight
-    into the arrays, and ``add_var`` and ``add_constraint(s)`` are calls of
-    them, so ``arrays()`` and ``size()`` only copy or count what is stored;
-    MPS export, ``check_assignment`` and ``models_structurally_equal`` read
+    Column order is the model's only order. Each fact is stored once, as it
+    is built: columns are ``names`` (declaration order) with the objective
+    ``c`` and bound and integrality ``array.array``s beside them; rows are
+    ``row_names`` with lower and upper side arrays (from which ``row_sense``
+    gives back a row's sense and rhs) and a COO matrix whose rows list their
+    entries in ascending column order. ``add_vars``, ``fix`` and
+    ``add_rows`` are the only builders: ``add_vars`` appends a block of
+    columns with zero objective, and the encoder and the MPS reader add
+    their coefficients into ``c``. ``arrays()`` and ``size()`` only copy or
+    count what is stored; MPS export and ``models_structurally_equal`` read
     the arrays too.
+
+    A solution, or any point, is a sequence of floats in ``names`` order;
+    ``objective_of`` and ``check_assignment`` take one.
 
     ``variables`` and ``constraints`` are views rebuilt from the arrays on
     each access (``VarRef``s, and ``Constraint``s with name-sorted terms).
-    The program's only reader is the benchmark's ``trace_layers``; they go
-    once that reads ``size()`` instead.
+    Their only reader is the benchmark's ``trace_layers``
+    (``perfbench/workloads.py``); they go once that reads ``size()``.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.objective: dict[str, float] = {}
+        self.c = array("d")
         self.objective_constant = 0.0
         self.names: list[str] = []
         self.row_names: list[str] = []
@@ -83,21 +88,19 @@ class MilpModel:
         self._row_lo, self._row_hi = array("d"), array("d")
 
     def add_vars(self, names: list[str], lb: float, ub: float, is_integer: bool) -> int:
-        """Append columns ``names`` with one bound pair and integrality; returns
-        the first one's index."""
+        """Append columns ``names`` with one bound pair and integrality and a
+        zero objective; returns the first one's index."""
         first, pos, n = len(self.names), self._pos, len(names)
         self.names += names
         pos.update(zip(names, range(first, first + n)))
         if len(pos) != len(self.names):
             dup = next(name for j, name in enumerate(self.names) if pos[name] != j)
             raise EncodingError(f"duplicate variable {dup}")
+        self.c += array("d", bytes(8 * n))
         self._lb += array("d", [lb]) * n
         self._ub += array("d", [ub]) * n
         self._integrality += array("b", [is_integer]) * n
         return first
-
-    def add_var(self, name: str, lb: float, ub: float, is_integer: bool) -> None:
-        self.add_vars([name], lb, ub, is_integer)
 
     def fix(self, cols: Iterable[int], value: float) -> None:
         for j in cols:
@@ -108,7 +111,7 @@ class MilpModel:
         """Append rows ``names`` with sides ``lo <= a·x <= hi`` and the COO
         entries ``rows``, ``cols``, ``vals``: row indices go on from
         ``len(row_names)``, and each row's entries come together, in strictly
-        ascending column order, with nonzero coefficients."""
+        ascending order of declared columns, with nonzero coefficients."""
         first = len(self.row_names)
         self.row_names += names
         self._row += rows
@@ -118,36 +121,10 @@ class MilpModel:
         self._row_hi += hi
         if not (len(self._row) == len(self._col) == len(self._val)
                 and len(self._row_lo) == len(self._row_hi) == len(self.row_names)
-                and (not rows or first <= rows[0] <= rows[-1] < len(self.row_names))):
-            raise EncodingError(f"rows {first}-{len(self.row_names) - 1}: entries or sides "
-                                "do not line up")
-
-    def add_constraint(self, name: str, terms: dict[str, float], sense: str, rhs: float) -> None:
-        self.add_constraints([(name, terms, sense, rhs)])
-
-    def add_constraints(self, constraints: Iterable[tuple[str, dict[str, float], str, float]]
-                        ) -> None:
-        """Append rows ``(name, terms, sense, rhs)`` in one ``add_rows``: each
-        term resolved to its column, zeros dropped, entries sorted by column."""
-        pos, first = self._pos, len(self.row_names)
-        names, sides, rows, cols, vals = [], [], [], [], []
-        for i, (name, terms, sense, rhs) in enumerate(constraints, first):
-            try:
-                row_cols = [pos[var] for var in terms]
-            except KeyError as exc:
-                raise EncodingError(
-                    f"constraint {name} references undeclared variable {exc.args[0]}") from None
-            row_vals = list(terms.values())
-            if 0.0 in row_vals or row_cols != sorted(row_cols):
-                entries = sorted((j, v) for j, v in zip(row_cols, row_vals) if v != 0.0)
-                row_cols, row_vals = [j for j, _ in entries], [v for _, v in entries]
-            names.append(name)
-            sides.append(row_sides(name, sense, rhs))
-            rows += [i] * len(row_cols)
-            cols += row_cols
-            vals += row_vals
-        self.add_rows(names, array("d", [s[0] for s in sides]), array("d", [s[1] for s in sides]),
-                      array("i", rows), array("i", cols), array("d", vals))
+                and (not rows or first <= rows[0] <= rows[-1] < len(self.row_names)
+                     and 0 <= min(cols) and max(cols) < len(self.names))):
+            raise EncodingError(f"rows {first}-{len(self.row_names) - 1}: entries, sides or "
+                                "columns do not line up")
 
     @property
     def variables(self) -> tuple[VarRef, ...]:
@@ -179,27 +156,18 @@ class MilpModel:
 
     def arrays(self) -> ModelArrays:
         """The model as flat ``array.array``s, cheap to pickle and to wrap in numpy."""
-        pos = self._pos
-        c = array("d", [0.0]) * len(self.names)
-        for name, coef in self.objective.items():
-            c[pos[name]] += coef
         return ModelArrays(
-            c, self._row[:], self._col[:], self._val[:], self._row_lo[:], self._row_hi[:],
-            lb=self._lb[:], ub=self._ub[:], integrality=self._integrality[:],
+            self.c[:], self._row[:], self._col[:], self._val[:], self._row_lo[:],
+            self._row_hi[:], lb=self._lb[:], ub=self._ub[:], integrality=self._integrality[:],
             constant=self.objective_constant,
         )
 
-    def objective_of(self, assignment: dict[str, float]) -> float:
-        """Objective value of an assignment (compensated summation)."""
-        return (
-            math.fsum(coef * assignment[var] for var, coef in self.objective.items())
-            + self.objective_constant
-        )
+    def objective_of(self, x: Sequence[float]) -> float:
+        """Objective value of a point (compensated summation)."""
+        return math.fsum(map(operator.mul, self.c, x)) + self.objective_constant
 
-    def check_assignment(self, assignment: dict[str, float], tol: float = 1e-6
-                         ) -> list[str]:
-        """Names of constraints and bounds the assignment violates."""
-        x = [assignment[name] for name in self.names]
+    def check_assignment(self, x: Sequence[float], tol: float = 1e-6) -> list[str]:
+        """Names of the constraints and bounds a point violates."""
         bad = [f"bounds:{name}" for name, xj, lb, ub in zip(self.names, x, self._lb, self._ub)
                if xj < lb - tol or xj > ub + tol]
         products: list[list[float]] = [[] for _ in self.row_names]

@@ -16,20 +16,24 @@ and gathers each column's entries in one pass over the row-major matrix.
 The reader parses exactly this dialect; it exists as the inverse of the
 writer for round-trip checks and for out-of-process solver front ends.
 Each column is added under the name it was read with. The reader
-accumulates each row's terms while reading COLUMNS, so its time is linear in
-the number of entries: duplicate (column, row) entries are summed, and
-the rows go into the model in one ``MilpModel.add_constraints``, which
-drops sums of exactly zero; rows without terms are kept. NaN is a parse
-error anywhere, and so is an infinite coefficient or RHS; bounds may be
-infinite.
+accumulates each row's terms and the objective by column while reading
+COLUMNS, so its time is linear in the number of entries: duplicate
+(column, row) entries are summed. It then builds the model with the
+model's own builders: the columns through one ``MilpModel.add_vars`` per
+run of equal bounds and integrality, and all rows through one
+``add_rows``. Sums of exactly zero are dropped; rows without terms are
+kept. NaN is a parse error anywhere, and so is an infinite coefficient or
+RHS; bounds may be infinite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from pathlib import Path
 
-from .model import MilpModel, row_sense
+from .model import MilpModel, row_sense, row_sides
 
 OBJ_ROW = "obj"
 RHS_SET = "rhs"
@@ -102,13 +106,13 @@ def import_mps(text: str) -> MilpModel:
     """Parse the dialect emitted by export_mps back into a model."""
     model = MilpModel(name="")
     senses: dict[str, str] = {}
-    row_order: list[str] = []
-    row_terms: dict[str, dict[str, float]] = {}
-    col_integer: dict[str, bool] = {}
-    col_order: list[str] = []
+    row_terms: dict[str, dict[int, float]] = {}
+    cols: dict[str, int] = {}
+    lb: list[float] = []
+    ub: list[float] = []
+    integer: list[bool] = []
+    obj = array("d")
     rhs: dict[str, float] = {}
-    bounds: dict[str, list[tuple[str, float | None]]] = {}
-    obj_terms: dict[str, float] = {}
     obj_row: str | None = None
 
     section = None
@@ -140,9 +144,10 @@ def import_mps(text: str) -> MilpModel:
                 continue
             if kind not in _ROW_TO_SENSE:
                 raise MpsParseError(f"line {lineno}: unknown row type {kind}")
+            if name in senses:
+                raise MpsParseError(f"line {lineno}: row {name} declared twice")
             senses[name] = _ROW_TO_SENSE[kind]
             row_terms[name] = {}
-            row_order.append(name)
         elif section == "COLUMNS":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                 if tokens[2] == "'INTORG'":
@@ -152,20 +157,22 @@ def import_mps(text: str) -> MilpModel:
                 else:
                     raise MpsParseError(f"line {lineno}: unknown marker {tokens[2]}")
                 continue
-            col = tokens[0]
-            if col not in col_integer:
-                col_integer[col] = in_integer
-                col_order.append(col)
+            j = cols.setdefault(tokens[0], len(cols))
+            if j == len(integer):
+                lb.append(0.0)
+                ub.append(math.inf)
+                integer.append(in_integer)
+                obj.append(0.0)
             pairs = tokens[1:]
             if len(pairs) % 2:
                 raise MpsParseError(f"line {lineno}: odd row/value tokens")
             for row, value in zip(pairs[::2], pairs[1::2]):
                 value = _number(lineno, value)
                 if row == obj_row:
-                    obj_terms[col] = obj_terms.get(col, 0.0) + value
+                    obj[j] += value
                 elif row in row_terms:
                     terms = row_terms[row]
-                    terms[col] = terms.get(col, 0.0) + value
+                    terms[j] = terms.get(j, 0.0) + value
                 else:
                     raise MpsParseError(f"line {lineno}: unknown row {row}")
         elif section == "RHS":
@@ -183,39 +190,45 @@ def import_mps(text: str) -> MilpModel:
             kind = tokens[0].upper()
             if len(tokens) < (3 if kind in ("BV", "FR", "MI") else 4):
                 raise MpsParseError(f"line {lineno}: {kind} bound without a column or value")
-            name = tokens[2]
-            if name not in col_integer:
-                raise MpsParseError(f"line {lineno}: bound on undeclared column {name}")
+            j = cols.get(tokens[2])
+            if j is None:
+                raise MpsParseError(f"line {lineno}: bound on undeclared column {tokens[2]}")
             value = _number(lineno, tokens[3], bound=True) if len(tokens) > 3 else None
-            bounds.setdefault(name, []).append((kind, value))
+            if kind == "FX":
+                lb[j] = ub[j] = value
+            elif kind == "BV":
+                lb[j], ub[j], integer[j] = 0.0, 1.0, True
+            elif kind == "LO":
+                lb[j] = value
+            elif kind == "UP":
+                ub[j] = value
+            elif kind == "FR":
+                lb[j], ub[j] = -math.inf, math.inf
+            elif kind == "MI":
+                lb[j] = -math.inf
+            else:
+                raise MpsParseError(f"line {lineno}: unknown bound type {kind}")
         elif section == "RANGES":
             raise MpsParseError("RANGES sections are not part of this dialect")
         else:
             raise MpsParseError(f"line {lineno}: content outside any section")
 
-    for col in col_order:
-        lb, ub = 0.0, float("inf")
-        integer = col_integer[col]
-        for kind, value in bounds.get(col, []):
-            if kind == "FX":
-                lb = ub = value
-            elif kind == "BV":
-                lb, ub, integer = 0.0, 1.0, True
-            elif kind == "LO":
-                lb = value
-            elif kind == "UP":
-                ub = value
-            elif kind == "FR":
-                lb, ub = float("-inf"), float("inf")
-            elif kind == "MI":
-                lb = float("-inf")
-            else:
-                raise MpsParseError(f"unknown bound type {kind}")
-        model.add_var(col, lb, ub, integer)
+    # Columns in runs of equal bounds and integrality, one add_vars per run.
+    names = iter(cols)
+    for kind, run in itertools.groupby(zip(lb, ub, integer)):
+        model.add_vars(list(itertools.islice(names, sum(1 for _ in run))), *kind)
+    model.c = obj  # the objective as read, in column order
 
-    model.add_constraints((name, row_terms[name], senses[name], rhs.get(name, 0.0))
-                          for name in row_order)
-    model.objective = {var: coef for var, coef in obj_terms.items() if coef != 0.0}
+    # All rows in one add_rows: each row's entries by column, zero sums dropped.
+    row, col, val = array("i"), array("i"), array("d")
+    for i, terms in enumerate(row_terms.values()):
+        entries = [(j, v) for j, v in sorted(terms.items()) if v != 0.0]
+        row.extend([i] * len(entries))
+        col.extend(j for j, _ in entries)
+        val.extend(v for _, v in entries)
+    sides = [row_sides(name, sense, rhs.get(name, 0.0)) for name, sense in senses.items()]
+    model.add_rows(list(senses), array("d", [lo for lo, _ in sides]),
+                   array("d", [hi for _, hi in sides]), row, col, val)
     return model
 
 

@@ -92,6 +92,11 @@ class Schedule:
     @classmethod
     def from_document(cls, doc: dict) -> "Schedule":
         """Read a schedule document; a value of the wrong type raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        n_steps = doc.get("n_steps")
+        if not (_is_step(n_steps) and n_steps >= 1):
+            raise ValueError(f"n_steps: expected an integer step count >= 1, got {n_steps!r}")
         for key, (ok, what) in _FIELD_TYPES.items():
             items = doc.get(key, {})
             if not isinstance(items, dict):
@@ -100,7 +105,7 @@ class Schedule:
                 if not ok(v):
                     raise ValueError(f"{key}.{k}: expected {what}, got {v!r}")
         return cls(
-            n_steps=int(doc["n_steps"]),
+            n_steps=n_steps,
             gen_start={k: v for k, v in doc.get("gen_start", {}).items()},
             fc_start={k: v for k, v in doc.get("fc_start", {}).items()},
             bat_window={

@@ -26,7 +26,7 @@ import time
 
 from ..devices import fuel_cell_trajectory, generator_trajectory
 from ..grid import Battery, Generator, GridCase
-from ..milp import assignment_from_schedule, encode, objective_value
+from ..milp import objective_value
 from ..schedule import Schedule, empty_schedule
 from ..validate import validate
 from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
@@ -354,12 +354,9 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
             status=ERROR, stats=stats, schedule=sched, validation=report,
             message="enumeration winner failed validation (internal inconsistency)",
         )
-    model = encode(case)
-    assignment = assignment_from_schedule(model, case, sched)
     stats["wall_time_s"] = time.monotonic() - t0
     return SolveResult(
         status=OPTIMAL,
-        assignment=assignment,
         objective=obj,
         stats=stats,
         schedule=sched,

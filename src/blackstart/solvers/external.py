@@ -64,12 +64,13 @@ A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; the model goes out as an MPS file, unreduced, in the
 paper's form and with no start, and the solution comes back as a document of
 whitespace-separated ``name value`` lines, where ``#`` starts a comment,
-unknown names and non-finite values are an error, missing variables
-default to 0, and a single ``=infeasible=`` line marks a proven-infeasible
-model.
+unknown or repeated names and non-finite values are an error, missing
+variables default to 0, and a single ``=infeasible=`` line marks a
+proven-infeasible model.
 
-Either way the values are never trusted: they are decoded, re-simulated
-and validated in this process before a schedule is reported.
+Either way the answer is a point, one float per variable in
+``model.names`` order, and its values are never trusted: they are decoded,
+re-simulated and validated in this process before a schedule is reported.
 """
 
 from __future__ import annotations
@@ -116,12 +117,13 @@ class SolutionFormatError(ValueError):
     pass
 
 
-def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
-    """Parse a solution document into a complete assignment.
+def import_solution(model: MilpModel, text: str) -> array | None:
+    """Parse a solution document into a point in ``model.names`` order.
 
     Returns None when the document carries the infeasibility sentinel.
     """
-    assignment: dict[str, float] = {}
+    x = array("d", bytes(8 * len(model.names)))
+    seen: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,17 +134,18 @@ def import_solution(model: MilpModel, text: str) -> dict[str, float] | None:
         if len(tokens) != 2:
             raise SolutionFormatError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, value = tokens
-        if model.column(name) is None:
+        j = model.column(name)
+        if j is None:
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
+        if seen.setdefault(j, lineno) != lineno:
+            raise SolutionFormatError(f"line {lineno}: variable {name!r} repeats line {seen[j]}")
         try:
-            assignment[name] = float(value)
+            x[j] = float(value)
         except ValueError as exc:
             raise SolutionFormatError(f"line {lineno}: unparseable value {value!r}") from exc
-        if not math.isfinite(assignment[name]):
+        if not math.isfinite(x[j]):
             raise SolutionFormatError(f"line {lineno}: non-finite value {value!r}")
-    for name in model.names:
-        assignment.setdefault(name, 0.0)
-    return assignment
+    return x
 
 
 def solve_external(case: GridCase, command: str | None = None,
@@ -181,32 +184,30 @@ def solve_external(case: GridCase, command: str | None = None,
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                assignment = _solve_on_host(model, start, timeout_s, stats)
+                x = _solve_on_host(model, start, timeout_s, stats)
         else:
-            assignment = _solve_with_command(model, template, timeout_s, stats)
+            x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
         return finish(ERROR, message=str(exc))
 
-    if assignment is None:
+    if x is None:
         return finish(INFEASIBLE)
     try:
         with _stage(stages, "decode"):
-            schedule: Schedule = decode(model, assignment, case)
+            schedule: Schedule = decode(model, x, case)
     except DecodeError as exc:
-        return finish(ERROR, assignment=assignment,
-                      message=f"solution does not decode: {exc}")
+        return finish(ERROR, point=x, message=f"solution does not decode: {exc}")
     with _stage(stages, "validate"):
         report = validate(case, schedule)
-    objective = model.objective_of(assignment)
+    objective = model.objective_of(x)
     if not report.passed:
         return finish(
-            ERROR, assignment=assignment, objective=objective,
+            ERROR, point=x, objective=objective,
             schedule=schedule, validation=report,
             message=f"solution fails validation with {len(report.violations)} violation(s)",
         )
     return finish(
-        OPTIMAL, assignment=assignment, objective=objective,
-        schedule=schedule, validation=report,
+        OPTIMAL, point=x, objective=objective, schedule=schedule, validation=report,
     )
 
 
@@ -287,15 +288,15 @@ os.register_at_fork(after_in_child=_forget_inherited_host)
 
 
 def _solve_on_host(model: MilpModel, start: array | None, timeout_s: float, stats: dict
-                   ) -> dict[str, float] | None:
+                   ) -> list[float] | None:
     """Solve with ``highs_cli.solve_model`` on this process's solver host.
 
-    Returns the assignment, or None for a proven-infeasible model. The
-    request is ``model.arrays()`` and ``start``; the reply is the status, the values,
-    HiGHS's info, the host's peak RSS and its import seconds. A host that
-    times out, or any exception while it is in use, kills it; a host that
-    died is reaped and its exit code reported. Either way the next solve
-    forks a fresh one.
+    Returns the point the host replied with, or None for a proven-infeasible
+    model. The request is ``model.arrays()`` and ``start``; the reply is the
+    status, the values, HiGHS's info, the host's peak RSS and its import
+    seconds. A host that times out, or any exception while it is in use,
+    kills it; a host that died is reaped and its exit code reported. Either
+    way the next solve forks a fresh one.
     """
     global _host
     if _host is None or _host.owner != os.getpid():
@@ -328,7 +329,7 @@ def _solve_on_host(model: MilpModel, start: array | None, timeout_s: float, stat
     if x is None or len(x) != len(model.names):
         raise _SolverFailed(f"solver host returned {'no' if x is None else len(x)} values "
                             f"for {len(model.names)} variables")
-    return dict(zip(model.names, x))
+    return x
 
 
 def _highs_threads() -> int:
@@ -400,10 +401,10 @@ def _exit_when_orphaned(owner: int) -> None:
 
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,
-                        stats: dict) -> dict[str, float] | None:
+                        stats: dict) -> array | None:
     """Export MPS, run the command, import its solution document.
 
-    Returns the assignment, or None when the document says infeasible.
+    Returns the point, or None when the document says infeasible.
     """
     stages = stats["stages"]
     with tempfile.TemporaryDirectory(prefix="blackstart-") as tmp:

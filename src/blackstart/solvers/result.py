@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..schedule import Schedule
@@ -14,8 +15,12 @@ ERROR = "error"
 
 @dataclass
 class SolveResult:
+    """A solve's outcome. ``point`` is the solver's answer, one value per
+    model variable in ``MilpModel.names`` order (None where the solver gave
+    none, and for the enumeration oracle, which builds no model)."""
+
     status: str
-    assignment: dict[str, float] | None = None
+    point: Sequence[float] | None = None
     objective: float | None = None
     stats: dict = field(default_factory=dict)
     schedule: Schedule | None = None

@@ -64,8 +64,7 @@ def test_run_with_corrupt_external_solution_exits_validation_code(tmp_path):
         "import sys\n"
         "from blackstart.mps import read_mps\n"
         "model = read_mps(sys.argv[1])\n"
-        "values = {v.name: v.lb for v in model.variables}\n"
-        "lines = [f'{n} {v}' for n, v in values.items()]\n"
+        "lines = [f'{n} {v}' for n, v in zip(model.names, model.arrays().lb)]\n"
         "open(sys.argv[2], 'w').write('\\n'.join(lines))\n"
     )
     stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
@@ -90,6 +89,22 @@ def test_validate_verb(tmp_path):
     bad.write_text(json.dumps(doc))
     rc = main(["validate", "--case", case_arg("toy_path3"), "--schedule", str(bad)])
     assert rc == 4
+
+
+@pytest.mark.parametrize("n_steps", [8.5, True])
+def test_validate_verb_rejects_a_step_count_that_is_not_an_integer(tmp_path, capsys, n_steps):
+    rc = main(["run", "--case", case_arg("toy_path3"), "--backend", "enum",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    assert doc["n_steps"] == 8
+    doc["n_steps"] = n_steps
+    bad = tmp_path / "bad_schedule.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["validate", "--case", case_arg("toy_path3"), "--schedule", str(bad)])
+    assert rc == 2
+    assert "schedule load failed: n_steps" in capsys.readouterr().err
 
 
 def test_export_mps_verb(tmp_path):

@@ -46,11 +46,11 @@ def assert_solvers_agree(case):
     if status != "optimal":
         return
     assert math.isclose(info["objective"], want_objective, rel_tol=REL_TOL, abs_tol=1e-9)
-    assignment = {v.name: float(value) for v, value in zip(model.variables, x)}
-    assert model.check_assignment(assignment) == []
-    assert math.isclose(model.objective_of(assignment), want_objective,
-                        rel_tol=REL_TOL, abs_tol=1e-9)
-    assert validate(case, decode(model, assignment, case)).passed
+    x = x.tolist()
+    assert len(x) == len(model.names)
+    assert model.check_assignment(x) == []
+    assert math.isclose(model.objective_of(x), want_objective, rel_tol=REL_TOL, abs_tol=1e-9)
+    assert validate(case, decode(model, x, case)).passed
 
 
 PROPERTY = dict(deadline=None, database=None, derandomize=True,

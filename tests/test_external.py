@@ -16,6 +16,7 @@ from blackstart import (
     import_mps,
     load_case,
     models_structurally_equal,
+    point_from_schedule,
     read_mps,
     solve_enumeration,
     validate,
@@ -37,8 +38,15 @@ FORKED_STAGES = {"encode", "start", "solver", "decode", "validate"}
 COMMAND_STAGES = {"encode", "export", "solver", "import_solution", "decode", "validate"}
 
 
-def write_solution_text(model, assignment):
-    return "\n".join(f"{name} {value!r}" for name, value in assignment.items()) + "\n"
+def write_solution_text(model, x):
+    return "\n".join(f"{name} {value!r}" for name, value in zip(model.names, x)) + "\n"
+
+
+def with_value(model, x, name, value):
+    """A copy of point ``x`` with variable ``name`` set to ``value``."""
+    x = list(x)
+    x[model.column(name)] = value
+    return x
 
 
 def stub_command(tmp_path, name, body):
@@ -53,10 +61,10 @@ def stub_command(tmp_path, name, body):
 def known_good(toy_cases, toy_enum, tmp_path):
     case = toy_cases["toy_t5"]
     model = encode(case)
-    assignment = toy_enum["toy_t5"].assignment
+    x = point_from_schedule(model, case, toy_enum["toy_t5"].schedule)
     sol = tmp_path / "good.sol"
-    sol.write_text(write_solution_text(model, assignment))
-    return case, model, assignment, sol
+    sol.write_text(write_solution_text(model, x))
+    return case, model, x, sol
 
 
 def copy_stub(tmp_path, sol):
@@ -67,12 +75,12 @@ def copy_stub(tmp_path, sol):
 
 
 def test_stub_solver_copies_known_good_solution(known_good, tmp_path):
-    case, model, assignment, sol = known_good
+    case, model, x, sol = known_good
     result = solve_external(case, command=copy_stub(tmp_path, sol))
     assert result.status == "optimal"
     assert result.schedule.gen_start == {"g1": 2, "g2": 3, "g3": 4}
-    for name, value in assignment.items():
-        assert result.assignment[name] == pytest.approx(value, abs=1e-9)
+    assert len(result.point) == len(model.names)
+    assert list(result.point) == pytest.approx(list(x), abs=1e-9)
 
 
 def test_nonzero_exit_is_error(known_good, tmp_path):
@@ -95,9 +103,8 @@ def test_infeasible_sentinel(known_good, tmp_path):
 
 
 def test_corrupt_solution_fails_validation(known_good, tmp_path):
-    case, model, assignment, sol = known_good
-    corrupt = dict(assignment)
-    corrupt["gen_power.g2.4"] = 55.0  # semantic trajectory says 80
+    case, model, x, sol = known_good
+    corrupt = with_value(model, x, "gen_power.g2.4", 55.0)  # semantic trajectory says 80
     bad = tmp_path / "bad.sol"
     bad.write_text(write_solution_text(model, corrupt))
     cmd = stub_command(
@@ -120,25 +127,29 @@ def test_missing_solution_file_is_error(known_good, tmp_path):
 
 def test_import_all_zero_is_all_dark(known_good):
     case, model, _, _ = known_good
-    text = "\n".join(f"{v.name} 0" for v in model.variables)
-    assignment = import_solution(model, text)
-    assert set(assignment) == {v.name for v in model.variables}
-    assert all(v == 0.0 for v in assignment.values())
+    text = "\n".join(f"{name} 0" for name in model.names)
+    x = import_solution(model, text)
+    assert len(x) == len(model.names)
+    assert all(v == 0.0 for v in x)
+    schedule = decode(model, x, case)
+    assert set(schedule.gen_start.values()) == {None}
+    assert not any(any(flags) for flags in schedule.bus_on.values())
 
 
 def test_import_missing_names_default_to_zero(known_good):
     _, model, _, _ = known_good
-    assignment = import_solution(model, "# only a comment\n")
-    assert all(v == 0.0 for v in assignment.values())
+    x = import_solution(model, "# only a comment\n")
+    assert len(x) == len(model.names)
+    assert all(v == 0.0 for v in x)
 
 
 def test_import_tolerates_near_integral_values(known_good, toy_cases):
-    case, model, assignment, _ = known_good
-    text = write_solution_text(model, assignment).replace(
+    case, model, x, _ = known_good
+    text = write_solution_text(model, x).replace(
         "bus_on.b1.3 1.0", "bus_on.b1.3 1.0000001"
     )
     parsed = import_solution(model, text)
-    assert parsed["bus_on.b1.3"] == pytest.approx(1.0, abs=1e-6)
+    assert parsed[model.column("bus_on.b1.3")] == 1.0000001
     from blackstart import decode
 
     sched = decode(model, parsed, case)
@@ -155,6 +166,24 @@ def test_import_unparseable_value_rejected(known_good):
     _, model, _, _ = known_good
     with pytest.raises(SolutionFormatError, match="unparseable"):
         import_solution(model, "gen_start.g1.2 twelve\n")
+
+
+def test_import_repeated_name_rejected(known_good):
+    """A name given twice is an error that names both lines, not a silent
+    last-one-wins."""
+    _, model, _, _ = known_good
+    with pytest.raises(SolutionFormatError,
+                       match=r"line 3: variable 'gen_start.g1.6' repeats line 1"):
+        import_solution(model, "gen_start.g1.6 0\n# a comment\ngen_start.g1.6 1\n")
+
+
+def test_repeated_solver_value_is_a_bad_document(known_good, tmp_path):
+    case, model, x, sol = known_good
+    dup = tmp_path / "dup.sol"
+    dup.write_text(sol.read_text() + "gen_start.g1.6 0\n")
+    result = solve_external(case, command=copy_stub(tmp_path, dup))
+    assert result.status == "error"
+    assert "bad solution document" in result.message and "repeats line" in result.message
 
 
 def test_env_var_selects_solver(monkeypatch):
@@ -179,11 +208,12 @@ def assert_stage_timings_and_model_size(stats, model, stages):
     assert set(stats["stages"]) == stages
     assert all(seconds >= 0 for seconds in stats["stages"].values())
     assert sum(stats["stages"].values()) <= stats["wall_time_s"]
+    arrays = model.arrays()
     assert stats["model"] == {
-        "vars": len(model.variables),
-        "int_vars": sum(v.is_integer for v in model.variables),
-        "rows": len(model.constraints),
-        "nnz": sum(len(c.terms) for c in model.constraints),
+        "vars": len(model.names),
+        "int_vars": sum(arrays.integrality),
+        "rows": len(model.row_names),
+        "nnz": sum(v != 0.0 for v in arrays.val),
     }
 
 
@@ -217,7 +247,7 @@ def test_the_default_solve_never_builds_the_model_views(name, monkeypatch):
     model = encode(case)
     back = import_mps(export_mps(model))
     assert models_structurally_equal(model, back)
-    assert back.check_assignment(result.assignment) == []
+    assert back.check_assignment(result.point) == []
 
 
 def test_stats_carry_highs_info(toy_external):
@@ -324,9 +354,9 @@ def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_externa
     sol = tmp_path / "toy_path3.sol"
     assert highs_cli.main([str(DATA / "toy_path3.mps"), str(sol)]) == 0
     model = read_mps(DATA / "toy_path3.mps")
-    assignment = import_solution(model, sol.read_text())
-    assert validate(case, decode(model, assignment, case)).passed
-    assert model.objective_of(assignment) == pytest.approx(
+    x = import_solution(model, sol.read_text())
+    assert validate(case, decode(model, x, case)).passed
+    assert model.objective_of(x) == pytest.approx(
         toy_external["toy_path3"].objective, rel=1e-9)
 
 
@@ -372,9 +402,9 @@ def test_solve_mps_front_end_rejects_an_unreadable_number(tmp_path):
 
 @pytest.mark.parametrize("name", ["bus_on.b1.3", "gen_power.g2.4"])
 def test_non_finite_solver_value_is_a_bad_document(known_good, tmp_path, name):
-    case, model, assignment, _ = known_good
+    case, model, x, _ = known_good
     sol = tmp_path / "nan.sol"
-    sol.write_text(write_solution_text(model, {**assignment, name: float("nan")}))
+    sol.write_text(write_solution_text(model, with_value(model, x, name, float("nan"))))
     result = solve_external(case, command=copy_stub(tmp_path, sol))
     assert result.status == "error"
     assert "bad solution document" in result.message and "non-finite" in result.message

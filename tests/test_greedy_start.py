@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 
 from blackstart import encode, load_case, solve_enumeration, validate
 from blackstart.cases import bundled_cases
-from blackstart.milp import assignment_from_schedule, objective_value
+from blackstart.milp import objective_value, point_from_schedule
 from blackstart.solvers import EnumerationCapError
 from blackstart.solvers.enumeration import greedy_schedule
 from blackstart.solvers.highs_cli import solve_model, violations
@@ -32,11 +32,11 @@ def assert_a_sound_start(case, oracle: bool):
     report = validate(case, schedule)
     assert report.passed, report.violations
     model = encode(case)
-    assignment = assignment_from_schedule(model, case, schedule)
+    x = point_from_schedule(model, case, schedule)
     arrays = model.arrays()
-    assert violations(arrays, np.array([assignment[n] for n in model.names])) is None
+    assert violations(arrays, np.array(x)) is None
     objective = objective_value(case, schedule)
-    assert math.isclose(model.objective_of(assignment), objective, rel_tol=TOL, abs_tol=TOL)
+    assert math.isclose(model.objective_of(x), objective, rel_tol=TOL, abs_tol=TOL)
     status, _, info = solve_model(arrays)
     assert status == "optimal", info["message"]
     assert objective >= info["objective"] - TOL * (1 + abs(objective))

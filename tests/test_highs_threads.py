@@ -92,7 +92,7 @@ def test_the_hosts_solution_equals_the_one_thread_solution():
         "    status, x, info = highs_cli.solve_model(model.arrays(), threads=1, start=start)\n"
         "    assert info['start_objective'] == result.stats['highs']['start_objective'], name\n"
         "    assert result.ok and status == 'optimal', (name, result.message, info)\n"
-        "    assert [result.assignment[n] for n in model.names] == x.tolist(), name\n"
+        "    assert list(result.point) == x.tolist(), name\n"
         "    print(name, result.stats['highs']['threads'])\n"
     )
     proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=300)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,13 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from blackstart import (
     DecodeError,
     EncodingError,
-    assignment_from_schedule,
     decode,
     encode,
     export_mps,
     import_mps,
     load_case,
     objective_value,
+    point_from_schedule,
+    solve_enumeration,
     validate,
 )
 from blackstart.cases import bundled_case_path
@@ -26,6 +28,7 @@ from blackstart.milp import (
     MilpModel,
     _n,
 )
+from blackstart.model import row_sense, row_sides
 from blackstart.schedule import empty_schedule
 from blackstart.solvers.enumeration import _battery_options, _gen_options, _simulate
 
@@ -67,9 +70,9 @@ def test_no_fc_no_battery_model_has_no_product_or_window_vars(minimal_two_bus_do
 def test_encode_is_deterministic(toy_cases):
     a = encode(toy_cases["toy_t5"])
     b = encode(toy_cases["toy_t5"])
-    assert [v.name for v in a.variables] == [v.name for v in b.variables]
-    assert [c.name for c in a.constraints] == [c.name for c in b.constraints]
-    assert a.objective == b.objective and a.objective_constant == b.objective_constant
+    assert a.names == b.names
+    assert a.row_names == b.row_names
+    assert a.arrays() == b.arrays()
 
 
 def test_horizon_too_short_is_an_encode_error(minimal_two_bus_doc):
@@ -80,31 +83,42 @@ def test_horizon_too_short_is_an_encode_error(minimal_two_bus_doc):
 
 def _one_var_model():
     model = MilpModel(name="guards")
-    model.add_var("x.a.1", 0, 1, True)
+    model.add_vars(["x.a.1"], 0, 1, True)
     return model
+
+
+def _one_row(model, cols, vals):
+    """Append one ``<= 1`` row ``r1`` with entries at ``cols``."""
+    model.add_rows(["r1"], array("d", [-math.inf]), array("d", [1.0]),
+                   array("i", [0] * len(cols)), array("i", cols), array("d", vals))
 
 
 def test_duplicate_variable_is_an_encode_error():
     model = _one_var_model()
     with pytest.raises(EncodingError, match=r"duplicate variable x\.a\.1"):
-        model.add_var("x.a.1", 0, 5, False)
+        model.add_vars(["y.a.1", "x.a.1"], 0, 5, False)
 
 
-def test_constraint_on_an_undeclared_variable_is_an_encode_error():
+def test_a_row_on_an_undeclared_column_is_an_encode_error():
     model = _one_var_model()
-    with pytest.raises(EncodingError, match=r"constraint r1 .*undeclared variable y\.a\.1"):
-        model.add_constraint("r1", {"x.a.1": 1.0, "y.a.1": 1.0}, "<=", 1)
+    with pytest.raises(EncodingError, match=r"rows 0-0: .*columns do not line up"):
+        _one_row(model, [0, 1], [1.0, 1.0])
+    model = _one_var_model()
+    _one_row(model, [0], [2.0])
+    assert model.row_names == ["r1"] and model.check_assignment([0.5]) == []
+    assert model.check_assignment([0.6]) == ["r1"]
 
 
 def test_constraint_with_a_bad_sense_is_an_encode_error():
-    model = _one_var_model()
     with pytest.raises(EncodingError, match=r"constraint r1: bad sense '<'"):
-        model.add_constraint("r1", {"x.a.1": 1.0}, "<", 1)
+        row_sides("r1", "<", 1)
+    for sense in ("<=", ">=", "="):
+        assert row_sense(*row_sides("r1", sense, 3.0)) == (sense, 3.0)
 
 
 def test_constraint_names_follow_the_grammar(toy_cases):
     model = encode(toy_cases["toy_t5"])
-    names = {c.name for c in model.constraints}
+    names = set(model.row_names)
     assert "eq33.l1_2.t4" in names
     assert "eq2.system.t5" in names
     assert any(n.startswith("eq23.fc1.") for n in names)
@@ -135,9 +149,9 @@ def test_every_feasible_toy_solution_matches_device_semantics(toy_cases):
     model = encode(case)
     checked = 0
     for sched in _all_feasible_schedules(case):
-        assignment = assignment_from_schedule(model, case, sched)
-        assert model.check_assignment(assignment, tol=1e-7) == []
-        decoded = decode(model, assignment, case)
+        x = point_from_schedule(model, case, sched)
+        assert model.check_assignment(x, tol=1e-7) == []
+        decoded = decode(model, x, case)
         semantics = device_trajectories(case, decoded)
         for dev_id, series in semantics.items():
             reported = decoded.solver_power.get(dev_id)
@@ -147,7 +161,7 @@ def test_every_feasible_toy_solution_matches_device_semantics(toy_cases):
                 math.isclose(a, b, abs_tol=1e-9) for a, b in zip(reported, series)
             ), f"{dev_id} trajectories diverge"
         assert math.isclose(
-            model.objective_of(assignment), objective_value(case, decoded), abs_tol=1e-9
+            model.objective_of(x), objective_value(case, decoded), abs_tol=1e-9
         )
         checked += 1
     assert checked > 10
@@ -158,12 +172,12 @@ def test_battery_toy_solutions_match_semantics(toy_cases):
     model = encode(case)
     count = 0
     for sched in _all_feasible_schedules(case):
-        assignment = assignment_from_schedule(model, case, sched)
-        assert model.check_assignment(assignment, tol=1e-7) == []
-        decoded = decode(model, assignment, case)
+        x = point_from_schedule(model, case, sched)
+        assert model.check_assignment(x, tol=1e-7) == []
+        decoded = decode(model, x, case)
         assert decoded.bat_window == sched.bat_window
         assert math.isclose(
-            model.objective_of(assignment), objective_value(case, decoded), abs_tol=1e-9
+            model.objective_of(x), objective_value(case, decoded), abs_tol=1e-9
         )
         count += 1
     assert count > 5
@@ -179,11 +193,11 @@ def test_decode_start_step(toy_cases):
     sched.bus_on["b3"] = [False, False] + [True] * 6
     sched.branch_on["l1_2"] = [False, False] + [True] * 6
     sched.branch_on["l2_3"] = [False, False] + [True] * 6
-    assignment = assignment_from_schedule(model, case, sched)
-    decoded = decode(model, assignment, case)
+    x = point_from_schedule(model, case, sched)
+    decoded = decode(model, x, case)
     assert decoded.gen_start == {"g1": 2, "g2": 3}
     # start series (0,0,1,1,...) means two dark steps before startup
-    assert sum(1 - assignment[_n("gen_start", "g2", t)] for t in range(1, 9)) == 2
+    assert sum(1 - x[model.column(_n("gen_start", "g2", t))] for t in range(1, 9)) == 2
 
 
 def test_decode_battery_window():
@@ -198,15 +212,15 @@ def test_decode_battery_window():
     }
     case = load_case(doc)
     model = encode(case)
-    assignment = {v.name: 0.0 for v in model.variables}
+    x = [0.0] * len(model.names)
     ws = [0, 0, 1, 1, 1]
     we = [0, 0, 0, 0, 1]
     for t in range(1, 6):
-        assignment[_n("bat_ws", "bt1", t)] = ws[t - 1]
-        assignment[_n("bat_we", "bt1", t)] = we[t - 1]
-        assignment[_n("bus_on", "b1", t)] = ws[t - 1]
-        assignment[_n("bat_power", "bt1", t)] = 10.0 if ws[t - 1] and not we[t - 1] else 0.0
-    decoded = decode(model, assignment, case)
+        x[model.column(_n("bat_ws", "bt1", t))] = ws[t - 1]
+        x[model.column(_n("bat_we", "bt1", t))] = we[t - 1]
+        x[model.column(_n("bus_on", "b1", t))] = ws[t - 1]
+        x[model.column(_n("bat_power", "bt1", t))] = 10.0 if ws[t - 1] and not we[t - 1] else 0.0
+    decoded = decode(model, x, case)
     assert decoded.bat_window["bt1"] == (3, 5)
 
 
@@ -227,13 +241,13 @@ def test_decode_all_zero_assignment_is_all_never():
     }
     case = load_case(doc)
     model = encode(case)
-    assignment = {v.name: 0.0 for v in model.variables}
-    decoded = decode(model, assignment, case)
+    x = [0.0] * len(model.names)
+    decoded = decode(model, x, case)
     assert decoded.gen_start == {"g1": None}
     assert decoded.bat_window == {"bt1": None}
     # the first objective term is at its ceiling when nothing starts
-    assert model.objective_of(assignment) == objective_value(case, decoded)
-    assert model.objective_of(assignment) == pytest.approx(90 * 8)
+    assert model.objective_of(x) == objective_value(case, decoded)
+    assert model.objective_of(x) == pytest.approx(90 * 8)
 
 
 def test_decode_rejects_non_integral(toy_cases):
@@ -242,10 +256,10 @@ def test_decode_rejects_non_integral(toy_cases):
     sched = empty_schedule(case)
     sched.gen_start.update({"g1": 2, "g2": None})
     sched.bus_on["b1"] = [False] + [True] * 7
-    assignment = assignment_from_schedule(model, case, sched)
-    assignment["gen_start.g2.5"] = 0.4
+    x = point_from_schedule(model, case, sched)
+    x[model.column("gen_start.g2.5")] = 0.4
     with pytest.raises(DecodeError, match="integral"):
-        decode(model, assignment, case)
+        decode(model, x, case)
 
 
 def test_decode_accepts_a_binary_at_the_solver_tolerance_edge(toy_cases):
@@ -256,14 +270,14 @@ def test_decode_accepts_a_binary_at_the_solver_tolerance_edge(toy_cases):
     sched = empty_schedule(case)
     sched.gen_start.update({"g1": 2, "g2": None})
     sched.bus_on["b1"] = [False] + [True] * 7
-    assignment = assignment_from_schedule(model, case, sched)
-    assignment["bus_on.b1.3"] = 1 - 5e-6
-    decoded = decode(model, assignment, case)
+    x = point_from_schedule(model, case, sched)
+    x[model.column("bus_on.b1.3")] = 1 - 5e-6
+    decoded = decode(model, x, case)
     assert decoded.bus_on["b1"] == sched.bus_on["b1"]
     assert validate(case, decoded).passed
-    assignment["bus_on.b1.3"] = 0.5
+    x[model.column("bus_on.b1.3")] = 0.5
     with pytest.raises(DecodeError, match="integral"):
-        decode(model, assignment, case)
+        decode(model, x, case)
 
 
 def test_decode_rejects_non_monotone(toy_cases):
@@ -272,10 +286,10 @@ def test_decode_rejects_non_monotone(toy_cases):
     sched = empty_schedule(case)
     sched.gen_start.update({"g1": 2, "g2": None})
     sched.bus_on["b1"] = [False] + [True] * 7
-    assignment = assignment_from_schedule(model, case, sched)
-    assignment["gen_start.g2.5"] = 1.0  # rises then falls back to 0
+    x = point_from_schedule(model, case, sched)
+    x[model.column("gen_start.g2.5")] = 1.0  # rises then falls back to 0
     with pytest.raises(DecodeError, match="monotone"):
-        decode(model, assignment, case)
+        decode(model, x, case)
 
 
 def test_decode_and_the_start_need_each_series_as_one_block(toy_cases):
@@ -285,13 +299,13 @@ def test_decode_and_the_start_need_each_series_as_one_block(toy_cases):
     model = encode(case)
     sched = empty_schedule(case)
     sched.gen_start.update({"g1": 2, "g2": None})
-    assignment = assignment_from_schedule(model, case, sched)
+    x = point_from_schedule(model, case, sched)
     reversed_model = MilpModel(name="reversed")
     reversed_model.add_vars(model.names[::-1], 0, 1, True)
     with pytest.raises(DecodeError, match="gen_start.g1: the model does not hold it as one block"):
-        decode(reversed_model, assignment, case)
+        decode(reversed_model, x[::-1], case)
     with pytest.raises(DecodeError, match="one block"):
-        assignment_from_schedule(reversed_model, case, sched)
+        point_from_schedule(reversed_model, case, sched)
 
 
 def test_objective_single_generator():
@@ -318,33 +332,60 @@ def test_objective_single_generator():
     assert model.objective_constant == pytest.approx(90 * 8)
 
 
+def test_a_zero_objective_weight_stays_positive_zero(minimal_two_bus_doc):
+    """A bus weight ``-beta * importance / t`` that underflows is -0.0;
+    ``encode`` adds it into the zeros of ``c``, which gives +0.0 as HiGHS's
+    pinned input has it, and the MPS export writes no objective entry for
+    it. (A generator's weight ``p_max - p_crank`` cannot be zero: the loader
+    requires ``p_crank < p_max``.)"""
+    doc = doc_variant(minimal_two_bus_doc, **{
+        "objective.beta": 1e-200, "buses.1": {"id": "b2", "importance": 1e-200}})
+    case = load_case(doc)
+    assert math.copysign(1.0, -case.beta * case.buses[1].importance / 1) == -1.0
+    model = encode(case)
+    c = model.arrays().c
+    T = case.time_grid.n_steps
+    zeros = [model.column(_n("bus_on", "b2", t)) for t in range(1, T + 1)]
+    assert [c[j] for j in zeros] == [0.0] * T
+    assert [j for j, cj in enumerate(c) if math.copysign(1.0, cj) < 0 and cj == 0.0] == []
+    written = {line.split()[0] for line in export_mps(model).splitlines()
+               if line.startswith("    ") and line.split()[1:2] == ["obj"]}
+    assert not written & {model.names[j] for j in zeros}
+    assert {f"bus_on.b1.{t}" for t in range(1, T + 1)} <= written
+    schedule = solve_enumeration(case).schedule
+    x = point_from_schedule(model, case, schedule)
+    assert model.objective_of(x) == objective_value(case, schedule)
+
+
 def test_objective_matches_enumeration_optimum(toy_cases, toy_enum):
     case = toy_cases["toy_t5"]
     result = toy_enum["toy_t5"]
     assert objective_value(case, result.schedule) == pytest.approx(result.objective, abs=1e-9)
     model = encode(case)
-    assert model.objective_of(result.assignment) == pytest.approx(result.objective, abs=1e-9)
+    x = point_from_schedule(model, case, result.schedule)
+    assert model.objective_of(x) == pytest.approx(result.objective, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["toy_t5", "toy_fc", "toy_bt"])
 def test_model_arrays_agree_with_the_model(toy_cases, toy_enum, name):
     """Objective and row activities from the flat arrays match the model's
     own evaluation of the oracle's optimum."""
-    model = encode(toy_cases[name])
+    case = toy_cases[name]
+    model = encode(case)
     arrays = model.arrays()
-    x = [toy_enum[name].assignment[v.name] for v in model.variables]
+    x = point_from_schedule(model, case, toy_enum[name].schedule)
     assert math.fsum(c * xi for c, xi in zip(arrays.c, x)) + arrays.constant == pytest.approx(
-        model.objective_of(toy_enum[name].assignment), abs=1e-9)
-    activity = [0.0] * len(model.constraints)
+        model.objective_of(x), abs=1e-9)
+    assert model.objective_of(x) == pytest.approx(toy_enum[name].objective, abs=1e-9)
+    activity = [0.0] * len(model.row_names)
     for i, j, a in zip(arrays.row, arrays.col, arrays.val):
         activity[i] += a * x[j]
-    for con, lo, hi, ax in zip(model.constraints, arrays.row_lo, arrays.row_hi, activity):
-        assert lo - 1e-9 <= ax <= hi + 1e-9, con.name
-        assert (lo, hi) == {"<=": (-math.inf, con.rhs), ">=": (con.rhs, math.inf),
-                            "=": (con.rhs, con.rhs)}[con.sense]
-    assert list(arrays.lb) == [v.lb for v in model.variables]
-    assert list(arrays.ub) == [v.ub for v in model.variables]
-    assert list(arrays.integrality) == [int(v.is_integer) for v in model.variables]
+    for row, lo, hi, ax in zip(model.row_names, arrays.row_lo, arrays.row_hi, activity):
+        assert lo - 1e-9 <= ax <= hi + 1e-9, row
+        assert lo <= hi and (lo == hi or math.inf in (-lo, hi)), row
+    assert model.check_assignment(x) == []
+    assert len(arrays.lb) == len(arrays.ub) == len(arrays.integrality) == len(model.names)
+    assert set(arrays.integrality) <= {0, 1}
 
 
 FUEL_CELL_CASES = ["toy_fc", "toy_t5", "ieee39_fc50"] + sorted(
@@ -365,24 +406,25 @@ def test_eq23_is_exact_for_every_fuel_cell_start(name):
         for start in (None, *range(2, T + 1)):
             sched = empty_schedule(case)
             sched.fc_start[f.id] = start
-            assignment = assignment_from_schedule(model, case, sched)
-            assert [r for r in model.check_assignment(assignment) if r in rows] == []
+            x = point_from_schedule(model, case, sched)
+            assert [r for r in model.check_assignment(x) if r in rows] == []
             for t in range(1, T + 1):
-                assignment[_n(FC_POWER, f.id, t)] += 1e-3
-            assert [r for r in model.check_assignment(assignment) if r in rows] == rows
+                x[model.column(_n(FC_POWER, f.id, t))] += 1e-3
+            assert [r for r in model.check_assignment(x) if r in rows] == rows
 
 
 def test_status_monotone_in_solutions(toy_external, toy_cases):
     for name, result in toy_external.items():
         assert result.status == "optimal", f"{name}: {result.message}"
         case = toy_cases[name]
-        a = result.assignment
+        model = encode(case)
         T = case.time_grid.n_steps
-        for var in encode(case).names:
+        for var in model.names:
             kind, entity, *steps = var.split(".")
             if kind not in BINARY_KINDS or steps != ["1"]:
                 continue
-            series = [round(a[_n(kind, entity, t)]) for t in range(1, T + 1)]
+            series = [round(result.point[model.column(_n(kind, entity, t))])
+                      for t in range(1, T + 1)]
             assert all(x <= y for x, y in zip(series, series[1:])), (name, kind, entity)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from array import array
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,22 @@ from blackstart.mps import MpsParseError, read_mps, write_mps
 from conftest import TOY_NAMES, load_bundled
 
 DATA = Path(__file__).parent / "data"
+
+
+def add_row(model, name, cols, vals, lo, hi):
+    """Append row ``name``: ``lo <= sum(vals[k] * x[cols[k]]) <= hi``."""
+    i = len(model.row_names)
+    model.add_rows([name], array("d", [lo]), array("d", [hi]), array("i", [i] * len(cols)),
+                   array("i", cols), array("d", vals))
+
+
+def rows_of(model):
+    """Each row as (name, [(column name, coefficient)], lo, hi), from ``arrays()``."""
+    a = model.arrays()
+    terms = [[] for _ in model.row_names]
+    for i, j, v in zip(a.row, a.col, a.val):
+        terms[i].append((model.names[j], v))
+    return [(name, t, lo, hi) for name, t, lo, hi in zip(model.row_names, terms, a.row_lo, a.row_hi)]
 
 
 def test_empty_model_round_trip():
@@ -32,24 +49,25 @@ def test_round_trip_structural_identity(name):
 
 def test_tiny_coefficient_full_precision():
     model = MilpModel(name="precision")
-    model.add_var("x.a.1", 0, 10, False)
-    model.add_var("x.b.1", -1e-12, 1e300, False)
-    model.add_constraint("row1", {"x.a.1": 1e-12, "x.b.1": 0.1 + 0.2}, "<=", 1e-12)
-    model.objective = {"x.a.1": 1e-12}
+    model.add_vars(["x.a.1"], 0, 10, False)
+    model.add_vars(["x.b.1"], -1e-12, 1e300, False)
+    add_row(model, "row1", [0, 1], [1e-12, 0.1 + 0.2], -math.inf, 1e-12)
+    model.c[0] += 1e-12
     back = import_mps(export_mps(model))
-    assert back.constraints[0].terms == model.constraints[0].terms
-    assert back.constraints[0].rhs == 1e-12
-    assert back.objective == model.objective
-    assert back.variables[1].lb == -1e-12
+    assert rows_of(back) == [("row1", [("x.a.1", 1e-12), ("x.b.1", 0.1 + 0.2)], -math.inf, 1e-12)]
+    assert rows_of(back) == rows_of(model)
+    assert list(back.c) == [1e-12, 0.0]
+    assert (back.arrays().lb[1], back.arrays().ub[1]) == (-1e-12, 1e300)
 
 
 def test_objective_constant_round_trips():
     model = MilpModel(name="const")
-    model.add_var("x.a.1", 0, 1, True)
-    model.objective = {"x.a.1": -2.5}
+    model.add_vars(["x.a.1"], 0, 1, True)
+    model.c[0] += -2.5
     model.objective_constant = 41.25
     back = import_mps(export_mps(model))
     assert back.objective_constant == 41.25
+    assert list(back.c) == [-2.5]
     assert models_structurally_equal(model, back)
 
 
@@ -129,9 +147,10 @@ def test_duplicate_entries_are_summed():
         ("y.a.1", "r1", "1.5"), ("x.a.1", "r1", "2.0"), ("y.a.1", "r1", "0.25"),
         ("x.a.1", "obj", "1.0"), ("x.a.1", "obj", "2.0"),
     ))
-    assert model.constraints[0].terms == (("x.a.1", 2.0), ("y.a.1", 1.75))
-    assert model.constraints[0].rhs == 4.0
-    assert model.objective == {"x.a.1": 3.0}
+    assert model.names == ["y.a.1", "x.a.1"]
+    assert rows_of(model) == [("r1", [("y.a.1", 1.75), ("x.a.1", 2.0)], -math.inf, 4.0),
+                              ("r2", [], 0.0, math.inf)]
+    assert list(model.c) == [0.0, 3.0]
 
 
 def test_entries_summing_to_zero_are_dropped():
@@ -139,22 +158,23 @@ def test_entries_summing_to_zero_are_dropped():
         ("x.a.1", "r1", "2.0"), ("x.a.1", "r1", "-2.0"), ("y.a.1", "r1", "1.0"),
         ("x.a.1", "obj", "1.0"), ("x.a.1", "obj", "-1.0"),
     ))
-    assert model.constraints[0].terms == (("y.a.1", 1.0),)
-    assert model.objective == {}
+    assert rows_of(model)[0][1] == [("y.a.1", 1.0)]
+    assert list(model.c) == [0.0, 0.0]
+    assert all(math.copysign(1.0, c) == 1.0 for c in model.c)
 
 
 def test_row_without_terms_round_trips():
     model = MilpModel(name="empty_row")
-    model.add_var("x.a.1", 0, 1, True)
-    model.add_constraint("r1", {"x.a.1": 1.0}, "<=", 1)
-    model.add_constraint("r2", {}, ">=", -3.0)
+    model.add_vars(["x.a.1"], 0, 1, True)
+    add_row(model, "r1", [0], [1.0], -math.inf, 1)
+    add_row(model, "r2", [], [], -3.0, math.inf)
     back = import_mps(export_mps(model))
-    assert [(c.name, c.terms, c.sense, c.rhs) for c in back.constraints] == [
-        ("r1", (("x.a.1", 1.0),), "<=", 1), ("r2", (), ">=", -3.0),
+    assert rows_of(back) == [
+        ("r1", [("x.a.1", 1.0)], -math.inf, 1), ("r2", [], -3.0, math.inf),
     ]
     assert models_structurally_equal(model, back)
     back = import_mps(_columns_text(("x.a.1", "r1", "1.0")))
-    assert back.constraints[1].name == "r2" and back.constraints[1].terms == ()
+    assert back.row_names[1] == "r2" and rows_of(back)[1][1] == []
 
 
 def test_unknown_row_rejected():
@@ -164,7 +184,7 @@ def test_unknown_row_rejected():
 
 def test_comment_lines_ignored():
     model = MilpModel(name="c")
-    model.add_var("x.a.1", 0, 1, True)
+    model.add_vars(["x.a.1"], 0, 1, True)
     text = export_mps(model)
     with_comments = text.replace("NAME c", "* leading comment\nNAME c")
     assert models_structurally_equal(import_mps(with_comments), model)
@@ -197,13 +217,15 @@ NOT_FINITE = "line [0-9]+: .* is not a finite number"
     ("rhs r1 4.0", "rhs obj inf", NOT_FINITE),
     ("ENDATA", "BOUNDS\n UP bnd x.a.1 nan\nENDATA", NOT_FINITE),
     (" G r2", " G r2\n L", "line 6: a row is a type and a name"),
+    (" G r2", " G r2\n E r1", "line 6: row r1 declared twice"),
     ("ENDATA", "BOUNDS\n UP bnd\nENDATA", "line 11: UP bound without a column or value"),
     ("ENDATA", "BOUNDS\n UP bnd x.a.1\nENDATA", "line 11: UP bound without a column or value"),
     ("ENDATA", "BOUNDS\n UP bnd w.a.1 3\nENDATA", "line 11: bound on undeclared column w.a.1"),
     ("rhs r1 4.0", "rhs r1", "line 9: odd row/value tokens"),
+    ("ENDATA", "BOUNDS\n XX bnd x.a.1 3\nENDATA", "line 11: unknown bound type XX"),
 ], ids=["coefficient-nan", "coefficient-inf", "rhs-nan", "rhs-inf", "objective-rhs-inf",
-        "bound-nan", "row-without-name", "bound-without-column", "bound-without-value",
-        "bound-on-undeclared-column", "rhs-without-value"])
+        "bound-nan", "row-without-name", "row-declared-twice", "bound-without-column", "bound-without-value",
+        "bound-on-undeclared-column", "rhs-without-value", "unknown-bound-type"])
 def test_nan_anywhere_and_infinity_outside_a_bound_are_parse_errors(old, new, match):
     """So are malformed lines: each names its line, none is a traceback or
     dropped."""

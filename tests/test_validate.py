@@ -150,6 +150,15 @@ def test_schedule_document_flags_and_dispatch_are_typed(key, series):
         Schedule.from_document({"n_steps": 2, key: {"x": series}})
 
 
+@pytest.mark.parametrize("doc", [
+    {"n_steps": 8.5}, {"n_steps": True}, {"n_steps": 0}, {"n_steps": "8"}, {}, [],
+], ids=["fraction", "boolean", "zero", "string", "missing", "not-an-object"])
+def test_schedule_document_step_count_is_a_positive_integer(doc):
+    """``8.5`` once loaded as 8 steps and ``true`` as 1."""
+    with pytest.raises(ValueError, match="n_steps|JSON object"):
+        Schedule.from_document(doc)
+
+
 def test_report_serializes(toy_cases, toy_enum):
     report = validate(toy_cases["toy_t5"], toy_enum["toy_t5"].schedule)
     doc = report.to_document()
