@@ -7,35 +7,18 @@ canonical document with one axis changed, so runs are independent and
 reproducible; rows of a sweep CSV are generators (plus the average), and
 columns are the axis values.
 
-Sweeps run on one process pool per process, started (POSIX ``fork``) at
-the first sweep and kept for every later one, so a pool worker and the
-solver host it forks pay their start-up (the fork, scipy's import) once
-per process, not once per sweep. The pool is reused while its key holds:
-the worker count ``min(workers, len(values))``, the owner's pid, the
-environment and the working directory, which the workers took at their
-fork and which decide ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR``,
-and while every worker is alive. Otherwise it is shut down, waiting for
-its workers, and replaced.
-
-- A pool that fails (a worker died, or the caller was interrupted) is
-  dropped; so is one whose worker died between sweeps (an OOM kill, or a
-  Ctrl-C at a terminal, which reaches idle workers too). The next sweep
-  starts a fresh one.
-- A forked child never uses its parent's pool; it starts its own.
-- Idle workers exit when their owner is gone. The pool is shut down at
-  exit, or by ``stop_sweep_pool()``; its workers' hosts exit with them.
-- Between sweeps the pool keeps two threads in the caller, its manager and
-  its queue feeder; ``solvers.external`` says why its solver host may
-  still be forked beside them.
+Each scenario is solved on one of this process's solver hosts
+(``solvers.external``): the caller applies the axis value, and the host
+encodes, solves, decodes and validates, none of it weakened by the move.
+A sweep spreads its scenarios over ``min(workers, len(values))`` hosts,
+which stay for every later solve and sweep of the process, so a host pays
+its start-up (the fork, the HiGHS import) once per process, not once per
+sweep. A host that dies or times out fails only its own scenario, as an
+``error`` row, and the next request forks a fresh one.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import functools
-import os
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +27,7 @@ from .caseio import case_to_document, load_case
 from .devices import system_power
 from .grid import GridCase
 from .schedule import Schedule
+from .solvers.external import solve_on_hosts
 
 NEVER = "never"
 
@@ -136,6 +120,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}; expected one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("sweep needs at least one axis value")
+        if self.backend not in solvers.BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; "
+                             f"expected one of {solvers.BACKENDS}")
         if self.workers < 1:
             raise ValueError(f"sweep needs at least one worker, got {self.workers}")
         if self.axis == "fc_capacity" and not self.case.fuel_cells:
@@ -144,12 +131,17 @@ class SweepSpec:
             raise ValueError(f"{self.axis} sweep needs at least one battery in the case")
         n_devices = len(self.case.fuel_cells) + len(self.case.batteries)
         if self.axis == "resource_location":
+            buses = {b.id for b in self.case.buses}
             for v in self.values:
                 if not isinstance(v, (list, tuple)) or len(v) != n_devices:
                     raise ValueError(
                         "resource_location values must list one bus per fuel cell "
                         f"and battery ({n_devices} entries), got {v!r}"
                     )
+                unknown = [bus for bus in v if bus not in buses]
+                if unknown:
+                    raise ValueError(f"resource_location value {_value_label(v)} names "
+                                     f"buses the case lacks: {unknown}")
 
 
 @dataclass
@@ -215,17 +207,35 @@ def apply_axis_value(case: GridCase, axis: str, value) -> GridCase:
     return load_case(doc)
 
 
-def _run_scenario(base: GridCase, axis: str, value, backend: str,
-                  solver_command: str | None, enum_cap: int) -> SweepRow:
-    step = "apply_axis_value"
-    try:
-        case = apply_axis_value(base, axis, value)
-        step = "solve"
-        result = solvers.solve(case, backend, solver_command=solver_command,
-                               enum_cap=enum_cap)
-    except Exception as exc:
+def sweep(spec: SweepSpec) -> SweepResult:
+    """Solve one scenario per axis value, on ``min(spec.workers,
+    len(spec.values))`` of this process's solver hosts at once; failures
+    land in the row, not raised.
+
+    A value that does not apply, or whose solve raised, is an ``error`` row
+    that says where; so is one whose host died or timed out. Any other
+    exception, ``KeyboardInterrupt`` included, is raised once the busy
+    hosts are killed.
+    """
+    rows: dict[int, SweepRow] = {}
+    cases: dict[int, GridCase] = {}
+    for i, value in enumerate(spec.values):
+        try:
+            cases[i] = apply_axis_value(spec.case, spec.axis, value)
+        except Exception as exc:
+            rows[i] = SweepRow(value=value, status="error",
+                               message=f"apply_axis_value: {type(exc).__name__}: {exc}")
+    results = solve_on_hosts(list(cases.values()), spec.workers, backend=spec.backend,
+                             command=spec.solver_command, enum_cap=spec.enum_cap)
+    for (i, case), result in zip(cases.items(), results):
+        rows[i] = _scenario_row(spec.values[i], case, result)
+    return SweepResult(axis=spec.axis, rows=[rows[i] for i in range(len(spec.values))])
+
+
+def _scenario_row(value, case: GridCase, result: solvers.SolveResult | Exception) -> SweepRow:
+    if isinstance(result, Exception):
         return SweepRow(value=value, status="error",
-                        message=f"{step}: {type(exc).__name__}: {exc}")
+                        message=f"solve: {type(result).__name__}: {result}")
     if not result.ok or result.schedule is None:
         return SweepRow(value=value, status=result.status, message=result.message,
                         stats=result.stats)
@@ -238,113 +248,6 @@ def _run_scenario(base: GridCase, axis: str, value, backend: str,
         objective=result.objective,
         stats=result.stats,
     )
-
-
-def sweep(spec: SweepSpec) -> SweepResult:
-    """Solve one scenario per axis value on this process's sweep pool of
-    ``min(spec.workers, len(spec.values))`` processes; failures land in the
-    row, not raised.
-
-    A scenario the pool lost (a worker that died, say) is an ``error`` row
-    whose message starts with ``pool:``, and the next sweep replaces the
-    pool. Any other exception out of the pool, ``KeyboardInterrupt``
-    included, drops the pool and is raised.
-    """
-    scenario = functools.partial(
-        _run_scenario, spec.case, spec.axis,
-        backend=spec.backend, solver_command=spec.solver_command, enum_cap=spec.enum_cap,
-    )
-    pool = _sweep_pool(min(spec.workers, len(spec.values)))
-    try:
-        futures = [pool.submit(scenario, value) for value in spec.values]
-        rows = [_pool_row(future, value) for future, value in zip(futures, spec.values)]
-    except BaseException:
-        stop_sweep_pool()
-        raise
-    return SweepResult(axis=spec.axis, rows=rows)
-
-
-def _pool_row(future: concurrent.futures.Future, value) -> SweepRow:
-    """The scenario's row; ``_run_scenario`` catches its own failures, so an
-    exception here is the pool's."""
-    try:
-        return future.result()
-    except Exception as exc:
-        return SweepRow(value=value, status="error",
-                        message=f"pool: {type(exc).__name__}: {exc}")
-
-
-# This process's sweep pool and the key it was started under (module docstring).
-_pool: concurrent.futures.ProcessPoolExecutor | None = None
-_pool_key: tuple = ()
-
-
-def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    """This process's sweep pool; a new one if the key changed or a worker died."""
-    global _pool, _pool_key
-    key = (workers, os.getpid(), dict(os.environ), os.getcwd())
-    if _pool is None or _pool_key != key or not _serving(_pool):
-        import multiprocessing
-
-        stop_sweep_pool()
-        _pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(os.getpid(), workers))
-        _pool_key = key
-    return _pool
-
-
-def _serving(pool: concurrent.futures.ProcessPoolExecutor) -> bool:
-    """Whether every worker of the pool is alive: its manager thread marks
-    it broken once it sees a worker gone, and polling each worker catches
-    one that died before the manager looked."""
-    return not pool._broken and all(p.is_alive() for p in pool._processes.values())
-
-
-def _start_worker(owner: int, workers: int) -> None:
-    """Pool initializer: record ``workers``, the pool's size, as the number
-    of solver hosts that solve at once, which the host this worker forks
-    inherits and divides the CPUs by. Then, once every
-    ``external.OWNER_CHECK_S`` (a SIGALRM timer, which a forked host does
-    not inherit), exit if ``owner`` is no longer this worker's parent, so
-    that a killed owner leaves no idle worker behind. The worker's host
-    then exits too."""
-    solvers.external._hosts_at_once = workers
-
-    def check(signum, frame) -> None:
-        if os.getppid() != owner:
-            os._exit(1)
-
-    signal.signal(signal.SIGALRM, check)
-    check_s = solvers.external.OWNER_CHECK_S
-    signal.setitimer(signal.ITIMER_REAL, check_s, check_s)
-
-
-def stop_sweep_pool() -> None:
-    """Shut this process's sweep pool down, if it has one, and wait for its
-    workers, whose solver hosts exit with them; the next sweep starts a new pool."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _forget_inherited_pool() -> None:
-    """In a forked child: the parent's pool is not this process's to use or
-    shut down, and its workers are not this process's children."""
-    global _pool
-    if _pool is not None:
-        import multiprocessing.process
-
-        _pool = None
-        multiprocessing.process._children.clear()
-
-
-os.register_at_fork(after_in_child=_forget_inherited_pool)
-# concurrent.futures joins the pool's workers at exit but keeps the pool
-# object; freed later, among half-torn-down modules, it prints an ignored
-# AttributeError from its weakref callback.
-atexit.register(stop_sweep_pool)
 
 
 def _cell(minutes: float | None) -> str:

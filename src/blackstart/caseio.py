@@ -94,6 +94,9 @@ def load_case(document: dict | str | Path) -> GridCase:
             {"id", "bus", "p_max", "p_crank", "ramp_minutes"},
             {"crank_minutes", "earliest_start_minutes", "latest_start_minutes", "black_start"},
         )
+        black_start = g.get("black_start")
+        if black_start is not None and not isinstance(black_start, bool):
+            raise CaseError(f"{path}.black_start: expected true or false, got {black_start!r}")
         crank_minutes = g.get("crank_minutes")
         if crank_minutes is None:
             crank_steps = DEFAULT_GEN_CRANK_STEPS
@@ -114,7 +117,7 @@ def load_case(document: dict | str | Path) -> GridCase:
                                       g.get("earliest_start_minutes"), step_minutes, default=2),
                 start_max=_start_step(path + ".latest_start_minutes",
                                       g.get("latest_start_minutes"), step_minutes, default=n_steps),
-                is_black_start=bool(g.get("black_start", False)),
+                is_black_start=bool(black_start),
             )
         )
 

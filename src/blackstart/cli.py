@@ -132,8 +132,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """One sweep per ``--axis``, all on this process's sweep pool; every spec
-    is checked before the first scenario runs."""
+    """One sweep per ``--axis``, all on this process's solver hosts; every
+    spec is checked before the first scenario runs."""
     case = _load(args.case)
     try:
         if len(args.values) != len(args.axis) or len(set(args.axis)) != len(args.axis):

@@ -1,76 +1,61 @@
-"""Solve a model with HiGHS on a forked solver host, or with a configured solver command.
+"""Solve a case on a forked solver host, with HiGHS or a configured solver command.
 
-By default (no command given and BLACKSTART_SOLVER_CMD unset) the bundled
-HiGHS front end, ``highs_cli.solve_model`` (an exact reduction of the
-model, HiGHS with its presolve off, and a postsolve checked against the
-full model), runs on a solver host: one long-lived child per process,
-forked from it (POSIX ``fork``) at its first default solve. The host imports
-numpy and loads scipy's HiGHS binding once (never ``scipy.optimize``), and
-then serves every later solve of that process; each request is the model as
-flat arrays (``MilpModel.arrays()``) over a pipe, so no file is written, no
-second interpreter starts, and neither numpy nor scipy enters the calling
-process.
+Every ``solve_external`` call and every sweep scenario runs on a solver
+host, a long-lived child forked from its owner (POSIX ``fork``), the only
+kind of child process the package starts. A request is one whole solve,
+``(case, backend, solver_command, enum_cap, timeout_s, threads)``, over a
+duplex pipe. The host runs the pipeline (``_solve_here``): encode, the
+heuristic start, HiGHS or the solver command, decode and validate, or
+``solve_enumeration``. It replies with the ``SolveResult``, or with the
+exception the pipeline raised (``EncodingError``, ``EnumerationCapError``),
+which the owner raises again. The host loads numpy and scipy's HiGHS
+binding (never ``scipy.optimize``) at its first HiGHS solve and keeps them,
+so neither enters the owner.
 
-Each request also carries a start for HiGHS: the oracle's
-``enumeration.greedy_schedule`` (the best of a few decision sets, each
-simulated from the device semantics) as a point in ``model.names`` order, by
-``milp.point_from_schedule``, or None where the heuristic finds no
-schedule. It only spares HiGHS the search for a first incumbent: HiGHS
-checks it, and what HiGHS returns is postsolved, checked, decoded,
-re-simulated and validated as any answer is.
+HiGHS starts from the oracle's ``enumeration.greedy_schedule`` as a point
+in ``model.names`` order (none where the heuristic finds no schedule). It
+only spares HiGHS the search for a first incumbent: HiGHS checks it, and
+its answer is postsolved, checked, decoded, re-simulated and validated as
+any answer is.
 
-- A forked child of the owner (a sweep's pool worker, say) never uses its
-  parent's host; it forks its own at its first solve.
-- A host that dies, outlives ``timeout_s`` or is in use when the caller is
-  interrupted is reaped (killed if need be) and the solve fails with the
-  cause; the next solve forks a fresh host.
-- The host ignores SIGINT, leaving Ctrl-C to its owner. It is a daemon
-  process, so multiprocessing's exit handler terminates and reaps it when
-  its owner exits. When its owner dies, an idle host reads EOF; a busy
-  one is stopped by its own thread, which checks every ``OWNER_CHECK_S``
-  that its parent is still the owner (a signal handler would wait for
-  HiGHS to return; HiGHS releases the GIL, so the thread runs beside it).
-  A sweep pool worker uses a SIGALRM timer instead: it forks its host,
-  and a thread would be one more at that fork.
-- The host gives HiGHS its share of the usable CPUs as threads,
-  ``max(1, usable CPUs // hosts solving at once)``: one host for a plain
-  process, the pool's size for a sweep pool worker's host. HiGHS's own
-  default, half the machine's CPUs, is one thread on two CPUs, and then
-  the root's analytic centre, a task HiGHS queues for another thread, runs
-  serially. HiGHS's thread scheduler is global to a process, and a forked
-  host inherits its owner's without the owner's threads, so the host
-  resets it right after importing ``highs_cli``. ``highs_cli.solve_mps_file``
-  keeps the default: it runs in its caller's process, whose scheduler
-  other HiGHS calls there share, and it cannot know how many solves run
-  beside it.
+A process keeps its hosts in slots. ``solve_external`` uses the first;
+``solve_on_hosts`` (a sweep) spreads its cases over the first
+``min(hosts, cases)`` and waits on their pipes. The owner starts no thread.
 
-The host serves one request at a time, so a process solves from one
-thread. As with any ``fork``, the host starts with only the thread that
-forked it, and a lock another thread held at that moment stays held in
-the host forever. One such fork is certain: after a sweep, the sweep pool
-(``analysis``) keeps its manager thread and its queue-feeder thread
-running in the caller, so a later first default solve forks its host
-beside them. The host cannot block on their locks. ``_serve`` touches
-only its own pipe, ``resource``, ``signal``, ``threading`` and the
-import of ``highs_cli`` (Python resets the import and ``threading``
-locks in a forked child), never the pool's queues; and dropping the
-inherited pool at the fork takes only the pool's shutdown lock, which an
-idle pool's threads do not hold (its manager takes it only while a
-worker exits or the pool shuts down, its feeder only on a pickling
-error). Other threads of the caller's own are its risk, once per
-process, at the first default solve.
+- Hosts are replaced when the owner's pid, environment or working
+  directory differs from the one at their fork (these decide
+  ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR`` for a solver
+  command). A forked child drops its parent's hosts at the fork.
+- A host that dies, outlives ``timeout_s`` or is busy when the caller is
+  interrupted is reaped (killed if need be) and only its own case fails,
+  with the cause; the next request to its slot forks a fresh host, as one
+  to a host that died idle does.
+- A host is its own process group, so killing the group kills the solver
+  command it runs too, and it ignores SIGINT, leaving Ctrl-C to its owner.
+  multiprocessing's exit handler terminates it when its owner exits. When
+  its owner dies, an idle host reads EOF; a busy one is killed, with its
+  group, by its own thread, which checks every ``OWNER_CHECK_S`` that its
+  parent is still the owner (HiGHS releases the GIL, so the thread runs
+  beside it, where a signal handler would wait for HiGHS to return).
+- Each request carries its host's share of the usable CPUs as HiGHS
+  threads, ``max(1, usable CPUs // hosts solving at once)``. HiGHS's own
+  default, half the CPUs, is one thread on two, and then the root's
+  analytic centre runs serially. HiGHS's thread scheduler is global to a
+  process and fails a solve with another thread count than its own, and a
+  forked host inherits its owner's without the owner's threads, so a host
+  resets it whenever the share changes (``_serve``).
+  ``highs_cli.solve_mps_file`` keeps HiGHS's default.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
-placeholders; the model goes out as an MPS file, unreduced, in the
-paper's form and with no start, and the solution comes back as a document of
-whitespace-separated ``name value`` lines, where ``#`` starts a comment,
-unknown or repeated names and non-finite values are an error, missing
-variables default to 0, and a single ``=infeasible=`` line marks a
-proven-infeasible model.
+placeholders; it gets the model as an MPS file, unreduced and with no
+start, and writes whitespace-separated ``name value`` lines, where ``#``
+starts a comment, unknown or repeated names and non-finite values are an
+error, missing variables default to 0, and a single ``=infeasible=`` line
+marks a proven-infeasible model.
 
 Either way the answer is a point, one float per variable in
-``model.names`` order, and its values are never trusted: they are decoded,
-re-simulated and validated in this process before a schedule is reported.
+``model.names`` order, and it is never trusted: the host decodes,
+re-simulates and validates it in full before it reports a schedule.
 """
 
 from __future__ import annotations
@@ -78,7 +63,9 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import signal
 import subprocess
+import sys
 import tempfile
 import time
 from array import array
@@ -91,25 +78,20 @@ from ..milp import DecodeError, MilpModel, decode, encode, point_from_schedule
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
-from .enumeration import greedy_schedule
+from .enumeration import DEFAULT_COMBINATION_CAP, greedy_schedule, solve_enumeration
 from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
 INFEASIBLE_SENTINEL = "=infeasible="
-# How often a solver host, or an idle sweep pool worker, checks that its
-# owner is alive.
+# How often a solver host checks that its owner is alive.
 OWNER_CHECK_S = 1.0
-# How long past ``timeout_s`` the solver host may take (to load HiGHS on
-# its first solve and to stop HiGHS at its time limit) before it is killed.
+# How long past ``timeout_s`` a solver host may take (to load HiGHS on its
+# first solve and to stop HiGHS at its time limit) before it is killed.
 WORKER_GRACE_S = 2.0
-# How many solver hosts solve at once: 1 for a plain process. A sweep pool
-# worker's initializer sets its pool's size here, and the host the worker
-# forks at its first solve inherits it.
-_hosts_at_once = 1
 
 
 def resolve_solver_command(command: str | None = None) -> str | None:
-    """The configured solver command template, or None for the HiGHS solver host."""
+    """The configured solver command template, or None for HiGHS."""
     return command or os.environ.get(ENV_SOLVER_CMD) or None
 
 
@@ -150,23 +132,37 @@ def import_solution(model: MilpModel, text: str) -> array | None:
 
 def solve_external(case: GridCase, command: str | None = None,
                    timeout_s: float = 600.0) -> SolveResult:
-    """Encode, solve (HiGHS solver host or solver command), decode, validate.
+    """Encode, solve (HiGHS or solver command), decode and validate, on this
+    process's first solver host; raises what the pipeline raised there
+    (``EncodingError`` for a case that does not encode).
 
     ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
-    stage reached: encode, solver, decode, validate; for the solver host
-    also start, the heuristic start's; for a solver command also export and
-    import_solution) and ``model`` (vars, int_vars, rows, nnz). The solver
-    host adds ``highs`` (status, message, objective, mip_node_count,
-    mip_gap, mip_dual_bound; reduce_s, time_s, reduced_rows and
-    reduced_cols: the reduction's and HiGHS's seconds and the size of the
-    model HiGHS was handed; threads, the host's share of the CPUs that
-    HiGHS was given; version, HiGHS's; and start_objective, the objective
-    of the start HiGHS was handed, None for none) and ``worker``
+    stage reached: encode, solver, decode, validate; for HiGHS also start,
+    the heuristic start's; for a solver command also export and
+    import_solution), ``model`` (vars, int_vars, rows, nnz) and ``worker``
     (the host's ``pid``, its own peak RSS, ``maxrss_mb``, and ``import_s``,
     the seconds it spent importing HiGHS for this solve: nonzero on a new
-    host's first solve, 0.0 after); a solver command adds
-    ``solver_command`` and ``returncode``.
+    host's first HiGHS solve, 0.0 after). HiGHS adds ``highs`` (status,
+    message, objective, mip_node_count, mip_gap, mip_dual_bound; reduce_s,
+    time_s, reduced_rows and reduced_cols: the reduction's and HiGHS's
+    seconds and the size of the model HiGHS was handed; threads, the
+    host's share of the CPUs that HiGHS was given; version, HiGHS's; and
+    start_objective, the objective of the start HiGHS was handed, None for
+    none); a solver command adds ``solver_command`` and ``returncode``.
     """
+    result, = solve_on_hosts([case], 1, command=command, timeout_s=timeout_s)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _solve_here(case: GridCase, backend: str, command: str | None, enum_cap: int,
+                timeout_s: float, threads: int) -> SolveResult:
+    """One request's pipeline, as a host runs it: ``solve_enumeration``, or
+    encode, solve (HiGHS from the heuristic start, or the solver command),
+    decode and validate."""
+    if backend == "enum":
+        return solve_enumeration(case, cap=enum_cap)
     t0 = time.perf_counter()
     stages: dict[str, float] = {}
     stats: dict = {"stages": stages}
@@ -184,7 +180,7 @@ def solve_external(case: GridCase, command: str | None = None,
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_on_host(model, start, timeout_s, stats)
+                x = _solve_with_highs(model, start, timeout_s, threads, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -222,19 +218,41 @@ class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-class _SolverHost:
-    """A child forked from its owner that imports HiGHS once and serves
-    solves over a duplex pipe; ``owner`` is the pid of the process that
-    forked it, the only one that may use it."""
+def _solve_with_highs(model: MilpModel, start: array | None, timeout_s: float, threads: int,
+                      stats: dict) -> list[float] | None:
+    """``highs_cli.solve_model`` in this process, with ``threads`` threads:
+    the point, or None for a proven-infeasible model."""
+    from . import highs_cli
 
-    def __init__(self) -> None:
+    try:
+        status, x, info = highs_cli.solve_model(model.arrays(), time_limit=timeout_s,
+                                                threads=threads, start=start)
+    except Exception as exc:
+        raise _SolverFailed(f"no optimum from HiGHS: {type(exc).__name__}: {exc}") from exc
+    stats["highs"] = info
+    if status == INFEASIBLE:
+        return None
+    if status != OPTIMAL:
+        raise _SolverFailed(f"no optimum from HiGHS: {info.get('message')}")
+    if x is None or len(x) != len(model.names):
+        raise _SolverFailed(f"HiGHS returned {'no' if x is None else len(x)} values "
+                            f"for {len(model.names)} variables")
+    return [float(v) for v in x]
+
+
+class _SolverHost:
+    """A child forked from this process that serves whole solves over a
+    duplex pipe until the pipe closes; ``key`` is the owner's pid,
+    environment and working directory at the fork."""
+
+    def __init__(self, key: tuple) -> None:
         import multiprocessing  # here, not at the top: it costs `import blackstart` ~15 ms
 
         ctx = multiprocessing.get_context("fork")
+        self.key = key
         self.conn, host_end = ctx.Pipe()
-        self.owner = os.getpid()
-        self.process = ctx.Process(target=_serve, args=(host_end, self.conn, self.owner),
-                                   name="blackstart-highs", daemon=True)
+        self.process = ctx.Process(target=_serve, args=(host_end, self.conn, os.getpid()),
+                                   name="blackstart-host", daemon=True)
         try:
             self.process.start()
         except OSError:
@@ -248,157 +266,208 @@ class _SolverHost:
         if it is still running ``WORKER_GRACE_S`` later; returns its exit code."""
         self.conn.close()
         if kill:
-            self.process.kill()
+            self._kill()
         self.process.join(WORKER_GRACE_S)
         if self.process.exitcode is None:
-            self.process.kill()
+            self._kill()
             self.process.join()
         return self.process.exitcode
 
+    def _kill(self) -> None:
+        """SIGKILL the host's process group: the host and any solver command it runs."""
+        if self.process.exitcode is None:  # not reaped, so the pid is still the host's
+            try:
+                os.killpg(self.process.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the host has not made its group yet
+                self.process.kill()
 
-_host: _SolverHost | None = None
+
+# This process's solver hosts by slot; a slot whose host is gone has none.
+_hosts: dict[int, _SolverHost] = {}
 
 
 def stop_solver_host() -> None:
-    """Kill and reap this process's solver host, if it has one; the next
-    default solve forks a new one."""
-    global _host
-    host, _host = _host, None
-    if host is not None and host.owner == os.getpid():
+    """Kill and reap this process's solver hosts; the next solve forks new ones."""
+    hosts = list(_hosts.values())
+    _hosts.clear()
+    for host in hosts:
         host.stop(kill=True)
 
 
-def _forget_inherited_host() -> None:
-    """In a forked child: the parent's host is not this process's to use.
+def _forget_inherited_hosts() -> None:
+    """In a forked child: the parent's hosts are not this process's to use.
 
-    Closing the inherited pipe end keeps the parent's death visible to its
-    host as EOF. Dropping the host from multiprocessing's child set keeps
-    this process's exit handler from terminating the parent's host.
+    Closing the inherited pipe ends keeps the parent's death visible to its
+    hosts as EOF. Dropping the hosts from multiprocessing's child set keeps
+    this process's exit handler from terminating them.
     """
-    global _host
-    host, _host = _host, None
-    if host is not None:
+    hosts = list(_hosts.values())
+    _hosts.clear()
+    if hosts:
         import multiprocessing.process
 
-        host.conn.close()
-        multiprocessing.process._children.discard(host.process)
+        for host in hosts:
+            host.conn.close()
+            multiprocessing.process._children.discard(host.process)
 
 
-os.register_at_fork(after_in_child=_forget_inherited_host)
+os.register_at_fork(after_in_child=_forget_inherited_hosts)
 
 
-def _solve_on_host(model: MilpModel, start: array | None, timeout_s: float, stats: dict
-                   ) -> list[float] | None:
-    """Solve with ``highs_cli.solve_model`` on this process's solver host.
-
-    Returns the point the host replied with, or None for a proven-infeasible
-    model. The request is ``model.arrays()`` and ``start``; the reply is the
-    status, the values, HiGHS's info, the host's peak RSS and its import
-    seconds. A host that times out, or any exception while it is in use,
-    kills it; a host that died is reaped and its exit code reported. Either
-    way the next solve forks a fresh one.
-    """
-    global _host
-    if _host is None or _host.owner != os.getpid():
-        try:
-            _host = _SolverHost()
-        except OSError as exc:
-            raise _SolverFailed(f"solver host did not start: {exc}") from exc
-    host = _host
-    worker = stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None, "import_s": None}
-    request = (model.arrays(), start, timeout_s)
-    try:
-        host.conn.send(request)
-        if not host.conn.poll(timeout_s + WORKER_GRACE_S):
-            raise _SolverFailed(f"solver host timed out after {timeout_s:g} s")
-        status, x, info, worker["maxrss_mb"], worker["import_s"] = host.conn.recv()
-    except (EOFError, OSError):  # the host died: EOF on recv, a broken pipe on send
-        _host = None
-        code = host.stop(kill=False)
-        raise _SolverFailed(f"solver host exited with code {code} before replying") from None
-    except BaseException:  # a timeout, or the caller interrupted: the host may be mid-solve
-        _host = None
+def _host(slot: int, key: tuple) -> _SolverHost:
+    """The live host in ``slot``, forked now if the slot is empty, its host
+    died since its last reply, or its host was forked under another key."""
+    host = _hosts.get(slot)
+    if host is not None and (host.key != key or not host.process.is_alive()):
+        del _hosts[slot]
         host.stop(kill=True)
+    if slot not in _hosts:
+        _hosts[slot] = _SolverHost(key)
+    return _hosts[slot]
+
+
+def solve_on_hosts(cases: list[GridCase], hosts: int, backend: str = "external",
+                   command: str | None = None, enum_cap: int = DEFAULT_COMBINATION_CAP,
+                   timeout_s: float = 600.0) -> list[SolveResult | Exception]:
+    """Solve each case on one of this process's first ``min(hosts,
+    len(cases))`` solver hosts, each host taking the next case as it comes
+    free; returns each case's ``SolveResult``, or the exception its
+    pipeline raised.
+
+    A host that does not start, dies or outlives ``timeout_s`` makes its
+    case an ERROR result that names the cause. Any exception here,
+    ``KeyboardInterrupt`` included, kills the busy hosts and is raised.
+    Either way the next request to the slot forks a fresh host.
+    """
+    from multiprocessing.connection import wait
+
+    n = min(hosts, len(cases))
+    request = (backend, command, enum_cap, timeout_s, _highs_threads(n))
+    key = (os.getpid(), dict(os.environ), os.getcwd())
+    results: list = [None] * len(cases)
+    todo = iter(range(len(cases)))
+    busy: dict[int, tuple[int, float]] = {}  # slot -> its case's index, when it was sent
+    try:
+        while True:
+            for slot in set(range(n)) - set(busy):
+                for index in todo:  # the slot's next case, past any whose host failed
+                    busy[slot] = index, time.perf_counter()
+                    try:
+                        _host(slot, key).conn.send((cases[index], *request))
+                        break
+                    except OSError as exc:  # no fork, or the host died since its last reply
+                        results[index] = _lose_host(slot, busy.pop(slot), kill=False,
+                                                    why=f"solver host failed: {exc}")
+            if not busy:
+                return results
+            oldest = min(sent for _, sent in busy.values())
+            ready = wait([_hosts[slot].conn for slot in busy],
+                         max(0.0, oldest + timeout_s + WORKER_GRACE_S - time.perf_counter()))
+            for slot, (index, sent) in list(busy.items()):
+                if _hosts[slot].conn in ready:
+                    try:
+                        results[index] = _hosts[slot].conn.recv()
+                    except (EOFError, OSError):  # the host died
+                        results[index] = _lose_host(slot, busy[slot], kill=False)
+                    del busy[slot]
+                elif time.perf_counter() > sent + timeout_s + WORKER_GRACE_S:
+                    results[index] = _lose_host(slot, busy.pop(slot), kill=True,
+                                                why=f"solver host timed out after {timeout_s:g} s")
+    except BaseException:
+        for slot, job in busy.items():
+            _lose_host(slot, job, kill=True)
         raise
 
-    stats["highs"] = info
-    if status == INFEASIBLE:
-        return None
-    if status != OPTIMAL:
-        raise _SolverFailed(f"no optimum from the solver host: {info.get('message')}")
-    if x is None or len(x) != len(model.names):
-        raise _SolverFailed(f"solver host returned {'no' if x is None else len(x)} values "
-                            f"for {len(model.names)} variables")
-    return x
+
+def _lose_host(slot: int, job: tuple[int, float], kill: bool, why: str | None = None
+               ) -> SolveResult:
+    """Reap the host in ``slot``, if any, killing it first if ``kill``, and
+    empty the slot; an ERROR result for its ``job`` (the case's index and
+    when it was sent), saying ``why`` or else the host's exit code."""
+    host = _hosts.pop(slot, None)
+    stats: dict = {"wall_time_s": time.perf_counter() - job[1]}
+    if host is not None:
+        code = host.stop(kill)
+        why = why or f"solver host exited with code {code} before replying"
+        stats["worker"] = {"pid": host.process.pid, "maxrss_mb": None, "import_s": None}
+    return SolveResult(ERROR, message=why, stats=stats)
 
 
-def _highs_threads() -> int:
-    """The solver host's share of the usable CPUs: ``max(1, usable CPUs //
-    hosts solving at once)``, where the CPUs are this process's affinity
-    set (``os.cpu_count()`` where there is none)."""
+def _highs_threads(hosts: int) -> int:
+    """A host's share of the usable CPUs: ``max(1, usable CPUs // hosts)``,
+    where the CPUs are this process's affinity set (``os.cpu_count()``
+    where there is none)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, cpus // _hosts_at_once)
+    return max(1, cpus // max(1, hosts))
 
 
 def _serve(conn, owner_end, owner: int) -> None:
-    """The solver host's loop: answer each ``(arrays, start, timeout_s)`` request with
-    ``(status, x, info, maxrss_mb, import_s)`` until the owner's end of the
-    pipe closes or ``owner`` is no longer this process's parent;
-    ``import_s`` is the seconds this request spent importing ``highs_cli``,
-    0.0 once it has been imported.
+    """The solver host's loop: answer each request with ``_solve_here``'s
+    ``SolveResult``, its ``stats["worker"]`` filled in, or with the
+    exception it raised, until the owner's end of the pipe closes.
 
-    Right after the import the host resets the HiGHS thread scheduler it
-    inherited from its owner and gives HiGHS ``_highs_threads()`` threads;
-    then it starts the thread that exits the host once its owner is gone.
+    Before a request for HiGHS, and before any request once HiGHS is loaded
+    (the owner may have loaded it before the fork), the host imports
+    ``highs_cli`` if it has not and resets the HiGHS thread scheduler if
+    the request's thread share differs from the one it last reset to; a
+    failure there is the request's cause, and the next request tries
+    again. Then, once, it starts the thread that kills the host once its
+    owner is gone: started before the first reset, that thread made every
+    solve fail ("Invalid argument") on a host forked after an in-process
+    HiGHS solve.
     """
     import resource
-    import signal
     import threading
 
     owner_end.close()  # so that the owner's death reads as EOF here
+    os.setpgid(0, 0)  # so that killing the host's group kills its solver command too
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
-    highs_cli = threads = None
+    highs_cli = threads_now = watchdog = None
     try:
         while True:
-            arrays, start, timeout_s = conn.recv()
+            request = conn.recv()
+            _, backend, command, _, _, threads = request
             import_s = 0.0
             try:
-                if highs_cli is None:
-                    # inside the try, so that a failed import or reset is
-                    # the solve's cause, and the next request tries again
+                if highs_cli is None and (f"{__package__}.highs_cli" in sys.modules or (
+                        backend == "external" and resolve_solver_command(command) is None)):
                     started = time.perf_counter()
-                    from . import highs_cli as loaded
+                    from . import highs_cli
                     import_s = time.perf_counter() - started
-                    loaded.reset_scheduler()
-                    threads = _highs_threads()
-                    # after the reset, which joins the HiGHS threads the fork
-                    # left: started before it, this thread made every solve
-                    # fail ("Invalid argument") on a host forked after an
-                    # in-process HiGHS solve
-                    threading.Thread(target=_exit_when_orphaned, args=(owner,),
-                                     daemon=True).start()
-                    highs_cli = loaded
-                status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
-                                                        threads=threads, start=start)
-                reply = (status, None if x is None else [float(v) for v in x], info)
-            except Exception as exc:  # reported by the owner as the solve's cause
-                reply = (ERROR, None, {"message": f"{type(exc).__name__}: {exc}"})
-            maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            conn.send((*reply, maxrss_mb, import_s))
+                if highs_cli is not None and threads != threads_now:
+                    highs_cli.reset_scheduler()
+                    threads_now = threads
+            except Exception as exc:
+                reply = SolveResult(ERROR, message="solver host could not load HiGHS: "
+                                                   f"{type(exc).__name__}: {exc}")
+            else:
+                if watchdog is None:
+                    watchdog = threading.Thread(target=_exit_when_orphaned, args=(owner,),
+                                                daemon=True)
+                    watchdog.start()
+                try:
+                    reply = _solve_here(*request)
+                except Exception as exc:  # raised again by the owner
+                    reply = exc
+            if isinstance(reply, SolveResult):
+                maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                reply.stats["worker"] = {"pid": os.getpid(), "maxrss_mb": maxrss_mb,
+                                         "import_s": import_s}
+            conn.send(reply)
     except (EOFError, OSError):
         return  # the owner is gone
 
 
 def _exit_when_orphaned(owner: int) -> None:
-    """Exit this process once ``owner`` is no longer its parent, even while
-    the main thread is inside HiGHS."""
+    """Kill this host's process group, the host and any solver command it
+    runs, once ``owner`` is no longer its parent, even while the main
+    thread is inside HiGHS."""
     while os.getppid() == owner:
         time.sleep(OWNER_CHECK_S)
-    os._exit(1)
-
+    os.killpg(0, signal.SIGKILL)
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,
                         stats: dict) -> array | None:

@@ -29,11 +29,12 @@ one. It is only a hint. HiGHS checks it, and whatever HiGHS returns goes
 through the same postsolve and check; the caller still decodes, re-simulates
 and validates the schedule.
 
-``solve_external`` calls ``solve_model`` on the solver host, the one
-long-lived child each process forks at its first default solve, so that
-process pays the import once; the host gives HiGHS its share of the CPUs
-as threads (``solvers.external`` says how). Importing this module imports
-numpy, so callers that must stay lean import it only where they solve.
+A solver host (``solvers.external``), a long-lived child its owner forks
+at its first solve, calls ``solve_model`` inside the whole pipeline it
+runs for each request, and decodes and validates the answer there, so the
+host pays the import once and HiGHS gets the request's share of the CPUs
+as threads. Importing this module imports numpy, so callers that must stay
+lean import it only where they solve.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an

@@ -92,6 +92,10 @@ def _check_shape(case: GridCase, schedule: Schedule) -> None:
             raise MalformedScheduleError(f"schedule missing battery {b.id}")
         if len(schedule.bat_dispatch[b.id]) != T:
             raise MalformedScheduleError(f"battery {b.id}: dispatch length != horizon")
+        window = schedule.bat_window[b.id]
+        if window is not None and (window[0] > T or window[1] > T + 1):
+            raise MalformedScheduleError(f"battery {b.id}: window {tuple(window)} runs past "
+                                         f"the horizon of {T} steps")
     for bus in case.buses:
         if bus.id not in schedule.bus_on or len(schedule.bus_on[bus.id]) != T:
             raise MalformedScheduleError(f"schedule missing bus flags for {bus.id}")

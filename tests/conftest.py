@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from blackstart import load_case, solve_enumeration, solve_external
-from blackstart.analysis import stop_sweep_pool
 from blackstart.cases import bundled_case_path
 from blackstart.solvers.external import stop_solver_host
 
@@ -29,19 +28,16 @@ def solver_children_import_this_checkout():
 
 @pytest.fixture()
 def fresh_solver_host():
-    """Stop this process's solver host and sweep pool before and after the test.
+    """Stop this process's solver hosts before and after the test.
 
-    The host is forked at the first default solve, and the pool's workers at
-    the first sweep; each keeps the code it was forked with, so a stub
-    patched into ``highs_cli`` reaches it only if it starts after the patch,
-    and must not outlive the test. Stopping both also leaves the test with
-    no live children of this process.
+    A host keeps the code it was forked with, so a stub patched into this
+    process reaches a host only if the host starts after the patch, and
+    must not outlive the test. Stopping them also leaves the test with no
+    live children of this process.
     """
     stop_solver_host()
-    stop_sweep_pool()
     yield
     stop_solver_host()
-    stop_sweep_pool()
 
 
 def load_bundled(name):

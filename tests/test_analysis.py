@@ -165,12 +165,17 @@ def test_sweep_records_scenario_failures_and_continues(toy_cases):
 
 
 def test_sweep_error_row_keeps_the_exception_type(toy_cases):
-    spec = SweepSpec(case=toy_cases["toy_fc"], axis="resource_location",
-                     values=[["nowhere"]], backend="enum")
+    spec = SweepSpec(case=toy_cases["toy_bt"], axis="battery_soc", values=[1.5],
+                     backend="enum")
     row = sweep(spec).rows[0]
     assert row.status == "error"
-    assert row.message.startswith("apply_axis_value: CaseError: ")
-    assert "nowhere" in row.message
+    assert row.message.startswith("apply_axis_value: ValueError: ")
+    assert "1.5" in row.message
+
+
+def test_a_resource_location_on_a_bus_the_case_lacks_is_a_bad_spec(toy_cases):
+    with pytest.raises(ValueError, match=r"names buses the case lacks: \['nowhere'\]"):
+        SweepSpec(case=toy_cases["toy_fc"], axis="resource_location", values=[["nowhere"]])
 
 
 def test_sweep_error_row_names_the_solve_step(toy_cases):
@@ -203,7 +208,7 @@ def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
                 "start_objective"} <= set(row.stats["highs"])
         assert row.stats["highs"]["start_objective"] >= row.objective - 1e-9
         assert row.stats["stages"]["start"] > 0
-    # one pool worker, so one solver host serves both scenarios
+    # one worker, so one solver host serves both scenarios
     assert len({row.stats["worker"]["pid"] for row in one.rows}) == 1
 
 

@@ -97,6 +97,23 @@ def test_a_number_that_is_not_finite_is_a_load_error(path, value):
         load_case(text)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, [], {}])
+def test_black_start_is_a_json_boolean(value):
+    """``"false"`` once loaded as a black-start generator."""
+    doc = doc_variant(bundled_document("toy_t5"), **{"generators.1.black_start": value})
+    with pytest.raises(CaseError, match=r"generators\[1\]\.black_start: expected true or false"):
+        load_case(doc)
+
+
+@pytest.mark.parametrize("value", [False, None, "absent"])
+def test_black_start_false_null_or_absent_is_not_black_start(value):
+    doc = bundled_document("toy_t5")
+    if value != "absent":
+        doc["generators"][1]["black_start"] = value
+    case = load_case(doc)
+    assert [g.is_black_start for g in case.generators] == [True, False, False]
+
+
 def test_load_accepts_json_text_and_path(minimal_two_bus_doc, tmp_path):
     text = json.dumps(minimal_two_bus_doc)
     by_text = load_case(text)

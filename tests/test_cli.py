@@ -182,6 +182,15 @@ def test_sweep_verb_wants_each_axis_once_with_its_values(tmp_path, capsys, pairs
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_verb_rejects_a_location_bus_the_case_lacks(tmp_path, capsys):
+    rc = main(["sweep", "--case", case_arg("ieee39_fc50"), "--axis", "resource_location",
+               "--values", "b6+b16;bZZ+b19", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad sweep spec: ") and "['bZZ']" in err
+    assert not list(tmp_path.iterdir())
+
+
 def horizon_case(tmp_path, minutes):
     """toy_path3 with another horizon: in 40 minutes no unit can finish
     cranking, and Infinity (which ``json`` writes and reads) is no horizon."""
@@ -200,6 +209,7 @@ def stored_schedule(tmp_path, schedule, **edits):
 SCHEDULE_FAULTS = {
     "string-start": ("toy_bt", {"gen_start.g2": "2"}),
     "one-step-window": ("toy_bt", {"bat_window.bt1": [2]}),
+    "window-past-horizon": ("toy_bt", {"bat_window.bt1": [2, 15]}),
     "other-case": ("toy_t5", {}),
     "string-flag": ("toy_bt", {"bus_on.b1.1": "false"}),
     "bool-dispatch": ("toy_bt", {"bat_dispatch.bt1.0": True}),

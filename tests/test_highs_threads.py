@@ -1,7 +1,7 @@
-"""HiGHS threads on the solver host: each host gets its share of the usable
-CPUs, ``max(1, CPUs // hosts solving at once)``, where a plain process has
-one host and a sweep pool one per worker. No test here starts HiGHS with
-more threads than this machine has CPUs."""
+"""HiGHS threads on the solver hosts: each request carries its host's share
+of the usable CPUs, ``max(1, CPUs // hosts solving at once)``, where a
+plain solve has one host and a sweep one per worker. No test here starts
+HiGHS with more threads than this machine has CPUs."""
 
 import json
 import os
@@ -13,6 +13,7 @@ from blackstart.analysis import SweepSpec, sweep
 from blackstart.cases import bundled_case_path
 from blackstart.solvers import external
 
+from conftest import SRC
 from test_solver_host import clean_env, python_script
 
 CPUS = len(os.sched_getaffinity(0))
@@ -24,16 +25,14 @@ IEEE39 = ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"]
 ])
 def test_each_host_gets_its_share_of_the_affinity_set(monkeypatch, cpus, hosts, threads):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(external, "_hosts_at_once", hosts)
-    assert external._highs_threads() == threads
+    assert external._highs_threads(hosts) == threads
 
 
 @pytest.mark.parametrize("count, threads", [(6, 3), (None, 1)])
 def test_without_an_affinity_set_the_cpu_count_is_shared(monkeypatch, count, threads):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    monkeypatch.setattr(external, "_hosts_at_once", 2)
-    assert external._highs_threads() == threads
+    assert external._highs_threads(2) == threads
 
 
 def test_a_default_solve_gives_highs_every_usable_cpu(toy_cases):
@@ -47,10 +46,22 @@ def test_sweep_rows_report_their_hosts_share(toy_cases, fresh_solver_host, worke
     values = [5.0, 10.0, 50.0]
     result = sweep(SweepSpec(case=toy_cases["toy_fc"], axis="fc_capacity",
                              values=values, workers=workers))
-    pool_size = min(workers, len(values))
+    hosts = min(workers, len(values))
     assert [row.status for row in result.rows] == ["optimal"] * len(values)
     assert [row.stats["highs"]["threads"] for row in result.rows] == (
-        [max(1, CPUS // pool_size)] * len(values))
+        [max(1, CPUS // hosts)] * len(values))
+
+
+def test_a_plain_solve_after_a_sweep_gets_every_cpu_again(toy_cases, fresh_solver_host):
+    """The sweep's first host serves the plain solve too, so it resets its
+    HiGHS scheduler from the sweep's share to the whole."""
+    result = sweep(SweepSpec(case=toy_cases["toy_fc"], axis="fc_capacity",
+                             values=[5.0, 10.0], workers=2))
+    assert [row.stats["highs"]["threads"] for row in result.rows] == [max(1, CPUS // 2)] * 2
+    plain = external.solve_external(toy_cases["toy_fc"])
+    assert plain.ok, plain.message
+    assert plain.stats["worker"]["pid"] in {row.stats["worker"]["pid"] for row in result.rows}
+    assert plain.stats["highs"]["threads"] == max(1, CPUS)
 
 
 def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
@@ -73,6 +84,33 @@ def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
         "print(result.status, result.stats.get('highs', {}).get('threads'), result.message)\n"
     )
     proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["optimal", str(max(1, CPUS))]
+
+
+def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_optimal():
+    # The same, where the host's first request is a solver command's, which
+    # needs no HiGHS: the host still drops the inherited scheduler before it
+    # starts its owner watchdog thread.
+    script = python_script(
+        "import os\n"
+        "from blackstart import load_case, solve_external\n"
+        "from blackstart.cases import bundled_case_path\n"
+        "from blackstart.milp import encode\n"
+        "from blackstart.solvers import highs_cli\n"
+        "case = load_case(bundled_case_path('ieee39_bt50'))\n"
+        "threads = min(2, len(os.sched_getaffinity(0)))\n"
+        "status, _, info = highs_cli.solve_model(encode(case).arrays(), threads=threads)\n"
+        "assert status == 'optimal', info\n"
+        "command = f'{sys.executable} -m blackstart.solvers.highs_cli {{mps}} {{sol}}'\n"
+        "first = solve_external(case, command=command, timeout_s=30)\n"
+        "assert first.status == 'optimal', first.message\n"
+        "result = solve_external(case, timeout_s=30)\n"
+        "assert result.stats['worker']['pid'] == first.stats['worker']['pid']\n"
+        "print(result.status, result.stats.get('highs', {}).get('threads'), result.message)\n"
+    )
+    env = {**clean_env(), "PYTHONPATH": str(SRC)}  # for the solver command
+    proc = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[:2] == ["optimal", str(max(1, CPUS))]
 

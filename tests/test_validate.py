@@ -136,6 +136,18 @@ def test_malformed_schedule_raises(toy_cases):
         validate(case, short)
 
 
+@pytest.mark.parametrize("window", [(2, 15), (9, 9), (2, 10)])
+def test_a_battery_window_past_the_horizon_is_malformed(toy_cases, toy_enum, window):
+    """toy_bt has 8 steps, so a window may open at step 8 at the latest and
+    close at step 9, after the horizon."""
+    sched = copy.deepcopy(toy_enum["toy_bt"].schedule)
+    assert sched.bat_window["bt1"] == (2, 9)
+    assert validate(toy_cases["toy_bt"], sched).passed
+    sched.bat_window["bt1"] = window
+    with pytest.raises(MalformedScheduleError, match="bt1: window .* runs past the horizon"):
+        validate(toy_cases["toy_bt"], sched)
+
+
 @pytest.mark.parametrize("key, series", [
     ("bus_on", ["false", 0]),
     ("bus_on", [True, 1]),
