@@ -7,14 +7,12 @@ canonical document with one axis changed, so runs are independent and
 reproducible; rows of a sweep CSV are generators (plus the average), and
 columns are the axis values.
 
-Each scenario is solved on one of this process's solver hosts
-(``solvers.external``): the caller applies the axis value, and the host
-encodes, solves, decodes and validates, none of it weakened by the move.
-A sweep spreads its scenarios over ``min(workers, len(values))`` hosts,
-which stay for every later solve and sweep of the process, so a host pays
-its start-up (the fork, the HiGHS import) once per process, not once per
-sweep. A host that dies or times out fails only its own scenario, as an
-``error`` row, and the next request forks a fresh one.
+The caller applies each axis value; each scenario is encoded, solved,
+decoded and validated, none of it weakened, on one of ``min(workers,
+len(values))`` of this process's solver hosts (``solvers.external``),
+which stay for its later solves and sweeps, so a host's start-up (the
+fork, the HiGHS import) is paid once per process. A host that dies or
+times out fails only its own scenario, as an ``error`` row.
 """
 
 from __future__ import annotations

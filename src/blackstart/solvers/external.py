@@ -1,50 +1,41 @@
 """Solve a case on a forked solver host, with HiGHS or a configured solver command.
 
 Every ``solve_external`` call and every sweep scenario runs on a solver
-host, a long-lived child forked from its owner (POSIX ``fork``), the only
-kind of child process the package starts. A request is one whole solve,
-``(case, backend, solver_command, enum_cap, timeout_s, threads)``, over a
-duplex pipe. The host runs the pipeline (``_solve_here``): encode, the
-heuristic start, HiGHS or the solver command, decode and validate, or
-``solve_enumeration``. It replies with the ``SolveResult``, or with the
-exception the pipeline raised (``EncodingError``, ``EnumerationCapError``),
-which the owner raises again. The host loads numpy and scipy's HiGHS
-binding (never ``scipy.optimize``) at its first HiGHS solve and keeps them,
-so neither enters the owner.
+host, a long-lived child forked from its owner (POSIX ``fork``) and the
+only kind of child process the package starts. A request is one whole
+solve, ``(case, backend, solver_command, enum_cap, timeout_s, threads)``.
+The host runs the pipeline (``_solve_here``): encode, the heuristic start,
+HiGHS or the solver command, decode and validate, or ``solve_enumeration``;
+it replies with the ``SolveResult`` or with the exception the pipeline
+raised (``EncodingError``, ``EnumerationCapError``), which the owner raises
+again. It loads numpy and scipy's HiGHS binding (never ``scipy.optimize``)
+at its first HiGHS solve, so neither enters the owner. HiGHS starts from
+``enumeration.greedy_schedule`` as a point, if the heuristic finds one;
+HiGHS checks it, and the answer is checked and validated as any is.
 
-HiGHS starts from the oracle's ``enumeration.greedy_schedule`` as a point
-in ``model.names`` order (none where the heuristic finds no schedule). It
-only spares HiGHS the search for a first incumbent: HiGHS checks it, and
-its answer is postsolved, checked, decoded, re-simulated and validated as
-any answer is.
-
-A process keeps its hosts in slots. ``solve_external`` uses the first;
-``solve_on_hosts`` (a sweep) spreads its cases over the first
-``min(hosts, cases)`` and waits on their pipes. The owner starts no thread.
+A process keeps its hosts in slots: ``solve_external`` uses the first,
+and ``solve_on_hosts`` (a sweep) spreads its cases over the first
+``min(hosts, cases)``, waiting on their pipes without a thread.
 
 - Hosts are replaced when the owner's pid, environment or working
-  directory differs from the one at their fork (these decide
-  ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and ``TMPDIR`` for a solver
-  command). A forked child drops its parent's hosts at the fork.
-- A host that dies, outlives ``timeout_s`` or is busy when the caller is
-  interrupted is reaped (killed if need be) and only its own case fails,
-  with the cause; the next request to its slot forks a fresh host, as one
-  to a host that died idle does.
-- A host is its own process group, so killing the group kills the solver
-  command it runs too, and it ignores SIGINT, leaving Ctrl-C to its owner.
-  multiprocessing's exit handler terminates it when its owner exits. When
-  its owner dies, an idle host reads EOF; a busy one is killed, with its
-  group, by its own thread, which checks every ``OWNER_CHECK_S`` that its
-  parent is still the owner (HiGHS releases the GIL, so the thread runs
-  beside it, where a signal handler would wait for HiGHS to return).
-- Each request carries its host's share of the usable CPUs as HiGHS
-  threads, ``max(1, usable CPUs // hosts solving at once)``. HiGHS's own
-  default, half the CPUs, is one thread on two, and then the root's
-  analytic centre runs serially. HiGHS's thread scheduler is global to a
-  process and fails a solve with another thread count than its own, and a
-  forked host inherits its owner's without the owner's threads, so a host
-  resets it whenever the share changes (``_serve``).
-  ``highs_cli.solve_mps_file`` keeps HiGHS's default.
+  directory (which decide a solver command's ``$BLACKSTART_SOLVER_CMD``,
+  ``PATH`` and ``TMPDIR``) differs from the one at their fork. A forked
+  child drops its parent's hosts.
+- A host that dies with a case, whose HiGHS solve outlives ``timeout_s``
+  by ``WORKER_GRACE_S``, or that is busy when the owner is interrupted is
+  reaped, killed if need be, and only its own case fails, with the cause;
+  the next request to its slot forks a fresh host. A case whose host died
+  before acknowledging it is sent once more.
+- A host is its own process group, so killing it kills its solver command
+  too, and it ignores SIGINT. multiprocessing's exit handler terminates it
+  when its owner exits. If its owner dies, an idle host reads EOF, and a
+  busy one is killed by its own thread, which checks every
+  ``OWNER_CHECK_S`` that its parent is the owner (HiGHS releases the GIL).
+- Each request carries its host's HiGHS threads, ``max(1, usable CPUs //
+  hosts solving at once)``; HiGHS's default, half the CPUs, runs the
+  root's analytic centre serially on two. HiGHS's scheduler is global to a
+  process, and a forked host inherits its owner's without its threads, so
+  a host resets it whenever the share changes (``_serve``).
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; it gets the model as an MPS file, unreduced and with no
@@ -85,8 +76,8 @@ ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
 INFEASIBLE_SENTINEL = "=infeasible="
 # How often a solver host checks that its owner is alive.
 OWNER_CHECK_S = 1.0
-# How long past ``timeout_s`` a solver host may take (to load HiGHS on its
-# first solve and to stop HiGHS at its time limit) before it is killed.
+# How long past ``timeout_s`` a solver host's HiGHS solve may take (to stop
+# at its time limit) before its owner kills the host.
 WORKER_GRACE_S = 2.0
 
 
@@ -132,23 +123,21 @@ def import_solution(model: MilpModel, text: str) -> array | None:
 
 def solve_external(case: GridCase, command: str | None = None,
                    timeout_s: float = 600.0) -> SolveResult:
-    """Encode, solve (HiGHS or solver command), decode and validate, on this
-    process's first solver host; raises what the pipeline raised there
-    (``EncodingError`` for a case that does not encode).
+    """Encode, solve (HiGHS or the solver command), decode and validate on
+    this process's first solver host; raises what the pipeline raised
+    there (``EncodingError`` for a case that does not encode).
 
-    ``stats`` carries ``wall_time_s``, ``stages`` (seconds spent in each
-    stage reached: encode, solver, decode, validate; for HiGHS also start,
-    the heuristic start's; for a solver command also export and
-    import_solution), ``model`` (vars, int_vars, rows, nnz) and ``worker``
-    (the host's ``pid``, its own peak RSS, ``maxrss_mb``, and ``import_s``,
-    the seconds it spent importing HiGHS for this solve: nonzero on a new
-    host's first HiGHS solve, 0.0 after). HiGHS adds ``highs`` (status,
-    message, objective, mip_node_count, mip_gap, mip_dual_bound; reduce_s,
-    time_s, reduced_rows and reduced_cols: the reduction's and HiGHS's
-    seconds and the size of the model HiGHS was handed; threads, the
-    host's share of the CPUs that HiGHS was given; version, HiGHS's; and
-    start_objective, the objective of the start HiGHS was handed, None for
-    none); a solver command adds ``solver_command`` and ``returncode``.
+    ``stats`` carries ``wall_time_s``; ``stages``, the seconds of each stage
+    reached (encode, solver, decode, validate; HiGHS's start; a command's
+    export and import_solution); ``model`` (vars, int_vars, rows, nnz); and
+    ``worker``: the host's ``pid``, its peak RSS ``maxrss_mb``, and
+    ``import_s``, its seconds importing HiGHS (nonzero only on a new host's
+    first HiGHS solve). HiGHS adds ``highs``: status, message, objective,
+    mip_node_count, mip_gap, mip_dual_bound; reduce_s and time_s, the
+    reduction's and HiGHS's seconds; reduced_rows and reduced_cols, the
+    size of the model HiGHS was handed; threads, its share of the CPUs;
+    HiGHS's version; and start_objective, the start's objective (None for
+    no start). A solver command adds ``solver_command`` and ``returncode``.
     """
     result, = solve_on_hosts([case], 1, command=command, timeout_s=timeout_s)
     if isinstance(result, Exception):
@@ -156,19 +145,17 @@ def solve_external(case: GridCase, command: str | None = None,
     return result
 
 
-def _solve_here(case: GridCase, backend: str, command: str | None, enum_cap: int,
+def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_cap: int,
                 timeout_s: float, threads: int) -> SolveResult:
     """One request's pipeline, as a host runs it: ``solve_enumeration``, or
     encode, solve (HiGHS from the heuristic start, or the solver command),
-    decode and validate."""
+    decode and validate; ``conn`` is the host's end of its owner's pipe."""
     if backend == "enum":
         return solve_enumeration(case, cap=enum_cap)
-    t0 = time.perf_counter()
     stages: dict[str, float] = {}
-    stats: dict = {"stages": stages}
+    stats: dict = {"stages": stages}  # ``wall_time_s`` is the owner's (``solve_on_hosts``)
 
     def finish(status: str, **fields) -> SolveResult:
-        stats["wall_time_s"] = time.perf_counter() - t0
         return SolveResult(status=status, stats=stats, **fields)
 
     with _stage(stages, "encode"):
@@ -180,7 +167,7 @@ def _solve_here(case: GridCase, backend: str, command: str | None, enum_cap: int
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_with_highs(model, start, timeout_s, threads, stats)
+                x = _solve_with_highs(conn, model, start, timeout_s, threads, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -218,17 +205,26 @@ class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-def _solve_with_highs(model: MilpModel, start: array | None, timeout_s: float, threads: int,
-                      stats: dict) -> list[float] | None:
+def _solve_with_highs(conn, model: MilpModel, start: array | None, timeout_s: float,
+                      threads: int, stats: dict) -> list[float] | None:
     """``highs_cli.solve_model`` in this process, with ``threads`` threads:
-    the point, or None for a proven-infeasible model."""
+    the point, or None for a proven-infeasible model.
+
+    The solve is the one stage with a deadline: it is bracketed on ``conn``
+    by the seconds the owner gives it before killing this host and by
+    ``None``, its end (``solve_on_hosts``).
+    """
     from . import highs_cli
 
+    arrays = model.arrays()
+    conn.send(float(timeout_s + WORKER_GRACE_S))
     try:
-        status, x, info = highs_cli.solve_model(model.arrays(), time_limit=timeout_s,
+        status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
                                                 threads=threads, start=start)
     except Exception as exc:
         raise _SolverFailed(f"no optimum from HiGHS: {type(exc).__name__}: {exc}") from exc
+    finally:
+        conn.send(None)
     stats["highs"] = info
     if status == INFEASIBLE:
         return None
@@ -288,19 +284,14 @@ _hosts: dict[int, _SolverHost] = {}
 
 def stop_solver_host() -> None:
     """Kill and reap this process's solver hosts; the next solve forks new ones."""
-    hosts = list(_hosts.values())
-    _hosts.clear()
-    for host in hosts:
-        host.stop(kill=True)
+    while _hosts:
+        _hosts.popitem()[1].stop(kill=True)
 
 
 def _forget_inherited_hosts() -> None:
-    """In a forked child: the parent's hosts are not this process's to use.
-
-    Closing the inherited pipe ends keeps the parent's death visible to its
-    hosts as EOF. Dropping the hosts from multiprocessing's child set keeps
-    this process's exit handler from terminating them.
-    """
+    """In a forked child, drop the parent's hosts: closing their pipe ends
+    keeps the parent's death visible to them as EOF, and dropping them from
+    multiprocessing's child set keeps this process's exit from ending them."""
     hosts = list(_hosts.values())
     _hosts.clear()
     if hosts:
@@ -330,62 +321,92 @@ def solve_on_hosts(cases: list[GridCase], hosts: int, backend: str = "external",
                    command: str | None = None, enum_cap: int = DEFAULT_COMBINATION_CAP,
                    timeout_s: float = 600.0) -> list[SolveResult | Exception]:
     """Solve each case on one of this process's first ``min(hosts,
-    len(cases))`` solver hosts, each host taking the next case as it comes
-    free; returns each case's ``SolveResult``, or the exception its
+    len(cases))`` solver hosts, each taking the next case as it comes free;
+    returns each case's ``SolveResult``, timed here from the first send to
+    the reply (an enumeration keeps its own time), or the exception its
     pipeline raised.
 
-    A host that does not start, dies or outlives ``timeout_s`` makes its
-    case an ERROR result that names the cause. Any exception here,
-    ``KeyboardInterrupt`` included, kills the busy hosts and is raised.
-    Either way the next request to the slot forks a fresh host.
+    A case whose host died before acknowledging it (an idle host killed a
+    moment ago can look alive) is sent once more. A host that does not
+    start, dies with a case, or whose HiGHS solve outlives ``timeout_s`` by
+    ``WORKER_GRACE_S`` makes its case an ERROR result naming the cause; no
+    other stage has a deadline. Any exception, ``KeyboardInterrupt``
+    included, kills the busy hosts and is raised. The next request to a
+    lost host's slot forks a fresh host.
     """
+    from collections import deque
     from multiprocessing.connection import wait
 
     n = min(hosts, len(cases))
     request = (backend, command, enum_cap, timeout_s, _highs_threads(n))
     key = (os.getpid(), dict(os.environ), os.getcwd())
     results: list = [None] * len(cases)
-    todo = iter(range(len(cases)))
-    busy: dict[int, tuple[int, float]] = {}  # slot -> its case's index, when it was sent
+    todo = deque(_Job(index, (case, *request)) for index, case in enumerate(cases))
+    busy: dict[int, _Job] = {}
     try:
         while True:
             for slot in set(range(n)) - set(busy):
-                for index in todo:  # the slot's next case, past any whose host failed
-                    busy[slot] = index, time.perf_counter()
+                while todo and slot not in busy:
+                    job = todo.popleft()
+                    job.sent = job.sent or time.perf_counter()
                     try:
-                        _host(slot, key).conn.send((cases[index], *request))
-                        break
-                    except OSError as exc:  # no fork, or the host died since its last reply
-                        results[index] = _lose_host(slot, busy.pop(slot), kill=False,
-                                                    why=f"solver host failed: {exc}")
+                        host = _host(slot, key)
+                    except OSError as exc:  # no fork
+                        results[job.index] = _lose_host(slot, job, kill=False,
+                                                        why=f"solver host failed: {exc}")
+                        continue
+                    busy[slot] = job
+                    try:
+                        host.conn.send(job.request)
+                    except OSError:  # the host died since its last reply; dead for
+                        host._kill()  # sure, it reads as not having taken the case
             if not busy:
                 return results
-            oldest = min(sent for _, sent in busy.values())
+            deadlines = [job.deadline for job in busy.values() if job.deadline is not None]
             ready = wait([_hosts[slot].conn for slot in busy],
-                         max(0.0, oldest + timeout_s + WORKER_GRACE_S - time.perf_counter()))
-            for slot, (index, sent) in list(busy.items()):
+                         max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None)
+            for slot, job in list(busy.items()):
                 if _hosts[slot].conn in ready:
                     try:
-                        results[index] = _hosts[slot].conn.recv()
+                        reply = _hosts[slot].conn.recv()
                     except (EOFError, OSError):  # the host died
-                        results[index] = _lose_host(slot, busy[slot], kill=False)
-                    del busy[slot]
-                elif time.perf_counter() > sent + timeout_s + WORKER_GRACE_S:
-                    results[index] = _lose_host(slot, busy.pop(slot), kill=True,
-                                                why=f"solver host timed out after {timeout_s:g} s")
+                        if not (job.acknowledged or job.resent):  # before it took the case
+                            _hosts.pop(slot).stop(kill=False)
+                            job.resent = True
+                            todo.appendleft(busy.pop(slot))
+                            continue
+                        reply = _lose_host(slot, job, kill=False)
+                    if reply is None or isinstance(reply, float):
+                        job.acknowledged = True  # and, for a float, in HiGHS
+                        job.deadline = None if reply is None else time.perf_counter() + reply
+                        continue
+                    if isinstance(reply, SolveResult) and backend != "enum":
+                        reply.stats["wall_time_s"] = time.perf_counter() - job.sent
+                    results[busy.pop(slot).index] = reply
+                elif job.deadline is not None and time.perf_counter() > job.deadline:
+                    results[job.index] = _lose_host(slot, busy.pop(slot), kill=True,
+                                                    why=f"solver host timed out after {timeout_s:g} s")
     except BaseException:
         for slot, job in busy.items():
             _lose_host(slot, job, kill=True)
         raise
 
 
-def _lose_host(slot: int, job: tuple[int, float], kill: bool, why: str | None = None
-               ) -> SolveResult:
-    """Reap the host in ``slot``, if any, killing it first if ``kill``, and
-    empty the slot; an ERROR result for its ``job`` (the case's index and
-    when it was sent), saying ``why`` or else the host's exit code."""
+class _Job:
+    """A case's request on its way to a reply; ``deadline`` is when its
+    host's HiGHS solve is due, while it is in one."""
+
+    def __init__(self, index: int, request: tuple) -> None:
+        self.index, self.request = index, request
+        self.sent = self.deadline = None
+        self.acknowledged = self.resent = False
+
+
+def _lose_host(slot: int, job: _Job, kill: bool, why: str | None = None) -> SolveResult:
+    """Empty ``slot``, reaping its host (killed first if ``kill``); an ERROR
+    result for ``job`` that says ``why``, or else the host's exit code."""
     host = _hosts.pop(slot, None)
-    stats: dict = {"wall_time_s": time.perf_counter() - job[1]}
+    stats: dict = {"wall_time_s": time.perf_counter() - job.sent}
     if host is not None:
         code = host.stop(kill)
         why = why or f"solver host exited with code {code} before replying"
@@ -405,22 +426,21 @@ def _highs_threads(hosts: int) -> int:
 
 
 def _serve(conn, owner_end, owner: int) -> None:
-    """The solver host's loop: answer each request with ``_solve_here``'s
-    ``SolveResult``, its ``stats["worker"]`` filled in, or with the
-    exception it raised, until the owner's end of the pipe closes.
+    """The solver host's loop, until the owner's end of the pipe closes:
+    acknowledge each request with ``None``, then answer it with
+    ``_solve_here``'s ``SolveResult``, its ``stats["worker"]`` filled in, or
+    with the exception it raised, its traceback added as a note.
 
-    Before a request for HiGHS, and before any request once HiGHS is loaded
-    (the owner may have loaded it before the fork), the host imports
-    ``highs_cli`` if it has not and resets the HiGHS thread scheduler if
-    the request's thread share differs from the one it last reset to; a
-    failure there is the request's cause, and the next request tries
-    again. Then, once, it starts the thread that kills the host once its
-    owner is gone: started before the first reset, that thread made every
-    solve fail ("Invalid argument") on a host forked after an in-process
-    HiGHS solve.
+    Before a HiGHS request, or any once HiGHS is loaded (the owner may have
+    loaded it before the fork), import ``highs_cli`` and reset its thread
+    scheduler if the share changed; a failure there fails the request.
+    Only then start, once, the thread that kills the host when its owner is
+    gone: started before the first reset, it made every solve fail
+    ("Invalid argument") on a host forked after an in-process HiGHS solve.
     """
     import resource
     import threading
+    import traceback
 
     owner_end.close()  # so that the owner's death reads as EOF here
     os.setpgid(0, 0)  # so that killing the host's group kills its solver command too
@@ -429,6 +449,7 @@ def _serve(conn, owner_end, owner: int) -> None:
     try:
         while True:
             request = conn.recv()
+            conn.send(None)  # acknowledged: from here on the request is this host's
             _, backend, command, _, _, threads = request
             import_s = 0.0
             try:
@@ -449,8 +470,9 @@ def _serve(conn, owner_end, owner: int) -> None:
                                                 daemon=True)
                     watchdog.start()
                 try:
-                    reply = _solve_here(*request)
-                except Exception as exc:  # raised again by the owner
+                    reply = _solve_here(conn, *request)
+                except Exception as exc:  # raised again by the owner, which lacks this stack
+                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
                     reply = exc
             if isinstance(reply, SolveResult):
                 maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

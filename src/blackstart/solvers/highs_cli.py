@@ -43,8 +43,7 @@ lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
 model, and exits nonzero on anything else, which is exactly the contract
 ``solve_external`` expects of a configured solver command: 2, with one
 stderr line, for a file it cannot read or parse or a solution path it
-cannot write. It keeps
-HiGHS's default thread count.
+cannot write. It keeps HiGHS's default thread count.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 default solves, is replaced after a crash, a timeout or an interrupt, is
 never shared with a forked child, and does not outlive its owner."""
 
+import copy
 import multiprocessing
 import os
 import signal
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from blackstart.solvers import ENV_SOLVER_CMD, highs_cli, solve_external
+from blackstart import load_case
+from blackstart.milp import EncodingError
+from blackstart.solvers import ENV_SOLVER_CMD, external, highs_cli, solve_external
 
 from conftest import SRC
 
@@ -64,6 +67,21 @@ def test_only_a_new_hosts_first_solve_reports_its_import(toy_cases, fresh_solver
     assert second.stats["worker"]["import_s"] == 0.0
 
 
+def test_the_owner_times_the_solve(toy_cases, monkeypatch, fresh_solver_host):
+    """``wall_time_s`` runs from the request to the reply, so it includes
+    what the host does around the pipeline: the transport, and a new host's
+    HiGHS import."""
+    solve = external._solve_here
+
+    def late(*args):
+        time.sleep(0.3)
+        return solve(*args)
+
+    monkeypatch.setattr(external, "_solve_here", late)
+    stats = solve_external(toy_cases["toy_t5"]).stats
+    assert stats["wall_time_s"] >= 0.3 + sum(stats["stages"].values())
+
+
 def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
     def exit_at_once(arrays, time_limit=None, threads=None, start=None):
         os._exit(3)
@@ -91,6 +109,84 @@ def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_
     after = solve_external(toy_cases["toy_t5"])
     assert after.status == "optimal", after.message
     assert host_pid(after) != host_pid(late)
+
+
+def test_only_the_highs_solve_has_a_deadline(toy_cases, monkeypatch, fresh_solver_host):
+    """The owner kills a host only when HiGHS outlives ``timeout_s``; an
+    enumeration (a sweep's ``--backend enum``) or a slow stage around
+    HiGHS may take longer."""
+    def slow(stage):
+        def run(*args, **kwargs):
+            time.sleep(1.5)
+            return stage(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(external, "WORKER_GRACE_S", 0.0)
+    monkeypatch.setattr(external, "solve_enumeration", slow(external.solve_enumeration))
+    monkeypatch.setattr(external, "validate", slow(external.validate))
+    case = toy_cases["toy_t5"]
+    enum, highs = (external.solve_on_hosts([case], 1, backend=backend, timeout_s=0.5)[0]
+                   for backend in ("enum", "external"))
+    assert enum.status == "optimal", enum.message
+    assert highs.status == "optimal", highs.message
+    assert highs.stats["stages"]["validate"] >= 1.5
+
+
+def serve_after(deaths, pids):
+    """A host loop that logs its pid to ``pids`` and exits with code 5 on
+    reading its first request, for the first ``deaths`` hosts."""
+    serve = external._serve
+
+    def host(conn, owner_end, owner):
+        with open(pids, "a") as log:
+            print(os.getpid(), file=log)
+        if len(pids.read_text().split()) > deaths:
+            return serve(conn, owner_end, owner)
+        conn.recv()
+        os._exit(5)
+
+    return host
+
+
+def test_a_case_whose_host_dies_before_taking_it_goes_to_a_fresh_host(
+        toy_cases, tmp_path, monkeypatch, fresh_solver_host):
+    pids = tmp_path / "hosts"
+    monkeypatch.setattr(external, "_serve", serve_after(1, pids))
+    result = solve_external(toy_cases["toy_t5"])
+    assert result.status == "optimal", result.message
+    dead, served = map(int, pids.read_text().split())
+    assert host_pid(result) == served and not running(dead)
+
+
+def test_a_case_goes_to_a_fresh_host_once(toy_cases, tmp_path, monkeypatch, fresh_solver_host):
+    pids = tmp_path / "hosts"
+    monkeypatch.setattr(external, "_serve", serve_after(2, pids))
+    result = solve_external(toy_cases["toy_t5"])
+    assert result.status == "error"
+    assert result.message == "solver host exited with code 5 before replying"
+    assert len(pids.read_text().split()) == 2
+    assert not multiprocessing.active_children()
+
+
+def test_a_host_killed_just_before_a_solve_is_replaced(toy_cases, fresh_solver_host):
+    """The host can still look alive, and even read the request, when the
+    owner sends it; the case goes to a fresh host."""
+    for _ in range(3):
+        victim = host_pid(solve_external(toy_cases["toy_t5"]))
+        os.kill(victim, signal.SIGKILL)
+        after = solve_external(toy_cases["toy_t5"])
+        assert after.status == "optimal", after.message
+        assert host_pid(after) != victim
+
+
+def test_the_hosts_traceback_comes_with_its_exception(minimal_two_bus_doc, fresh_solver_host):
+    doc = copy.deepcopy(minimal_two_bus_doc)
+    doc["generators"][0]["ramp_minutes"] = 200
+    with pytest.raises(EncodingError, match="horizon") as raised:
+        solve_external(load_case(doc))
+    note, = raised.value.__notes__
+    assert note.startswith("Traceback (most recent call last):")
+    assert "in _solve_here" in note and "in encode" in note
 
 
 def test_an_interrupted_solve_kills_the_host(toy_cases, monkeypatch, fresh_solver_host):
