@@ -65,11 +65,13 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ..grid import GridCase
-from ..milp import DecodeError, MilpModel, decode, encode, point_from_schedule
+from ..milp import BRANCH_ON, BUS_ON, DecodeError, MilpModel, decode, encode, point_from_schedule
+from ..model import ModelArrays
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
-from .enumeration import DEFAULT_COMBINATION_CAP, greedy_schedule, solve_enumeration
+from .enumeration import (DEFAULT_COMBINATION_CAP, _sources, energization_closure,
+                          greedy_schedule, solve_enumeration)
 from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
@@ -135,7 +137,8 @@ def solve_external(case: GridCase, command: str | None = None,
     first HiGHS solve). HiGHS adds ``highs``: status, message, objective,
     mip_node_count, mip_gap, mip_dual_bound; reduce_s and time_s, the
     reduction's and HiGHS's seconds; reduced_rows and reduced_cols, the
-    size of the model HiGHS was handed; threads, its share of the CPUs;
+    size of the model HiGHS was handed; forced_on, the count of columns
+    ``_force_on`` raised; threads, its share of the CPUs;
     HiGHS's version; and start_objective, the start's objective (None for
     no start). A solver command adds ``solver_command`` and ``returncode``.
     """
@@ -167,7 +170,7 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_with_highs(conn, model, start, timeout_s, threads, stats)
+                x = _solve_with_highs(conn, model, case, start, timeout_s, threads, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -201,14 +204,43 @@ def _start(model: MilpModel, case: GridCase) -> array | None:
     return None if schedule is None else point_from_schedule(model, case, schedule)
 
 
+def _force_on(model: MilpModel, case: GridCase, arrays: ModelArrays) -> int:
+    """Raise to 1, in ``arrays``, the lower bound of each ``bus_on`` and
+    ``branch_on`` column from the step its bus or branch is lit in the
+    ``energization_closure`` of the black-start generators and fuel cells
+    (batteries left out); returns how many columns it raised.
+
+    A dual (dominance) fixing: raising these columns in a feasible point
+    keeps it feasible and its objective no worse, so the optimum value and
+    infeasibility are kept. Row family by row family:
+    - eq29, device <= bus: it only relaxes.
+    - eq30/31, branch <= each end: both ends are lit no later than it.
+    - eq32, monotone series: each raised series is 1 from a step on.
+    - eq33, a branch at t needs an end at t - 1: the end that lit it.
+    - eq34/eq48: a raised bus holds a black-start unit or fuel cell, on
+      from step 2 (eq39, eq40), or is lit with a raised branch.
+    - eq2 and the other device rows hold no bus or branch column.
+    - The objective: a ``bus_on`` weight is ``-beta·importance/t <= 0``
+      (``grid`` keeps both nonnegative), a ``branch_on`` weight 0.
+    """
+    T = case.time_grid.n_steps
+    closure = energization_closure(case, _sources(case, {b.id: None for b in case.batteries}))
+    lit = [(f"{kind}.{entity}.{s}", T - s + 1) for kind, steps in zip((BUS_ON, BRANCH_ON), closure)
+           for entity, s in steps.items() if s is not None]
+    for name, n in lit:  # columns s..T of the entity's block (``milp.encode``)
+        j = model.column(name)
+        arrays.lb[j:j + n] = array("d", [1.0]) * n
+    return sum(n for _, n in lit)
+
+
 class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-def _solve_with_highs(conn, model: MilpModel, start: array | None, timeout_s: float,
-                      threads: int, stats: dict) -> list[float] | None:
-    """``highs_cli.solve_model`` in this process, with ``threads`` threads:
-    the point, or None for a proven-infeasible model.
+def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | None,
+                      timeout_s: float, threads: int, stats: dict) -> list[float] | None:
+    """``highs_cli.solve_model`` on the arrays with ``_force_on``'s fixing, with
+    ``threads`` threads: the point, or None for a proven-infeasible model.
 
     The solve is the one stage with a deadline: it is bracketed on ``conn``
     by the seconds the owner gives it before killing this host and by
@@ -217,6 +249,7 @@ def _solve_with_highs(conn, model: MilpModel, start: array | None, timeout_s: fl
     from . import highs_cli
 
     arrays = model.arrays()
+    forced_on = _force_on(model, case, arrays)
     conn.send(float(timeout_s + WORKER_GRACE_S))
     try:
         status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
@@ -225,7 +258,7 @@ def _solve_with_highs(conn, model: MilpModel, start: array | None, timeout_s: fl
         raise _SolverFailed(f"no optimum from HiGHS: {type(exc).__name__}: {exc}") from exc
     finally:
         conn.send(None)
-    stats["highs"] = info
+    stats["highs"] = {**info, "forced_on": forced_on}
     if status == INFEASIBLE:
         return None
     if status != OPTIMAL:

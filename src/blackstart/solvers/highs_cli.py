@@ -11,7 +11,9 @@ with its own presolve off, which on these models costs more than the solve.
 Postsolve scatters HiGHS's values back into model order beside the fixed
 columns' values, and the point is checked against the full arrays (rows,
 bounds and integrality, to ``CHECK_TOL``) before it is returned. Only the
-solve is reduced: the model, and its MPS export, keep the encoder's form.
+solve is reduced: the model, and its MPS export, keep the encoder's form,
+and the solver host's energization fixing (``external._force_on``) only
+raises bounds on the arrays it hands over; the reduction knows no case.
 
 HiGHS is scipy's bundled binding, ``scipy/optimize/_highspy/_core``, loaded
 by file when this module is imported (about 10 ms): scipy's package code,

@@ -39,6 +39,7 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     model, highs = stats["model"], stats["highs"]
     assert 0 < highs["reduced_rows"] < model["rows"]
     assert 0 < highs["reduced_cols"] < model["vars"]
+    assert 0 < highs["forced_on"] < model["int_vars"]
     assert 0 < highs["reduce_s"] and 0 < highs["time_s"]
     assert highs["reduce_s"] + highs["time_s"] < stats["stages"]["solver"]
     assert isinstance(stats["worker"]["pid"], int)

@@ -1,11 +1,17 @@
-"""Differential test of the reduced solve: ``highs_cli.solve_model`` against a
-plain ``scipy.optimize.milp`` call (HiGHS with its default presolve) on the
-unreduced arrays, on drawn small cases and, under ``-m slow``, on many more
-drawn cases and the bundled 39-bus cases.
+"""Differential tests of the solver host's solve.
 
-The two must agree on status and on the objective within 1e-6 relative, and
-the reduced solve's point must satisfy the full model and decode to a
-schedule that validates.
+``highs_cli.solve_model`` on the arrays with the host's energization fixing
+(``external._force_on``) against a plain ``scipy.optimize.milp`` call
+(HiGHS with its default presolve) on the unreduced, unforced arrays, on
+drawn small cases and, under ``-m slow``, on many more drawn cases and the
+bundled 39-bus cases. The two must agree on status and on the objective
+within 1e-6 relative, the reduced solve's point must satisfy the full model
+and decode to a schedule that validates, and every forced column must have
+a nonpositive objective weight and an upper bound of 1.
+
+``solve_external`` (the host's whole pipeline) against the exhaustive
+oracle, ``solve_enumeration``, on drawn cases it can enumerate: the two
+must agree on status and on the objective within 1e-6.
 """
 
 import math
@@ -16,11 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from blackstart import decode, encode, load_case, validate
+from blackstart import decode, encode, load_case, solve_enumeration, solve_external, validate
+from blackstart.solvers import EnumerationCapError
+from blackstart.solvers.external import _force_on
 from blackstart.solvers.highs_cli import solve_model
 
 from conftest import load_bundled
 from strategies import case_documents
+from test_greedy_start import ORACLE_CAP
 
 REL_TOL = 1e-6
 
@@ -39,8 +48,13 @@ def plain_milp(arrays):
 
 def assert_solvers_agree(case):
     model = encode(case)
-    arrays = model.arrays()
-    status, x, info = solve_model(arrays)
+    arrays, forced = model.arrays(), model.arrays()
+    raised = _force_on(model, case, forced)
+    up = np.frombuffer(forced.lb) != np.frombuffer(arrays.lb)
+    assert np.count_nonzero(up) == raised
+    assert np.all(np.frombuffer(forced.c)[up] <= 0)
+    assert np.all(np.frombuffer(arrays.ub)[up] == 1)
+    status, x, info = solve_model(forced)
     want_status, want_objective = plain_milp(arrays)
     assert status == want_status, info["message"]
     if status != "optimal":
@@ -74,3 +88,27 @@ def test_reduced_solve_agrees_with_plain_highs_on_many_cases(doc):
 @pytest.mark.parametrize("name", ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"])
 def test_reduced_solve_agrees_with_plain_highs_on_ieee39(name):
     assert_solvers_agree(load_bundled(name))
+
+
+def assert_the_oracle_agrees(case):
+    try:
+        want = solve_enumeration(case, cap=ORACLE_CAP)
+    except EnumerationCapError:
+        return
+    got = solve_external(case)
+    assert got.status == want.status, got.message
+    if got.status == "optimal":
+        assert math.isclose(got.objective, want.objective, rel_tol=REL_TOL, abs_tol=REL_TOL)
+
+
+@settings(max_examples=40, **PROPERTY)
+@given(case_documents())
+def test_the_host_agrees_with_the_oracle(doc):
+    assert_the_oracle_agrees(load_case(doc))
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, **PROPERTY)
+@given(case_documents())
+def test_the_host_agrees_with_the_oracle_on_many_cases(doc):
+    assert_the_oracle_agrees(load_case(doc))

@@ -13,6 +13,7 @@ import pytest
 from blackstart import encode, load_case
 from blackstart.cases import bundled_case_path, bundled_cases
 from blackstart.model import ModelArrays
+from blackstart.solvers.external import _force_on
 from blackstart.solvers.highs_cli import _core, Infeasible, reduce_model, solve_model
 
 from conftest import DRAWN_DOCUMENTS
@@ -168,22 +169,30 @@ def test_reduced_digests_cover_the_bundled_and_drawn_cases():
     assert sorted(REDUCED_SHA256) == sorted([*bundled_cases(), *DRAWN_DOCUMENTS])
 
 
-@pytest.mark.parametrize("name", sorted(REDUCED_SHA256))
-def test_what_highs_is_given_is_pinned(name):
-    """HiGHS's input for each bundled and drawn case, the reduced model,
-    keeps its recorded bytes: an encoder change that leaves this digest in
-    place hands HiGHS the same problem. Where the reduction proves the case
-    infeasible only that is pinned, since the message names row and column
-    numbers."""
+def reduced_digest(name):
+    """The sha256 of HiGHS's input for a bundled or drawn case, the reduced
+    model of the arrays with the solver host's energization fixing, or
+    "infeasible" where the reduction proves the case infeasible (its
+    message names row and column numbers)."""
     case = load_case(DRAWN_DOCUMENTS.get(name) or bundled_case_path(name))
+    model = encode(case)
+    arrays = model.arrays()
+    _force_on(model, case, arrays)
     try:
-        r = reduce_model(encode(case).arrays())
+        r = reduce_model(arrays)
     except Infeasible:
-        assert REDUCED_SHA256[name] == "infeasible"
-        return
+        return "infeasible"
     h = hashlib.sha256()
     for a in (r.c, r.a.start, r.a.index, r.a.value, r.row_lo, r.row_hi, r.lb, r.ub,
               r.integrality):
         h.update(a.tobytes())
     h.update(repr(r.offset).encode())
-    assert h.hexdigest() == REDUCED_SHA256[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_SHA256))
+def test_what_highs_is_given_is_pinned(name):
+    """HiGHS's input for each bundled and drawn case keeps its recorded
+    bytes: an encoder change that leaves this digest in place hands HiGHS
+    the same problem."""
+    assert reduced_digest(name) == REDUCED_SHA256[name]

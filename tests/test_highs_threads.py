@@ -116,7 +116,8 @@ def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_opti
 
 
 def test_the_hosts_solution_equals_the_one_thread_solution():
-    # both solves start HiGHS from the same point, the host's heuristic start
+    # both solves hand HiGHS the same input as the host: the arrays with its
+    # energization fixing, and its heuristic start
     script = python_script(
         "from blackstart import load_case, solve_external\n"
         "from blackstart.cases import bundled_case_path\n"
@@ -127,7 +128,9 @@ def test_the_hosts_solution_equals_the_one_thread_solution():
         "    result = solve_external(case)\n"
         "    model = encode(case)\n"
         "    start = external._start(model, case)\n"
-        "    status, x, info = highs_cli.solve_model(model.arrays(), threads=1, start=start)\n"
+        "    arrays = model.arrays()\n"
+        "    external._force_on(model, case, arrays)\n"
+        "    status, x, info = highs_cli.solve_model(arrays, threads=1, start=start)\n"
         "    assert info['start_objective'] == result.stats['highs']['start_objective'], name\n"
         "    assert result.ok and status == 'optimal', (name, result.message, info)\n"
         "    assert list(result.point) == x.tolist(), name\n"
