@@ -174,19 +174,20 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
     x = np.zeros(n)
     live_col = np.ones(n, dtype=bool)
     live_row = np.ones(m, dtype=bool)
-    nonzero = val != 0
+    live = val != 0
     _tighten(lb, ub, integer)
     for _ in range(MAX_ROUNDS):
+        row, col, val = row[live], col[live], val[live]
         fixed = live_col & (lb == ub)
         if fixed.any():
             x[fixed] = lb[fixed]
             live_col &= ~fixed
-            hit = fixed[col] & nonzero
+            hit = fixed[col]
             shift = np.bincount(row[hit], weights=val[hit] * x[col[hit]], minlength=m)
             row_lo -= shift
             row_hi -= shift
-        entry = nonzero & live_col[col] & live_row[row]
-        count = np.bincount(row[entry], minlength=m)
+            row, col, val = row[~hit], col[~hit], val[~hit]
+        count = np.bincount(row, minlength=m)
         empty = live_row & (count == 0)
         missed = empty & ((row_lo > REDUCE_TOL) | (row_hi < -REDUCE_TOL))
         if missed.any():
@@ -195,8 +196,9 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
                              f"[{row_lo[i]:g}, {row_hi[i]:g}]")
         single = live_row & (count == 1)
         live_row &= ~(empty | single)
+        live = live_row[row]
         if single.any():
-            one = entry & single[row]
+            one = single[row]
             j, a = col[one], val[one]
             lo, hi = row_lo[row[one]] / a, row_hi[row[one]] / a
             np.maximum.at(lb, j, np.where(a > 0, lo, hi))
@@ -204,15 +206,15 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
             _tighten(lb, ub, integer)
         elif not (fixed.any() or empty.any()):
             break
+    row, col, val = row[live], col[live], val[live]
 
     keep = live_col
-    entry = nonzero & keep[col] & live_row[row]
-    new_row = (np.cumsum(live_row) - 1)[row[entry]]
-    new_col = (np.cumsum(keep) - 1)[col[entry]]
+    new_row = (np.cumsum(live_row) - 1)[row]
+    new_col = (np.cumsum(keep) - 1)[col]
     cols = int(keep.sum())
     order = np.lexsort((new_row, new_col))
     a = Csc(start=np.concatenate(([0], np.cumsum(np.bincount(new_col, minlength=cols)))),
-            index=new_row[order], value=val[entry][order],
+            index=new_row[order], value=val[order],
             shape=(int(live_row.sum()), cols))
     return Reduced(
         c=c[keep], a=a, row_lo=row_lo[live_row], row_hi=row_hi[live_row],
