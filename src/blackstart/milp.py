@@ -213,18 +213,24 @@ def encode(case: GridCase) -> MilpModel:
     # Every branch has the same rows: eq30 and eq31 at each step, then eq32 at
     # t and eq33 at t + 1 alternating, all <= 0 with coefficients +-1. Its
     # buses' blocks come before its own, so each row lists them first.
+    # Entry e of a branch's rows is column ends[end] + step for the e-th
+    # (end, step) of ``pattern``, where ends = (from bus, branch, to bus,
+    # lower bus block, higher bus block).
     heads = [(tag, f".t{t}") for t in steps for tag in ("eq30.", "eq31.")]
     heads += [(tag, f".t{t + dt}") for t in range(1, T) for tag, dt in (("eq32.", 0), ("eq33.", 1))]
     rel = [i for i, w in enumerate([2] * (2 * T) + [2, 3] * (T - 1)) for _ in range(w)]
-    names, rows_of, cols = [], array("i"), array("i")
+    pattern = [(end, t) for t in steps for end in (0, 1, 2, 1)]
+    pattern += [(end, t + dt) for t in range(1, T)
+                for end, dt in ((1, 0), (1, 1), (3, 0), (4, 0), (1, 1))]
+    base, per = len(m.row_names), len(heads)
+    rows_of = array("i", [first + r for first in range(base, base + per * len(case.branches), per)
+                          for r in rel])
+    names, cols = [], array("i")
     for k in case.branches:
-        j, u, v = br[k.id], bus[k.from_bus], bus[k.to_bus]
-        near, far = sorted((u, v))
-        rows_of.fromlist([len(m.row_names) + len(names) + r for r in rel])
+        u, v = bus[k.from_bus], bus[k.to_bus]
+        ends = (u, br[k.id], v, *sorted((u, v)))
         names += [tag + k.id + t for tag, t in heads]
-        cols.fromlist([c for t in steps for c in (u + t, j + t, v + t, j + t)]
-                      + [c for t in range(1, T) for c in (j + t, j + t + 1, near + t, far + t,
-                                                          j + t + 1)])
+        cols.fromlist([ends[end] + step for end, step in pattern])
     m.add_rows(names, array("d", [-math.inf]) * len(names), array("d", bytes(8 * len(names))),
                rows_of, cols,
                array("d", [-1, 1] * (2 * T) + [1, -1, -1, -1, 1] * (T - 1)) * len(case.branches))

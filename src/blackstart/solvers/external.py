@@ -137,10 +137,11 @@ def solve_external(case: GridCase, command: str | None = None,
     first HiGHS solve). HiGHS adds ``highs``: status, message, objective,
     mip_node_count, mip_gap, mip_dual_bound; reduce_s and time_s, the
     reduction's and HiGHS's seconds; reduced_rows and reduced_cols, the
-    size of the model HiGHS was handed; forced_on, the count of columns
-    ``_force_on`` raised; threads, its share of the CPUs;
-    HiGHS's version; and start_objective, the start's objective (None for
-    no start). A solver command adds ``solver_command`` and ``returncode``.
+    size of the model HiGHS was handed; substituted, the count of columns
+    the reduction substituted out; forced_on, the count of columns
+    ``_force_on`` raised; threads, its share of the CPUs; HiGHS's version;
+    and start_objective, the start's objective (None for no start). A
+    solver command adds ``solver_command`` and ``returncode``.
     """
     result, = solve_on_hosts([case], 1, command=command, timeout_s=timeout_s)
     if isinstance(result, Exception):

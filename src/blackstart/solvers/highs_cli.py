@@ -4,13 +4,17 @@
 them exactly, in numpy, before HiGHS sees them: it substitutes out every
 column with ``lb == ub``, turns each row with one nonzero left into a bound
 on its column (rounded inward for an integer column), and checks each row
-with none left against its sides, then drops it, repeating to a fixpoint
-(Achterberg et al., "Presolve reductions in mixed integer programming",
-INFORMS J. Computing 2020). HiGHS solves what is left at zero relative gap
-with its own presolve off, which on these models costs more than the solve.
+with none left against its sides, then drops it, repeating to a fixpoint.
+Then it substitutes out, each through a ±1 in an equality row, the
+continuous zero-cost columns with two entries left: on the 39-bus cases,
+the generators' outputs through their eq23g rows (Achterberg et al.,
+"Presolve reductions in mixed integer programming", INFORMS J. Computing
+2020). HiGHS solves what is left at zero relative gap with its own
+presolve off, which on the 18-step models costs more than the solve.
 Postsolve scatters HiGHS's values back into model order beside the fixed
-columns' values, and the point is checked against the full arrays (rows,
-bounds and integrality, to ``CHECK_TOL``) before it is returned. Only the
+columns' values, computes each substituted column from its equality row,
+and the point is checked against the full arrays (rows, bounds and
+integrality, to ``CHECK_TOL``) before it is returned. Only the
 solve is reduced: the model, and its MPS export, keep the encoder's form,
 and the solver host's energization fixing (``external._force_on``) only
 raises bounds on the arrays it hands over; the reduction knows no case.
@@ -130,14 +134,29 @@ class Csc(NamedTuple):
     shape: tuple[int, int]
 
 
+class Substitution(NamedTuple):
+    """The columns ``reduce_model`` substituted out, each through its pivot
+    row: column ``col[s]`` is ``(rhs[s] - Σ val[e]·x[other[e]]) / coef[s]``,
+    summed over the entries ``e`` with ``of[e] == s``, the pivot row's
+    other entries, all in columns HiGHS is given."""
+
+    col: np.ndarray
+    coef: np.ndarray
+    rhs: np.ndarray
+    of: np.ndarray
+    other: np.ndarray
+    val: np.ndarray
+
+
 class Reduced(NamedTuple):
     """What is left of a model for HiGHS, and how to put its answer back.
 
     ``keep`` marks the model's columns that remain (in order, they are the
-    reduced model's columns); ``x`` holds the removed columns' values, so
-    that postsolve is ``x[keep] = x_reduced``, and ``offset`` is their share
-    of the objective. ``a``, the row sides, bounds and ``integrality`` are
-    the reduced model's.
+    reduced model's columns); ``x`` holds the fixed columns' values, and
+    ``offset`` is their share of the objective; ``sub`` gives the
+    substituted columns (zero in ``x``) from the rest, so that postsolve,
+    ``postsolve``, is ``x[keep] = x_reduced``, then ``sub``. ``a``, the row
+    sides, bounds and ``integrality`` are the reduced model's.
     """
 
     c: np.ndarray
@@ -150,6 +169,15 @@ class Reduced(NamedTuple):
     keep: np.ndarray
     x: np.ndarray
     offset: float
+    sub: Substitution
+
+    def postsolve(self, values: Sequence[float]) -> np.ndarray:
+        """The model's point from the reduced model's ``values``."""
+        x, s = self.x.copy(), self.sub
+        x[self.keep] = values
+        x[s.col] = (s.rhs - np.bincount(s.of, weights=s.val * x[s.other],
+                                        minlength=len(s.col))) / s.coef
+        return x
 
 
 def _numpy(arrays: ModelArrays) -> list[np.ndarray]:
@@ -158,14 +186,17 @@ def _numpy(arrays: ModelArrays) -> list[np.ndarray]:
 
 
 def reduce_model(arrays: ModelArrays) -> Reduced:
-    """Reduce a model exactly: fixed columns, singleton rows, empty rows.
+    """Reduce a model exactly: fixed columns, singleton rows, empty rows,
+    then columns tied to the rest by an equality row.
 
     Each round substitutes out the columns with ``lb == ub`` (shifting the
     sides of the rows they appear in), then checks and drops the rows with
     no nonzero left, and turns the rows with one left into bounds on its
-    column; rounds repeat until one changes nothing, at most ``MAX_ROUNDS``.
-    Raises ``Infeasible`` for a row with no nonzero left that misses its
-    sides, or a column whose bounds cross, by more than ``REDUCE_TOL``.
+    column; rounds repeat until one changes nothing, at most ``MAX_ROUNDS``,
+    each on the entries of the rows and columns still live. ``_substitute``
+    then takes out what it can through equality rows. Raises
+    ``Infeasible`` for a row with no nonzero left that misses its sides, or
+    a column whose bounds cross, by more than ``REDUCE_TOL``.
     """
     c, row, col, val, row_lo, row_hi, lb, ub, integer = _numpy(arrays)
     n, m = len(c), len(row_lo)
@@ -207,20 +238,78 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
         elif not (fixed.any() or empty.any()):
             break
     row, col, val = row[live], col[live], val[live]
+    offset = float(c[~live_col] @ x[~live_col])
+    (row, col, val), sub = _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row,
+                                       row, col, val)
 
     keep = live_col
-    new_row = (np.cumsum(live_row) - 1)[row]
+    order = np.lexsort((row, col))
+    row, col, val = row[order], col[order], val[order]
+    if len(sub.col):  # the substitution adds entries to rows that may hold them already
+        first = np.ones(len(val), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        val = np.add.reduceat(val, np.flatnonzero(first))
+        nonzero = val != 0
+        row, col, val = row[first][nonzero], col[first][nonzero], val[nonzero]
     new_col = (np.cumsum(keep) - 1)[col]
     cols = int(keep.sum())
-    order = np.lexsort((new_row, new_col))
     a = Csc(start=np.concatenate(([0], np.cumsum(np.bincount(new_col, minlength=cols)))),
-            index=new_row[order], value=val[order],
+            index=(np.cumsum(live_row) - 1)[row], value=val,
             shape=(int(live_row.sum()), cols))
     return Reduced(
         c=c[keep], a=a, row_lo=row_lo[live_row], row_hi=row_hi[live_row],
         lb=lb[keep], ub=ub[keep], integrality=integer[keep].astype(np.uint8),
-        keep=keep, x=x, offset=float(c[~keep] @ x[~keep]),
+        keep=keep, x=x, offset=offset, sub=sub,
     )
+
+
+def _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row, row, col, val
+                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Substitution]:
+    """Substitute columns out through equality rows, in place on the sides
+    and live masks; returns the live entries after it and the ``Substitution``.
+
+    A column goes if it is live, continuous, has zero cost and exactly two
+    live entries, one of them a ±1 in an equality row, its pivot row: at
+    most one column per pivot row (the first), and none whose other row is
+    a pivot row. Its other row r gets ``-(a_rj / a_ij)`` times the pivot
+    row i, sides included, which cancels its entry; the pivot row keeps its
+    other entries and bounds them by the column's bounds, ``b_i - a_ij·[lb,
+    ub]``, and is dropped when both sides are infinite. A pivot of ±1 keeps
+    the scaling exact.
+    """
+    n, m = len(c), len(row_lo)
+    two = live_col & ~integer & (c == 0) & (np.bincount(col, minlength=n) == 2)
+    equality = live_row & (row_lo == row_hi) & np.isfinite(row_lo)
+    pivot = np.flatnonzero(two[col] & equality[row] & (np.abs(val) == 1))
+    pivot = pivot[np.unique(col[pivot], return_index=True)[1]]  # one pivot per column
+    pivot = pivot[np.unique(row[pivot], return_index=True)[1]]  # one column per pivot row
+    at_pivot = np.zeros(len(val), dtype=bool)
+    at_pivot[pivot] = True
+    other = np.flatnonzero(two[col] & ~at_pivot)
+    other_row, other_val = np.full(n, -1), np.zeros(n)
+    other_row[col[other]], other_val[col[other]] = row[other], val[other]
+    is_pivot = np.zeros(m, dtype=bool)
+    is_pivot[row[pivot]] = True
+    pivot = pivot[~is_pivot[other_row[col[pivot]]]]
+
+    j, i, a = col[pivot], row[pivot], val[pivot]
+    r, f, rhs = other_row[j], -other_val[j] / a, row_lo[i]
+    np.add.at(row_lo, r, f * rhs)
+    np.add.at(row_hi, r, f * rhs)
+    row_lo[i] = rhs - np.where(a > 0, ub[j], -lb[j])
+    row_hi[i] = rhs - np.where(a > 0, lb[j], -ub[j])
+    live_row[i[(row_lo[i] == -np.inf) & (row_hi[i] == np.inf)]] = False
+    live_col[j] = False
+
+    s_of_row = np.full(m, -1)
+    s_of_row[i] = np.arange(len(i))
+    gone = ~live_col[col]
+    rest = (s_of_row[row] >= 0) & ~gone  # the pivot rows' other entries
+    of = s_of_row[row[rest]]
+    sub = Substitution(col=j, coef=a, rhs=rhs, of=of, other=col[rest], val=val[rest])
+    kept = ~gone & live_row[row]
+    return ((np.concatenate((row[kept], r[of])), np.concatenate((col[kept], sub.other)),
+             np.concatenate((val[kept], f[of] * sub.val))), sub)
 
 
 def _tighten(lb: np.ndarray, ub: np.ndarray, integer: np.ndarray) -> None:
@@ -260,9 +349,10 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
 
     ``start``, one value per model variable in ``model.names`` order (any
     sequence of floats), is handed to HiGHS as a first incumbent when it
-    agrees with every column the reduction fixed (to ``REDUCE_TOL``) and
-    dropped otherwise. ``threads`` is the thread count HiGHS is given (None
-    leaves HiGHS's default, half the machine's CPUs).
+    agrees with every column the reduction fixed (to ``REDUCE_TOL``; the
+    substituted ones are not compared) and dropped otherwise. ``threads``
+    is the thread count HiGHS is given (None leaves HiGHS's default, half
+    the machine's CPUs).
 
     Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
     value per model variable, in ``model.names`` order, and satisfies
@@ -274,14 +364,15 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
     model's constant and the fixed columns' share; ``reduce_s`` and
     ``time_s``, the seconds spent reducing and inside HiGHS;
     ``reduced_rows`` and ``reduced_cols``, the size of the model HiGHS was
-    handed; ``threads``; HiGHS's ``version``; and ``start_objective``, the
-    objective of the start HiGHS was handed (None when it was handed none).
-    A value that was not reached is None.
+    handed; ``substituted``, the count of columns substituted out through
+    an equality row; ``threads``; HiGHS's ``version``; and
+    ``start_objective``, the objective of the start HiGHS was handed (None
+    when it was handed none). A value that was not reached is None.
     """
     info = {"status": None, "message": "", "objective": None, "mip_node_count": None,
             "mip_gap": None, "mip_dual_bound": None, "reduce_s": None, "time_s": None,
-            "reduced_rows": None, "reduced_cols": None, "threads": threads,
-            "version": None, "start_objective": None}
+            "reduced_rows": None, "reduced_cols": None, "substituted": None,
+            "threads": threads, "version": None, "start_objective": None}
     started = time.perf_counter()
     try:
         reduced = reduce_model(arrays)
@@ -290,10 +381,11 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
                     reduce_s=time.perf_counter() - started)
         return INFEASIBLE, None, info
     rows, cols = reduced.a.shape
-    info.update(reduce_s=time.perf_counter() - started, reduced_rows=rows, reduced_cols=cols)
+    info.update(reduce_s=time.perf_counter() - started, reduced_rows=rows, reduced_cols=cols,
+                substituted=len(reduced.sub.col))
     offset = arrays.constant + reduced.offset
 
-    x = reduced.x
+    values: list[float] = []
     if cols == 0:  # the reduction fixed every column; HiGHS takes no empty model
         info.update(status=_HIGHS_OPTIMAL, message="solved by the reduction", time_s=0.0,
                     objective=offset, mip_node_count=0, mip_gap=0.0, mip_dual_bound=offset)
@@ -301,7 +393,9 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
         if start is not None:
             start = np.asarray(start, dtype=float)
             fixed = ~reduced.keep
-            if len(start) != len(x) or np.any(np.abs(start[fixed] - x[fixed]) > REDUCE_TOL):
+            fixed[reduced.sub.col] = False
+            if len(start) != len(fixed) or np.any(np.abs(start[fixed] - reduced.x[fixed])
+                                                  > REDUCE_TOL):
                 start = None
             else:
                 start = start[reduced.keep]
@@ -317,7 +411,7 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
             return INFEASIBLE, None, info
         if values is None:
             return ERROR, None, info
-        x[reduced.keep] = values
+    x = reduced.postsolve(values)
 
     bad = violations(arrays, x)
     if bad is not None:

@@ -204,10 +204,13 @@ def test_sweep_on_two_workers_matches_one_with_the_default_solver(toy_cases):
     assert one.to_csv() == two.to_csv()
     for row in one.rows + two.rows:
         assert {"stages", "model", "highs", "worker"} <= set(row.stats)
-        assert {"time_s", "reduce_s", "reduced_rows", "reduced_cols", "forced_on", "version",
-                "start_objective"} <= set(row.stats["highs"])
+        assert {"time_s", "reduce_s", "reduced_rows", "reduced_cols", "substituted", "forced_on",
+                "version", "start_objective"} <= set(row.stats["highs"])
         assert row.stats["highs"]["start_objective"] >= row.objective - 1e-9
         assert row.stats["stages"]["start"] > 0
+    # the reduction does not depend on the host that runs it
+    assert ([row.stats["highs"]["substituted"] for row in one.rows]
+            == [row.stats["highs"]["substituted"] for row in two.rows])
     # one worker, so one solver host serves both scenarios
     assert len({row.stats["worker"]["pid"] for row in one.rows}) == 1
 

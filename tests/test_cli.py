@@ -40,6 +40,7 @@ def test_run_summary_carries_solver_stats(tmp_path, capsys):
     assert 0 < highs["reduced_rows"] < model["rows"]
     assert 0 < highs["reduced_cols"] < model["vars"]
     assert 0 < highs["forced_on"] < model["int_vars"]
+    assert 0 < highs["substituted"] < model["vars"] - model["int_vars"]
     assert 0 < highs["reduce_s"] and 0 < highs["time_s"]
     assert highs["reduce_s"] + highs["time_s"] < stats["stages"]["solver"]
     assert isinstance(stats["worker"]["pid"], int)

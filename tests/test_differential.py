@@ -7,7 +7,10 @@ drawn small cases and, under ``-m slow``, on many more drawn cases and the
 bundled 39-bus cases. The two must agree on status and on the objective
 within 1e-6 relative, the reduced solve's point must satisfy the full model
 and decode to a schedule that validates, and every forced column must have
-a nonpositive objective weight and an upper bound of 1.
+a nonpositive objective weight and an upper bound of 1. The reduction's
+substitution must take out every generator output column that would
+reach HiGHS in two rows, its eq23g row and eq2, and the properties check
+that it did so on most optimal draws with a non-black-start generator.
 
 ``solve_external`` (the host's whole pipeline) against the exhaustive
 oracle, ``solve_enumeration``, on drawn cases it can enumerate: the two
@@ -25,7 +28,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from blackstart import decode, encode, load_case, solve_enumeration, solve_external, validate
 from blackstart.solvers import EnumerationCapError
 from blackstart.solvers.external import _force_on
-from blackstart.solvers.highs_cli import solve_model
+from blackstart.milp import GEN_POWER
+from blackstart.solvers.highs_cli import reduce_model, solve_model
 
 from conftest import load_bundled
 from strategies import case_documents
@@ -47,6 +51,9 @@ def plain_milp(arrays):
 
 
 def assert_solvers_agree(case):
+    """Assert the agreement above; returns the count of columns the
+    reduction substituted out, or None where the case has no
+    non-black-start generator or no optimum."""
     model = encode(case)
     arrays, forced = model.arrays(), model.arrays()
     raised = _force_on(model, case, forced)
@@ -58,36 +65,56 @@ def assert_solvers_agree(case):
     want_status, want_objective = plain_milp(arrays)
     assert status == want_status, info["message"]
     if status != "optimal":
-        return
+        return None
     assert math.isclose(info["objective"], want_objective, rel_tol=REL_TOL, abs_tol=1e-9)
     x = x.tolist()
     assert len(x) == len(model.names)
     assert model.check_assignment(x) == []
     assert math.isclose(model.objective_of(x), want_objective, rel_tol=REL_TOL, abs_tol=1e-9)
     assert validate(case, decode(model, x, case)).passed
+    reduced = reduce_model(forced)
+    output = np.array([name.startswith(f"{GEN_POWER}.") for name in model.names])
+    assert np.all(np.diff(reduced.a.start)[output[reduced.keep]] <= 1)
+    assert info["substituted"] == len(reduced.sub.col)
+    return info["substituted"] if any(not g.is_black_start for g in case.generators) else None
+
+
+def assert_substitution_is_exercised(counts):
+    """More than half of the optimal draws with a non-black-start generator
+    substitute a column out."""
+    counts = [n for n in counts if n is not None]
+    assert 2 * sum(n > 0 for n in counts) > len(counts) > 0, counts
 
 
 PROPERTY = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-@settings(max_examples=40, **PROPERTY)
-@given(case_documents())
-def test_reduced_solve_agrees_with_plain_highs(doc):
-    assert_solvers_agree(load_case(doc))
+def assert_solvers_agree_on_draws(max_examples):
+    counts = []
+
+    @settings(max_examples=max_examples, **PROPERTY)
+    @given(case_documents())
+    def agree(doc):
+        counts.append(assert_solvers_agree(load_case(doc)))
+
+    agree()
+    assert_substitution_is_exercised(counts)
+
+
+def test_reduced_solve_agrees_with_plain_highs():
+    assert_solvers_agree_on_draws(40)
 
 
 @pytest.mark.slow
-@settings(max_examples=1000, **PROPERTY)
-@given(case_documents())
-def test_reduced_solve_agrees_with_plain_highs_on_many_cases(doc):
-    assert_solvers_agree(load_case(doc))
+def test_reduced_solve_agrees_with_plain_highs_on_many_cases():
+    assert_solvers_agree_on_draws(1000)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"])
 def test_reduced_solve_agrees_with_plain_highs_on_ieee39(name):
-    assert_solvers_agree(load_bundled(name))
+    assert assert_solvers_agree(load_bundled(name)) > 0
 
 
 def assert_the_oracle_agrees(case):

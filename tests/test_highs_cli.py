@@ -102,6 +102,74 @@ def test_the_reduction_proves_infeasibility(arrays, where):
     assert "infeasible by reduction" in info["message"]
 
 
+# min x0 + 2·x1 with a continuous zero-cost y, bounded [0, 5], tied to them
+# by an equality row, its pivot row, and in one other row: y = 0.5 + x0 + x1
+# and y + x0 >= 4, so the reduced model has 2·x0 + x1 >= 3.5 and
+# x0 + x1 <= 4.5, and the optimum is x0 = 2, x1 = 0, y = 2.5
+@pytest.mark.parametrize("pivot", [
+    (0.5, {0: -1, 1: -1, 2: 1}, 0.5),
+    (-0.5, {0: 1, 1: 1, 2: -1}, -0.5),
+])
+def test_a_column_is_substituted_through_its_pivot_row(pivot):
+    arrays = model(c=[1, 2, 0], rows=[pivot, (4, {0: 1, 2: 1}, INF)],
+                   lb=[0, 0, 0], ub=[10, 10, 5], integer={0, 1})
+    reduced = reduce_model(arrays)
+    assert reduced.keep.tolist() == [True, True, False]
+    assert reduced.sub.col.tolist() == [2]
+    lo, hi = (-4.5, 0.5) if pivot[0] > 0 else (-0.5, 4.5)
+    assert (reduced.row_lo.tolist(), reduced.row_hi.tolist()) == ([lo, 3.5], [hi, INF])
+    status, x, info = solve_model(arrays)
+    assert status == "optimal"
+    assert x.tolist() == [2, 0, 2.5]
+    assert info["objective"] == 2
+    assert (info["reduced_rows"], info["reduced_cols"], info["substituted"]) == (2, 2, 1)
+
+
+def substituted(c, rows, integer=()):
+    """The columns ``reduce_model`` substitutes out of a hand-made model
+    whose columns are in [0, 10], and x0 and x1 integer."""
+    n = len(c)
+    return reduce_model(model(c, rows, [0] * n, [10] * n, {0, 1, *integer})).sub.col.tolist()
+
+
+@pytest.mark.parametrize("kind, c, rows, integer, want", [
+    ("a candidate", [0, 0, 0], [(0, {0: 1, 1: 1, 2: -1}, 0), (-INF, {0: 1, 2: 1}, 6)], (), [2]),
+    ("integer", [0, 0, 0], [(0, {0: 1, 1: 1, 2: -1}, 0), (-INF, {0: 1, 2: 1}, 6)], {2}, []),
+    ("nonzero cost", [0, 0, 1], [(0, {0: 1, 1: 1, 2: -1}, 0), (-INF, {0: 1, 2: 1}, 6)], (), []),
+    ("three entries", [0, 0, 0], [(0, {0: 1, 1: 1, 2: -1}, 0), (-INF, {0: 1, 2: 1}, 6),
+                                  (-INF, {1: 1, 2: 1}, 7)], (), []),
+    ("|pivot| != 1", [0, 0, 0], [(0, {0: 1, 1: 1, 2: -2}, 0), (-INF, {0: 1, 2: 1}, 6)], (), []),
+])
+def test_a_column_that_fails_a_condition_stays(kind, c, rows, integer, want):
+    assert substituted(c, rows, integer) == want
+
+
+def test_two_candidates_for_one_pivot_row_substitute_only_the_first():
+    rows = [(0, {0: 1, 1: 1, 2: -1, 3: 1}, 0), (-INF, {0: 1, 2: 1}, 6), (-INF, {1: 1, 3: 1}, 7)]
+    assert substituted([0] * 4, rows) == [2]
+
+
+def test_a_candidate_whose_other_row_is_a_pivot_row_stays():
+    # column 2's other row, row 1, is the pivot row of column 3
+    rows = [(0, {0: 1, 1: 1, 2: -1}, 0), (1, {0: 1, 2: 1, 3: -1}, 1), (-INF, {1: 1, 3: 1}, 9)]
+    assert substituted([0] * 4, rows) == [3]
+
+
+def test_the_pivot_row_of_a_free_column_is_dropped():
+    # y = x0 + x1 + 1 is free, so its pivot row bounds nothing once it is
+    # out; y + x0 >= 3 becomes 2·x0 + x1 >= 2
+    arrays = model(c=[1, 1, 0], rows=[(-1, {0: 1, 1: 1, 2: -1}, -1), (3, {0: 1, 2: 1}, INF)],
+                   lb=[0, 0, -INF], ub=[10, 10, INF], integer={0, 1})
+    reduced = reduce_model(arrays)
+    assert reduced.sub.col.tolist() == [2]
+    assert reduced.a.shape == (1, 2)
+    assert (reduced.row_lo.tolist(), reduced.row_hi.tolist()) == ([2], [INF])
+    status, x, info = solve_model(arrays)
+    assert status == "optimal"
+    assert x.tolist() == [1, 0, 2]
+    assert info["objective"] == 1
+
+
 class StubHighs:
     """A stand-in for the binding's ``_Highs`` that answers ``col_value`` as
     an optimum and records the options and the start it was given."""
@@ -160,6 +228,22 @@ def test_a_point_that_violates_a_dropped_row_is_an_error(stub_highs, monkeypatch
     assert (status, x) == ("error", None)
     assert "postsolved point violates the model: row [0]" in info["message"]
     assert stub_highs.options["presolve"] == "off"
+
+
+def test_a_start_is_checked_only_on_the_fixed_columns(stub_highs, monkeypatch):
+    # x0 is fixed at 1 and y (column 3) is substituted out through row 0;
+    # HiGHS gets x1 and x2
+    arrays = model(c=[0, 1, 1, 0], rows=[(0, {0: 1, 1: 1, 2: 1, 3: -1}, 0),
+                                         (-INF, {1: 1, 3: 1}, 8)],
+                   lb=[1, 0, 0, 0], ub=[1, 10, 10, 10])
+    monkeypatch.setattr(stub_highs, "col_value", [0.0, 0.0])
+    for start, kept in [([1, 2, 3, 99], True), ([1, 2, 3, 6], True), ([0, 2, 3, 6], False)]:
+        stub_highs.starts.clear()
+        status, x, info = solve_model(arrays, start=start)
+        assert status == "optimal" and info["substituted"] == 1
+        assert x.tolist() == [1, 0, 0, 1]
+        assert stub_highs.starts == ([[2, 3]] if kept else [])
+        assert (info["start_objective"] is not None) == kept
 
 
 REDUCED_SHA256 = json.loads((Path(__file__).parent / "data" / "reduced_sha256.json").read_text())
