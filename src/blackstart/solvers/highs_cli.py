@@ -154,9 +154,9 @@ class Reduced(NamedTuple):
     ``keep`` marks the model's columns that remain (in order, they are the
     reduced model's columns); ``x`` holds the fixed columns' values, and
     ``offset`` is their share of the objective; ``sub`` gives the
-    substituted columns (zero in ``x``) from the rest, so that postsolve,
-    ``postsolve``, is ``x[keep] = x_reduced``, then ``sub``. ``a``, the row
-    sides, bounds and ``integrality`` are the reduced model's.
+    substituted columns (zero in ``x``) from the rest. ``postsolve`` puts
+    HiGHS's values at ``keep``, then computes ``sub``'s columns. ``a``, the
+    row sides, bounds and ``integrality`` are the reduced model's.
     """
 
     c: np.ndarray
@@ -239,8 +239,8 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
             break
     row, col, val = row[live], col[live], val[live]
     offset = float(c[~live_col] @ x[~live_col])
-    (row, col, val), sub = _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row,
-                                       row, col, val)
+    row, col, val, sub = _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row,
+                                     row, col, val)
 
     keep = live_col
     order = np.lexsort((row, col))
@@ -264,7 +264,7 @@ def reduce_model(arrays: ModelArrays) -> Reduced:
 
 
 def _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row, row, col, val
-                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Substitution]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Substitution]:
     """Substitute columns out through equality rows, in place on the sides
     and live masks; returns the live entries after it and the ``Substitution``.
 
@@ -278,14 +278,14 @@ def _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row, row, col
     the scaling exact.
     """
     n, m = len(c), len(row_lo)
-    two = live_col & ~integer & (c == 0) & (np.bincount(col, minlength=n) == 2)
+    candidate = live_col & ~integer & (c == 0) & (np.bincount(col, minlength=n) == 2)
     equality = live_row & (row_lo == row_hi) & np.isfinite(row_lo)
-    pivot = np.flatnonzero(two[col] & equality[row] & (np.abs(val) == 1))
+    pivot = np.flatnonzero(candidate[col] & equality[row] & (np.abs(val) == 1))
     pivot = pivot[np.unique(col[pivot], return_index=True)[1]]  # one pivot per column
     pivot = pivot[np.unique(row[pivot], return_index=True)[1]]  # one column per pivot row
     at_pivot = np.zeros(len(val), dtype=bool)
     at_pivot[pivot] = True
-    other = np.flatnonzero(two[col] & ~at_pivot)
+    other = np.flatnonzero(candidate[col] & ~at_pivot)
     other_row, other_val = np.full(n, -1), np.zeros(n)
     other_row[col[other]], other_val[col[other]] = row[other], val[other]
     is_pivot = np.zeros(m, dtype=bool)
@@ -308,8 +308,8 @@ def _substitute(c, integer, lb, ub, row_lo, row_hi, live_col, live_row, row, col
     of = s_of_row[row[rest]]
     sub = Substitution(col=j, coef=a, rhs=rhs, of=of, other=col[rest], val=val[rest])
     kept = ~gone & live_row[row]
-    return ((np.concatenate((row[kept], r[of])), np.concatenate((col[kept], sub.other)),
-             np.concatenate((val[kept], f[of] * sub.val))), sub)
+    return (np.concatenate((row[kept], r[of])), np.concatenate((col[kept], sub.other)),
+            np.concatenate((val[kept], f[of] * sub.val)), sub)
 
 
 def _tighten(lb: np.ndarray, ub: np.ndarray, integer: np.ndarray) -> None:

@@ -26,9 +26,9 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from blackstart import decode, encode, load_case, solve_enumeration, solve_external, validate
+from blackstart.milp import GEN_POWER
 from blackstart.solvers import EnumerationCapError
 from blackstart.solvers.external import _force_on
-from blackstart.milp import GEN_POWER
 from blackstart.solvers.highs_cli import reduce_model, solve_model
 
 from conftest import load_bundled
@@ -79,18 +79,13 @@ def assert_solvers_agree(case):
     return info["substituted"] if any(not g.is_black_start for g in case.generators) else None
 
 
-def assert_substitution_is_exercised(counts):
-    """More than half of the optimal draws with a non-black-start generator
-    substitute a column out."""
-    counts = [n for n in counts if n is not None]
-    assert 2 * sum(n > 0 for n in counts) > len(counts) > 0, counts
-
-
 PROPERTY = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
 def assert_solvers_agree_on_draws(max_examples):
+    """``assert_solvers_agree`` on drawn cases, and a substitution on more
+    than half of the optimal draws with a non-black-start generator."""
     counts = []
 
     @settings(max_examples=max_examples, **PROPERTY)
@@ -99,7 +94,8 @@ def assert_solvers_agree_on_draws(max_examples):
         counts.append(assert_solvers_agree(load_case(doc)))
 
     agree()
-    assert_substitution_is_exercised(counts)
+    counts = [n for n in counts if n is not None]
+    assert 2 * sum(n > 0 for n in counts) > len(counts) > 0, counts
 
 
 def test_reduced_solve_agrees_with_plain_highs():

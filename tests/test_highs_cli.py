@@ -140,7 +140,7 @@ def substituted(c, rows, integer=()):
                                   (-INF, {1: 1, 2: 1}, 7)], (), []),
     ("|pivot| != 1", [0, 0, 0], [(0, {0: 1, 1: 1, 2: -2}, 0), (-INF, {0: 1, 2: 1}, 6)], (), []),
 ])
-def test_a_column_that_fails_a_condition_stays(kind, c, rows, integer, want):
+def test_only_a_column_that_meets_every_condition_goes(kind, c, rows, integer, want):
     assert substituted(c, rows, integer) == want
 
 
