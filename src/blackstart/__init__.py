@@ -8,13 +8,7 @@ schedule against the device semantics with the independent validator.
 
 from .caseio import case_to_document, dumps_case, load_case
 from .cases import bundled_case_path, bundled_cases
-from .devices import (
-    battery_power,
-    fuel_cell_power,
-    generator_power,
-    soc_trajectory,
-    system_power,
-)
+from .devices import soc_trajectory, system_power
 from .grid import (
     Battery,
     Branch,

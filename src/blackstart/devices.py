@@ -13,79 +13,68 @@ Lifecycle of a generator or fuel cell started at step s:
     afterwards                     p_max MW
 
 A black-start generator cranks on its own station supply, so its cranking
-draw on the grid is zero. A battery injects a chosen dispatch level within
-[p_min, p_max] while its discharge window is open and nothing otherwise.
+draw on the grid is zero. A battery injects its dispatch while its
+discharge window is open and nothing otherwise; whether that dispatch lies
+in [p_min, p_max] is the validator's eq46 check, not a condition here.
+
+This module is the one path from a start decision to MW. ``output_curve``
+(``output_curves`` for a whole case) gives a unit's lifecycle once,
+``shift_curve`` places it at a start step, ``battery_trajectory`` masks a
+dispatch to its window, and ``power_sum`` adds series pointwise in the
+order they are given. Everything that needs
+a unit's output or the system's (the encoder, the oracle and its greedy
+start, the validator, the reports) goes through them.
 """
 
 from __future__ import annotations
 
-from .grid import Battery, FuelCell, Generator, GridCase, TimeGrid
+from collections.abc import Iterable
+
+from .grid import Battery, FuelCell, Generator, GridCase
 from .schedule import Schedule
 
 
-def phase_output(p_max: float, crank_draw: float, crank_steps: int, ramp_steps: int,
-                 since_start: int) -> float:
-    """Net MW a unit injects `since_start` steps after it began startup.
-
-    since_start 0 is the first cranking step; negative means not yet started.
-    """
-    if since_start < 0:
-        return 0.0
-    if since_start < crank_steps:
-        return -crank_draw
-    k = since_start - crank_steps + 1
-    if k < ramp_steps:
-        return p_max * k / ramp_steps
-    return p_max
+def output_curve(unit: Generator | FuelCell) -> list[float]:
+    """Net MW the unit injects 0, 1, ... steps after its startup begins, up
+    to and including its first step at p_max, which it holds afterwards."""
+    draw = 0.0 if isinstance(unit, Generator) and unit.is_black_start else unit.p_crank
+    ramp = [unit.p_max * k / unit.ramp_steps for k in range(1, unit.ramp_steps)]
+    return [-draw] * unit.crank_steps + ramp + [unit.p_max]
 
 
-def _phase_power(p_max: float, crank_draw: float, crank_steps: int, ramp_steps: int,
-                 start_step: int | None, t: int) -> float:
-    if start_step is None:
-        return 0.0
-    return phase_output(p_max, crank_draw, crank_steps, ramp_steps, t - start_step)
+def output_curves(case: GridCase) -> dict[str, list[float]]:
+    """Each generator's and fuel cell's ``output_curve`` by id."""
+    return {unit.id: output_curve(unit) for unit in (*case.generators, *case.fuel_cells)}
 
 
-def fuel_cell_power(fc: FuelCell, start_step: int | None, t: int) -> float:
-    """Net MW injected by a fuel cell at step t when started at start_step."""
-    return _phase_power(fc.p_max, fc.p_crank, fc.crank_steps, fc.ramp_steps, start_step, t)
+def shift_curve(curve: list[float], start: int | None, n_steps: int) -> list[float]:
+    """The MW at steps 1..n_steps of a unit with output ``curve`` whose
+    startup begins at step ``start`` (any integer); all 0.0 for None."""
+    if start is None:
+        return [0.0] * n_steps
+    lead = min(max(start - 1, 0), n_steps)  # steps before the startup
+    skip = max(1 - start, 0)  # curve steps already behind at step 1
+    body = curve[skip:skip + n_steps - lead]
+    return [0.0] * lead + body + [curve[-1]] * (n_steps - lead - len(body))
 
 
-def generator_power(g: Generator, start_step: int | None, t: int) -> float:
-    """Net MW injected by a generator at step t when started at start_step."""
-    crank_draw = 0.0 if g.is_black_start else g.p_crank
-    return _phase_power(g.p_max, crank_draw, g.crank_steps, g.ramp_steps, start_step, t)
+def battery_trajectory(window: tuple[int, int] | None, dispatch: list[float]
+                       ) -> list[float]:
+    """A battery's net MW per step: its dispatch inside its discharge
+    window [start, end), 0.0 outside it and everywhere for None."""
+    if window is None:
+        return [0.0] * len(dispatch)
+    start, end = window
+    return [p if start <= t < end else 0.0 for t, p in enumerate(dispatch, start=1)]
 
 
-def battery_power(b: Battery, start_step: int | None, end_step: int | None,
-                  t: int, dispatch: float) -> float:
-    """Net MW injected by a battery at step t.
-
-    dispatch is the chosen level for step t; it must lie in [p_min, p_max]
-    while the window [start_step, end_step) is open and is ignored outside.
-    """
-    if start_step is None or not start_step <= t < (end_step if end_step is not None else 0):
-        return 0.0
-    if not b.p_min - 1e-9 <= dispatch <= b.p_max + 1e-9:
-        raise ValueError(
-            f"battery {b.id}: dispatch {dispatch} MW outside [{b.p_min}, {b.p_max}] at step {t}"
-        )
-    return dispatch
-
-
-def fuel_cell_trajectory(fc: FuelCell, start_step: int | None, grid: TimeGrid) -> list[float]:
-    return [fuel_cell_power(fc, start_step, t) for t in grid.steps]
-
-
-def generator_trajectory(g: Generator, start_step: int | None, grid: TimeGrid) -> list[float]:
-    return [generator_power(g, start_step, t) for t in grid.steps]
-
-
-def battery_trajectory(b: Battery, start_step: int | None, end_step: int | None,
-                       dispatch: list[float], grid: TimeGrid) -> list[float]:
-    return [
-        battery_power(b, start_step, end_step, t, dispatch[t - 1]) for t in grid.steps
-    ]
+def power_sum(series: Iterable[list[float]], n_steps: int) -> list[float]:
+    """Pointwise sum of per-device series, added in the order given."""
+    total = [0.0] * n_steps
+    for one in series:
+        for i, p in enumerate(one):
+            total[i] += p
+    return total
 
 
 def soc_trajectory(b: Battery, trajectory: list[float], step_minutes: float
@@ -108,24 +97,20 @@ def soc_trajectory(b: Battery, trajectory: list[float], step_minutes: float
 
 
 def device_trajectories(case: GridCase, schedule: Schedule) -> dict[str, list[float]]:
-    """Per-device semantic injection series for a complete schedule."""
-    grid = case.time_grid
+    """Per-device semantic injection series for a complete schedule:
+    generators, then fuel cells, then batteries."""
+    T = case.time_grid.n_steps
+    curves = output_curves(case)
     out: dict[str, list[float]] = {}
     for g in case.generators:
-        out[g.id] = generator_trajectory(g, schedule.gen_start[g.id], grid)
+        out[g.id] = shift_curve(curves[g.id], schedule.gen_start[g.id], T)
     for f in case.fuel_cells:
-        out[f.id] = fuel_cell_trajectory(f, schedule.fc_start[f.id], grid)
+        out[f.id] = shift_curve(curves[f.id], schedule.fc_start[f.id], T)
     for b in case.batteries:
-        window = schedule.bat_window[b.id]
-        start, end = window if window is not None else (None, None)
-        out[b.id] = battery_trajectory(b, start, end, schedule.bat_dispatch[b.id], grid)
+        out[b.id] = battery_trajectory(schedule.bat_window[b.id], schedule.bat_dispatch[b.id])
     return out
 
 
 def system_power(case: GridCase, schedule: Schedule) -> list[float]:
     """Pointwise sum of all device injections over the horizon."""
-    total = [0.0] * case.time_grid.n_steps
-    for series in device_trajectories(case, schedule).values():
-        for i, p in enumerate(series):
-            total[i] += p
-    return total
+    return power_sum(device_trajectories(case, schedule).values(), case.time_grid.n_steps)

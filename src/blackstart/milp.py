@@ -29,7 +29,7 @@ import math
 from array import array
 from collections.abc import Iterable, Sequence
 
-from .devices import phase_output
+from .devices import device_trajectories, output_curve, shift_curve
 from .grid import GridCase
 from .model import EncodingError, MilpModel, row_sides
 from .schedule import Schedule
@@ -184,8 +184,7 @@ def encode(case: GridCase) -> MilpModel:
     # Generator: the start series is monotone, so output is the convolution of
     # the lifecycle increments with the start indicators.
     for g in case.generators:
-        draw = 0.0 if g.is_black_start else g.p_crank
-        out = [phase_output(g.p_max, draw, g.crank_steps, g.ramp_steps, d) for d in range(-1, T)]
+        out = [0.0, *shift_curve(output_curve(g), 1, T)]  # from the step before the start
         inc = [out[d + 1] - out[d] for d in range(T)]  # d steps after the start
         cols, coefs, widths = [], [], []
         for t in steps:
@@ -366,8 +365,6 @@ def point_from_schedule(model: MilpModel, case: GridCase, schedule: Schedule) ->
     model-feasible point. Each series is written at the columns the encoder
     declared it at.
     """
-    from .devices import device_trajectories
-
     T = case.time_grid.n_steps
     x = array("d", bytes(8 * len(model.names)))
     covered = 0

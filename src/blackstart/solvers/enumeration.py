@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 
-from ..devices import fuel_cell_trajectory, generator_trajectory
+from ..devices import battery_trajectory, output_curves, power_sum, shift_curve
 from ..grid import Battery, Generator, GridCase
 from ..milp import objective_value
 from ..schedule import Schedule, empty_schedule
@@ -38,7 +38,7 @@ class EnumerationCapError(RuntimeError):
     """The decision space exceeds the configured cap."""
 
 
-def _gen_options(g: Generator, T: int) -> list[int | None]:
+def _gen_options(g: Generator) -> list[int | None]:
     if g.is_black_start:
         return [2]
     return [None, *range(g.start_min, g.start_max + 1)]
@@ -104,11 +104,13 @@ def _sources(case: GridCase, bat_windows: dict[str, tuple[int, int] | None]
 def _simulate(case: GridCase,
               gen_starts: dict[str, int | None],
               bat_windows: dict[str, tuple[int, int] | None],
+              curves: dict[str, list[float]],
               closure: tuple[dict[str, int | None], dict[str, int | None]] | None = None
               ) -> Schedule | None:
     """Forward-simulate one decision combination; None if infeasible.
-    ``closure`` is the ``energization_closure`` of its ``_sources``, where
-    the caller has it already."""
+    ``curves`` are the case's ``output_curves``, and ``closure`` is the
+    ``energization_closure`` of its ``_sources``, where the caller has it
+    already."""
     T = case.time_grid.n_steps
     hours = case.time_grid.step_minutes / 60.0
     bus_step, branch_step = closure or energization_closure(case, _sources(case, bat_windows))
@@ -148,13 +150,8 @@ def _simulate(case: GridCase,
             if not justified:
                 return None
 
-    base = [0.0] * T
-    for g in case.generators:
-        for i, p in enumerate(generator_trajectory(g, gen_starts[g.id], case.time_grid)):
-            base[i] += p
-    for f in case.fuel_cells:
-        for i, p in enumerate(fuel_cell_trajectory(f, 2, case.time_grid)):
-            base[i] += p
+    base = power_sum([*(shift_curve(curves[g.id], gen_starts[g.id], T) for g in case.generators),
+                      *(shift_curve(curves[f.id], 2, T) for f in case.fuel_cells)], T)
 
     dispatch: dict[str, list[float]] = {b.id: [0.0] * T for b in case.batteries}
     soc_left = {b.id: b.soc_init - b.soc_min for b in case.batteries}
@@ -217,14 +214,15 @@ def greedy_schedule(case: GridCase) -> Schedule | None:
     lengths: list[int | None] = [None]
     if case.batteries:
         lengths += [2 ** i for i in range(T.bit_length()) if 2 ** i < T] + [T]
+    curves = output_curves(case)
     best: tuple[float, Schedule] | None = None
     for length in lengths:
         windows = {b.id: None if length is None
                    else (b.start_min, min(b.start_min + length, T + 1))
                    for b in case.batteries}
         closure = energization_closure(case, _sources(case, windows))
-        for starts in _greedy_starts(case, windows, closure[0]):
-            sched = _simulate(case, starts, windows, closure)
+        for starts in _greedy_starts(case, windows, closure[0], curves):
+            sched = _simulate(case, starts, windows, curves, closure)
             if sched is not None:
                 obj = objective_value(case, sched)
                 if best is None or obj < best[0]:
@@ -233,29 +231,23 @@ def greedy_schedule(case: GridCase) -> Schedule | None:
 
 
 def _greedy_starts(case: GridCase, windows: dict[str, tuple[int, int] | None],
-                   bus_step: dict[str, int | None]) -> list[dict[str, int | None]]:
+                   bus_step: dict[str, int | None], curves: dict[str, list[float]]
+                   ) -> list[dict[str, int | None]]:
     """The distinct start vectors from a few fixed orders of the
     non-black-start generators: case order, ``p_max - p_crank``
     descending, cranking energy ascending, and the step their bus is first
     lit."""
-    grid = case.time_grid
-    floor = [0.0] * grid.n_steps  # the self-starting units' output and the open batteries' floors
-    cover = [0.0] * grid.n_steps  # the open batteries' headroom above their floors
-    for g in case.generators:
-        if g.is_black_start:
-            for i, p in enumerate(generator_trajectory(g, 2, grid)):
-                floor[i] += p
-    for f in case.fuel_cells:
-        for i, p in enumerate(fuel_cell_trajectory(f, 2, grid)):
-            floor[i] += p
-    for b in case.batteries:
-        window = windows[b.id]
-        if window is not None:
-            for i in range(window[0] - 1, window[1] - 1):
-                floor[i] += b.p_min
-                cover[i] += b.p_max - b.p_min
+    T = case.time_grid.n_steps
+    # the self-starting units' output and the open batteries' floors, and
+    # the open batteries' headroom above their floors
+    floor = power_sum([
+        *(shift_curve(curves[g.id], 2, T) for g in case.generators if g.is_black_start),
+        *(shift_curve(curves[f.id], 2, T) for f in case.fuel_cells),
+        *(battery_trajectory(windows[b.id], [b.p_min] * T) for b in case.batteries)], T)
+    cover = power_sum([battery_trajectory(windows[b.id], [b.p_max - b.p_min] * T)
+                       for b in case.batteries], T)
     others = [g for g in case.generators if not g.is_black_start]
-    profile = {g.id: generator_trajectory(g, 1, grid) for g in others}
+    profile = {g.id: shift_curve(curves[g.id], 1, T) for g in others}
 
     def first_lit(g: Generator) -> float:
         lit = bus_step[g.bus]
@@ -294,7 +286,7 @@ def _earliest_start(g: Generator, first: float, profile: list[float],
     return None
 
 
-def _tiebreak_key(case: GridCase, gen_starts: dict[str, int | None],
+def _tiebreak_key(gen_starts: dict[str, int | None],
                   bat_windows: dict[str, tuple[int, int] | None]) -> tuple:
     """Lexicographic start vector by device id; earlier starts win, then
     later discharge ends (a window held open mirrors a fuel cell)."""
@@ -315,7 +307,7 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
     t0 = time.monotonic()
     T = case.time_grid.n_steps
     gens = [g for g in case.generators]
-    gen_opts = [_gen_options(g, T) for g in gens]
+    gen_opts = [_gen_options(g) for g in gens]
     bat_opts = [_battery_options(b, T) for b in case.batteries]
     n_combos = math.prod([len(o) for o in gen_opts] + [len(o) for o in bat_opts])
     if n_combos > cap:
@@ -323,6 +315,7 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
             f"{n_combos} decision combinations exceed the cap of {cap}"
         )
 
+    curves = output_curves(case)
     best: tuple[float, tuple, Schedule] | None = None
     explored = 0
     for combo in itertools.product(*gen_opts, *bat_opts):
@@ -331,11 +324,11 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
         bat_windows = {
             b.id: combo[len(gens) + j] for j, b in enumerate(case.batteries)
         }
-        sched = _simulate(case, gen_starts, bat_windows)
+        sched = _simulate(case, gen_starts, bat_windows, curves)
         if sched is None:
             continue
         obj = objective_value(case, sched)
-        key = _tiebreak_key(case, gen_starts, bat_windows)
+        key = _tiebreak_key(gen_starts, bat_windows)
         if best is None or (obj, key) < (best[0], best[1]):
             best = (obj, key, sched)
 

@@ -477,6 +477,7 @@ def _serve(conn, owner_end, owner: int) -> None:
     import traceback
 
     owner_end.close()  # so that the owner's death reads as EOF here
+    os.dup2(2, 1)  # what HiGHS prints to fd 1 must not land in the owner's output
     os.setpgid(0, 0)  # so that killing the host's group kills its solver command too
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
     highs_cli = threads_now = watchdog = None
@@ -524,6 +525,7 @@ def _exit_when_orphaned(owner: int) -> None:
     while os.getppid() == owner:
         time.sleep(OWNER_CHECK_S)
     os.killpg(0, signal.SIGKILL)
+
 
 def _solve_with_command(model: MilpModel, template: str, timeout_s: float,
                         stats: dict) -> array | None:

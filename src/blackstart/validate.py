@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .devices import fuel_cell_trajectory, generator_trajectory, soc_trajectory
+from .devices import device_trajectories, power_sum, soc_trajectory
 from .grid import GridCase
 from .schedule import Schedule
 
@@ -165,24 +165,12 @@ def validate(case: GridCase, schedule: Schedule) -> ValidationReport:
         if e < s:
             v.append(Violation("eq41", b.id, e, message="discharge window ends before it starts"))
 
-    # trajectories (semantic ground truth): generators and fuel cells from
-    # their starts; a battery injects its dispatch inside its window and
-    # nothing outside, so the bounds below are checked, not imposed
-    traj: dict[str, list[float]] = {}
-    for g in case.generators:
-        traj[g.id] = generator_trajectory(g, schedule.gen_start[g.id], case.time_grid)
-    for f in case.fuel_cells:
-        traj[f.id] = fuel_cell_trajectory(f, schedule.fc_start[f.id], case.time_grid)
-
-    # battery dispatch bounds (eq46) and dispatch outside the window
+    # battery dispatch bounds (eq46) and dispatch outside the window, on the
+    # raw schedule: the trajectories below mask the dispatch to the window
     for b in case.batteries:
         window = schedule.bat_window[b.id]
-        dispatch = schedule.bat_dispatch[b.id]
-        traj[b.id] = [0.0] * T
-        for t in range(1, T + 1):
-            p = dispatch[t - 1]
+        for t, p in enumerate(schedule.bat_dispatch[b.id], start=1):
             if window is not None and window[0] <= t < window[1]:
-                traj[b.id][t - 1] = p
                 if not p >= b.p_min - POWER_TOL:
                     v.append(Violation("eq46lo", b.id, t, lhs=p, rhs=b.p_min,
                                        message="dispatch below minimum output"))
@@ -193,11 +181,10 @@ def validate(case: GridCase, schedule: Schedule) -> ValidationReport:
                 v.append(Violation("eq46hi", b.id, t, lhs=p, rhs=0.0,
                                    message="dispatch outside the discharge window"))
 
-    # (d) per-step cranking-power balance
-    total = [0.0] * T
-    for series in traj.values():
-        for i, p in enumerate(series):
-            total[i] += p
+    # (d) per-step cranking-power balance, on the trajectories recomputed
+    # from the device semantics (the semantic ground truth)
+    traj = device_trajectories(case, schedule)
+    total = power_sum(traj.values(), T)
     for t in range(1, T + 1):
         if total[t - 1] < -BALANCE_TOL:
             v.append(Violation("eq2", "system", t, lhs=total[t - 1], rhs=0.0,

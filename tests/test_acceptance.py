@@ -20,7 +20,7 @@ from blackstart import (
     validate,
 )
 from blackstart.analysis import SweepSpec, gsus_table, restored_power_series, sweep
-from blackstart.devices import fuel_cell_trajectory
+from blackstart.devices import output_curve, shift_curve
 from blackstart.milp import FC_POWER, _n
 
 from conftest import TOY_NAMES, load_bundled
@@ -147,7 +147,8 @@ def test_criterion_6_constraint_system_integrity(toy_cases, toy_enum, ieee39_sol
         assert ext.status == "optimal", f"{name}: {ext.status} {ext.message}"
         model = encode(case)
         for f in case.fuel_cells:
-            semantics = fuel_cell_trajectory(f, ext.schedule.fc_start[f.id], case.time_grid)
+            semantics = shift_curve(output_curve(f), ext.schedule.fc_start[f.id],
+                                    case.time_grid.n_steps)
             for t, p in zip(case.time_grid.steps, semantics):
                 value = ext.point[model.column(_n(FC_POWER, f.id, t))]
                 assert abs(value - p) <= 1e-6, (name, f.id, t)

@@ -10,7 +10,7 @@ from blackstart.analysis import (
     series_to_csv,
     sweep,
 )
-from blackstart.devices import generator_trajectory
+from blackstart.devices import output_curve, shift_curve
 from blackstart.schedule import empty_schedule
 
 from conftest import bundled_document, load_bundled
@@ -56,7 +56,7 @@ def test_restored_power_series_single_bs(minimal_two_bus_doc):
     sched = empty_schedule(case)
     sched.gen_start["g1"] = 2
     series = restored_power_series(sched, case)
-    expected = generator_trajectory(case.generators[0], 2, case.time_grid)
+    expected = shift_curve(output_curve(case.generators[0]), 2, case.time_grid.n_steps)
     assert [mw for _, mw in series] == expected
     assert [minute for minute, _ in series] == [20 * t for t in range(1, 9)]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shlex
 import stat
 import sys
@@ -9,6 +10,7 @@ import pytest
 from blackstart import import_mps
 from blackstart.cases import bundled_case_path
 from blackstart.cli import main
+from blackstart.solvers import external
 
 from conftest import bundled_document, doc_variant
 
@@ -25,6 +27,26 @@ def test_run_writes_artifacts(tmp_path, capsys):
         assert (tmp_path / artifact).exists()
     summary = json.loads(capsys.readouterr().out)
     assert summary["status"] == "optimal"
+
+
+def test_a_line_the_solver_host_prints_stays_out_of_the_summary(tmp_path, capfd, monkeypatch,
+                                                                fresh_solver_host):
+    """HiGHS may write to file descriptor 1 inside the host, as scipy's
+    binding has been seen to; ``run``'s stdout must still be one JSON
+    summary."""
+    solve_here = external._solve_here
+    line = b"HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();\n"
+
+    def noisy(*args):
+        os.write(1, line)
+        return solve_here(*args)
+
+    monkeypatch.setattr(external, "_solve_here", noisy)
+    rc = main(["run", "--case", case_arg("toy_t5"), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    out, err = capfd.readouterr()
+    assert json.loads(out)["status"] == "optimal"
+    assert line.decode() in err
 
 
 def test_run_summary_carries_solver_stats(tmp_path, capsys):

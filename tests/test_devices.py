@@ -8,19 +8,11 @@ from blackstart import (
     Battery,
     FuelCell,
     Generator,
-    battery_power,
-    fuel_cell_power,
-    generator_power,
     load_case,
     soc_trajectory,
     system_power,
 )
-from blackstart.devices import (
-    battery_trajectory,
-    fuel_cell_trajectory,
-    generator_trajectory,
-)
-from blackstart.grid import TimeGrid
+from blackstart.devices import battery_trajectory, output_curve, shift_curve
 from blackstart.schedule import empty_schedule
 
 from conftest import doc_variant
@@ -33,53 +25,53 @@ BS_GEN = Generator(id="gb", bus="b", p_max=100, p_crank=10, crank_steps=3, ramp_
 BAT = Battery(id="bt", bus="b", p_max=60, p_min=5, soc_init=50, soc_min=0)
 
 
+def power(unit, start, t):
+    """MW of ``unit`` at step t when its startup begins at step ``start``."""
+    return shift_curve(output_curve(unit), start, t)[t - 1]
+
+
 # hand-evaluated lifecycle: off / crank at -p_crank / linear ramp / saturate
 def test_fuel_cell_phases():
-    assert fuel_cell_power(FC, 2, 1) == 0
-    assert fuel_cell_power(FC, 2, 3) == -5
-    assert fuel_cell_power(FC, 2, 5) == 25  # first ramp step: 50 * 1/2
-    assert fuel_cell_power(FC, 2, 6) == 50
-    assert fuel_cell_power(FC, 2, 7) == 50
+    assert power(FC, 2, 1) == 0
+    assert power(FC, 2, 3) == -5
+    assert power(FC, 2, 5) == 25  # first ramp step: 50 * 1/2
+    assert power(FC, 2, 6) == 50
+    assert power(FC, 2, 7) == 50
 
 
 def test_fuel_cell_never_started():
-    assert all(fuel_cell_power(FC, None, t) == 0 for t in range(1, 10))
+    assert all(power(FC, None, t) == 0 for t in range(1, 10))
 
 
 def test_generator_phases():
-    assert generator_power(GEN, 4, 5) == -10
-    assert all(generator_power(GEN, 4, t) == 0 for t in (1, 2, 3))
-    assert generator_power(GEN, 4, 7) == 50
-    assert generator_power(GEN, 4, 9) == 100  # 4 + 3 crank + 2 ramp complete
+    assert power(GEN, 4, 5) == -10
+    assert all(power(GEN, 4, t) == 0 for t in (1, 2, 3))
+    assert power(GEN, 4, 7) == 50
+    assert power(GEN, 4, 9) == 100  # 4 + 3 crank + 2 ramp complete
 
 
 def test_black_start_generator_cranks_without_grid_draw():
-    assert generator_power(BS_GEN, 2, 2) == 0
-    assert generator_power(BS_GEN, 2, 4) == 0
-    assert generator_power(BS_GEN, 2, 5) == 50
-    assert generator_power(BS_GEN, 2, 6) == 100
+    assert power(BS_GEN, 2, 2) == 0
+    assert power(BS_GEN, 2, 4) == 0
+    assert power(BS_GEN, 2, 5) == 50
+    assert power(BS_GEN, 2, 6) == 100
 
 
 def test_zero_crank_unit_ramps_immediately():
     fc = FuelCell(id="f", bus="b", p_max=20, p_crank=0, crank_steps=0, ramp_steps=1)
-    assert fuel_cell_power(fc, 2, 2) == 20
-    assert fuel_cell_power(fc, 2, 1) == 0
+    assert power(fc, 2, 2) == 20
+    assert power(fc, 2, 1) == 0
 
 
 def test_battery_window():
-    assert battery_power(BAT, 3, 6, 4, 50) == 50
-    assert battery_power(BAT, 3, 6, 6, 0) == 0
-    assert battery_power(BAT, 3, 6, 2, 0) == 0
+    # open at steps 3..5; a dispatch outside the window is masked, not rejected
+    series = battery_trajectory((3, 6), [7.0, 7.0, 30.0, 50.0, 40.0, 0.0, 7.0, 7.0])
+    assert series == [0.0, 0.0, 30.0, 50.0, 40.0, 0.0, 0.0, 0.0]
 
 
 def test_battery_empty_window_is_all_zero():
-    grid = TimeGrid(20, 8)
-    assert battery_trajectory(BAT, 3, 3, [0.0] * 8, grid) == [0.0] * 8
-
-
-def test_battery_dispatch_below_minimum_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        battery_power(BAT, 3, 6, 4, 3)
+    assert battery_trajectory((3, 3), [0.0] * 8) == [0.0] * 8
+    assert battery_trajectory(None, [5.0] * 8) == [0.0] * 8
 
 
 def test_soc_trajectory_arithmetic():
@@ -110,7 +102,7 @@ def test_system_power_single_bs_generator(minimal_two_bus_doc):
     sched = empty_schedule(case)
     sched.gen_start["g1"] = 2
     g = case.generators[0]
-    expected = generator_trajectory(g, 2, case.time_grid)
+    expected = shift_curve(output_curve(g), 2, case.time_grid.n_steps)
     assert system_power(case, sched) == expected
 
 
@@ -135,31 +127,55 @@ def test_system_power_all_never(minimal_two_bus_doc):
     assert system_power(case, sched) == [0.0] * case.time_grid.n_steps
 
 
-fc_params = st.tuples(
+unit_params = st.tuples(
+    st.sampled_from(["fuel_cell", "generator", "black_start"]),
     st.floats(min_value=1, max_value=500),   # p_max
     st.floats(min_value=0, max_value=0.9),   # crank fraction of p_max
-    st.integers(min_value=0, max_value=4),   # crank_steps
+    st.integers(min_value=0, max_value=4),   # crank_steps (at least 1 for a generator)
     st.integers(min_value=1, max_value=5),   # ramp_steps
-    st.integers(min_value=2, max_value=12),  # start_step
 )
 
 
+def lifecycle(p_max, draw, crank_steps, ramp_steps, start, t):
+    """The module docstring's lifecycle table, row by row: MW at step t."""
+    if start is None or t < start:
+        return 0.0  # off
+    if t < start + crank_steps:
+        return -draw  # cranking; -0.0 for a black-start unit
+    k = t - start - crank_steps + 1  # the k-th ramp step
+    return p_max * k / ramp_steps if k < ramp_steps else p_max
+
+
 @settings(max_examples=200, deadline=None)
-@given(fc_params)
+@given(unit_params)
 def test_trajectory_properties(params):
-    p_max, crank_frac, crank_steps, ramp_steps, start = params
-    fc = FuelCell(id="f", bus="b", p_max=p_max, p_crank=crank_frac * p_max,
-                  crank_steps=crank_steps, ramp_steps=ramp_steps)
-    grid = TimeGrid(20, 30)
-    series = fuel_cell_trajectory(fc, start, grid)
-    assert all(p == 0 for p in series[: start - 1])
-    ramp_from = start + crank_steps
-    tail = series[ramp_from - 1:]
-    assert all(a <= b + 1e-12 for a, b in zip(tail, tail[1:]))
-    done = start + crank_steps + ramp_steps
-    assert all(p == p_max for p in series[done - 1:])
-    assert min(series) == (-fc.p_crank if crank_steps else 0.0)
-    assert max(series) == p_max
+    kind, p_max, crank_frac, crank_steps, ramp_steps = params
+    if kind == "fuel_cell":
+        unit = FuelCell(id="f", bus="b", p_max=p_max, p_crank=crank_frac * p_max,
+                        crank_steps=crank_steps, ramp_steps=ramp_steps)
+        draw = unit.p_crank
+    else:
+        unit = Generator(id="g", bus="b", p_max=p_max, p_crank=max(crank_frac, 0.01) * p_max,
+                         crank_steps=max(crank_steps, 1), ramp_steps=ramp_steps,
+                         is_black_start=kind == "black_start")
+        draw = 0.0 if unit.is_black_start else unit.p_crank
+    crank_steps, T = unit.crank_steps, 30
+    curve = output_curve(unit)
+    for start in [None, *range(-2, T + 3)]:
+        table = [lifecycle(p_max, draw, crank_steps, ramp_steps, start, t)
+                 for t in range(1, T + 1)]
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, shift_curve(curve, start, T))) == list(map(repr, table)), start
+    for start in range(2, 13):
+        series = shift_curve(curve, start, T)
+        assert all(p == 0 for p in series[: start - 1])
+        ramp_from = start + crank_steps
+        tail = series[ramp_from - 1:]
+        assert all(a <= b + 1e-12 for a, b in zip(tail, tail[1:]))
+        done = start + crank_steps + ramp_steps
+        assert all(p == p_max for p in series[done - 1:])
+        assert min(series) == (-draw if crank_steps else 0.0)
+        assert max(series) == p_max
 
 
 @settings(max_examples=100, deadline=None)

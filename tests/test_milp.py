@@ -19,7 +19,7 @@ from blackstart import (
     validate,
 )
 from blackstart.cases import bundled_case_path
-from blackstart.devices import device_trajectories
+from blackstart.devices import device_trajectories, output_curves
 from blackstart.milp import (
     BAT_POWER,
     BINARY_KINDS,
@@ -132,12 +132,13 @@ def test_constraint_names_follow_the_grammar(toy_cases):
 
 def _all_feasible_schedules(case):
     gens = list(case.generators)
-    gen_opts = [_gen_options(g, case.time_grid.n_steps) for g in gens]
+    gen_opts = [_gen_options(g) for g in gens]
     bat_opts = [_battery_options(b, case.time_grid.n_steps) for b in case.batteries]
+    curves = output_curves(case)
     for combo in itertools.product(*gen_opts, *bat_opts):
         gen_starts = {g.id: combo[i] for i, g in enumerate(gens)}
         windows = {b.id: combo[len(gens) + j] for j, b in enumerate(case.batteries)}
-        sched = _simulate(case, gen_starts, windows)
+        sched = _simulate(case, gen_starts, windows, curves)
         if sched is not None:
             yield sched
 

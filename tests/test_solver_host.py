@@ -295,8 +295,9 @@ def test_the_host_exits_when_its_owner_is_killed_mid_solve(tmp_path):
                             "import os, time\n"
                             "import blackstart as bs\n"
                             "from blackstart.solvers import highs_cli\n"
+                            "stdout = os.dup(1)  # a host's own fd 1 is this fd 2\n"
                             "def sleep(arrays, time_limit=None, threads=None, start=None):\n"
-                            "    print(os.getpid(), flush=True)\n"
+                            "    os.write(stdout, f'{os.getpid()}\\n'.encode())\n"
                             "    time.sleep(120)\n"
                             "highs_cli.solve_model = sleep\n"
                             "bs.solve_external(bs.load_case(bs.bundled_case_path('toy_t5')))\n")
@@ -337,8 +338,9 @@ def test_the_host_exits_when_its_owner_is_killed_inside_highs(tmp_path):
                             "    constant=0.0)\n"
                             "Highs, solve = highs_cli._core._Highs, highs_cli.solve_model\n"
                             "run = Highs.run\n"
+                            "stdout = os.dup(1)  # a host's own fd 1 is this fd 2\n"
                             "def announce_and_run(self):\n"
-                            "    print(os.getpid(), flush=True)\n"
+                            "    os.write(stdout, f'{os.getpid()}\\n'.encode())\n"
                             "    run(self)\n"
                             "    open('returned', 'w').close()\n"
                             "Highs.run = announce_and_run\n"

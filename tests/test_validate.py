@@ -8,6 +8,7 @@ from blackstart import (
     energization_chain,
     load_case,
     mutation_suite,
+    system_power,
     validate,
 )
 from blackstart.schedule import Schedule, empty_schedule
@@ -81,6 +82,7 @@ def test_battery_dispatch_out_of_bounds_is_flagged_and_reported_raw():
     assert eq46 == [("eq46hi", 1), ("eq46hi", 2), ("eq46lo", 3), ("eq46hi", 5)]
     raw = [0.0, 25.0, 2.0, 10.0, 0.0, 0.0, 0.0, 0.0]
     assert report.system_power == raw
+    assert system_power(case, sched) == raw
     hours = 20 / 60
     level, soc = 50.0, []
     for p in raw:
