@@ -13,6 +13,7 @@ earliest start is m minutes may first come up at step m / step_minutes + 1
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -188,15 +189,7 @@ def load_case(document: dict | str | Path) -> GridCase:
             b if b.id in explicit_importance else Bus(id=b.id, importance=degree[b.id])
             for b in case.buses
         )
-        case = GridCase(
-            time_grid=case.time_grid,
-            buses=buses,
-            branches=case.branches,
-            generators=case.generators,
-            fuel_cells=case.fuel_cells,
-            batteries=case.batteries,
-            beta=case.beta,
-        )
+        case = dataclasses.replace(case, buses=buses)
     return case
 
 

@@ -24,6 +24,12 @@ dispatch to its window, and ``power_sum`` adds series pointwise in the
 order they are given. Everything that needs
 a unit's output or the system's (the encoder, the oracle and its greedy
 start, the validator, the reports) goes through them.
+
+It is also the one path from a start decision to the buses a unit holds
+live (eq34, eq48 at battery buses): ``bus_holders`` gives each unit's
+interval and whether it can light a dark bus. The validator, the
+energization chain and the oracle read it; only the encoder's eq34/eq48
+rows state the rule again, in column form, as an independent check.
 """
 
 from __future__ import annotations
@@ -75,6 +81,35 @@ def power_sum(series: Iterable[list[float]], n_steps: int) -> list[float]:
         for i, p in enumerate(one):
             total[i] += p
     return total
+
+
+def bus_holders(case: GridCase, gen_start: dict[str, int | None],
+                fc_start: dict[str, int | None],
+                bat_window: dict[str, tuple[int, int] | None]
+                ) -> dict[str, list[tuple[int, int, bool]]]:
+    """For each bus with a started unit, one ``(first, until, self_start)``
+    per such unit, in case order. The unit holds the bus live at steps
+    ``first <= t < until``: a black-start generator or fuel cell from its
+    start, any other generator once it has cranked, a battery while its
+    window is open (``until`` is n_steps + 1 where it holds to the end).
+    ``self_start`` marks the units that can also light a dark bus: all but
+    the other generators."""
+    end = case.time_grid.n_steps + 1
+    holders: dict[str, list[tuple[int, int, bool]]] = {}
+    for g in case.generators:
+        s = gen_start[g.id]
+        if s is not None:
+            first = s if g.is_black_start else s + g.crank_steps
+            holders.setdefault(g.bus, []).append((first, end, g.is_black_start))
+    for f in case.fuel_cells:
+        s = fc_start[f.id]
+        if s is not None:
+            holders.setdefault(f.bus, []).append((s, end, True))
+    for b in case.batteries:
+        window = bat_window[b.id]
+        if window is not None:
+            holders.setdefault(b.bus, []).append((*window, True))
+    return holders
 
 
 def soc_trajectory(b: Battery, trajectory: list[float], step_minutes: float

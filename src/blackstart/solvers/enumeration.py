@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 
-from ..devices import battery_trajectory, output_curves, power_sum, shift_curve
+from ..devices import battery_trajectory, bus_holders, output_curves, power_sum, shift_curve
 from ..grid import Battery, Generator, GridCase
 from ..milp import objective_value
 from ..schedule import Schedule, empty_schedule
@@ -83,22 +83,25 @@ def energization_closure(case: GridCase, sources: dict[str, int]
     return bus_step, branch_step
 
 
-def _sources(case: GridCase, bat_windows: dict[str, tuple[int, int] | None]
-             ) -> dict[str, int]:
-    """Bus id -> the step a self-start device first lights it: black-start
-    generators and fuel cells at step 2, a battery at its window's start."""
-    T = case.time_grid.n_steps
+def _sources(holders: dict[str, list[tuple[int, int, bool]]]) -> dict[str, int]:
+    """Bus id -> the first step a self-start unit among its ``holders``
+    (``devices.bus_holders``) lights it."""
     sources: dict[str, int] = {}
-    for g in case.generators:
-        if g.is_black_start:
-            sources[g.bus] = min(sources.get(g.bus, T + 1), 2)
-    for f in case.fuel_cells:
-        sources[f.bus] = min(sources.get(f.bus, T + 1), 2)
-    for b in case.batteries:
-        window = bat_windows[b.id]
-        if window is not None:
-            sources[b.bus] = min(sources.get(b.bus, T + 1), window[0])
+    for bus, units in holders.items():
+        for first, _, self_start in units:
+            if self_start and first < sources.get(bus, first + 1):
+                sources[bus] = first
     return sources
+
+
+def self_start_closure(case: GridCase, bat_windows: dict[str, tuple[int, int] | None]
+                       ) -> tuple[dict[str, int | None], dict[str, int | None]]:
+    """The ``energization_closure`` lit by the self-start units alone:
+    black-start generators and fuel cells from step 2, and the batteries
+    in ``bat_windows``."""
+    starts = {g.id: 2 if g.is_black_start else None for g in case.generators}
+    holders = bus_holders(case, starts, {f.id: 2 for f in case.fuel_cells}, bat_windows)
+    return energization_closure(case, _sources(holders))
 
 
 def _simulate(case: GridCase,
@@ -108,59 +111,41 @@ def _simulate(case: GridCase,
               closure: tuple[dict[str, int | None], dict[str, int | None]] | None = None
               ) -> Schedule | None:
     """Forward-simulate one decision combination; None if infeasible.
-    ``curves`` are the case's ``output_curves``, and ``closure`` is the
-    ``energization_closure`` of its ``_sources``, where the caller has it
+    ``curves`` are the case's ``output_curves``, and ``closure`` is
+    ``self_start_closure(case, bat_windows)``, where the caller has it
     already."""
     T = case.time_grid.n_steps
     hours = case.time_grid.step_minutes / 60.0
-    bus_step, branch_step = closure or energization_closure(case, _sources(case, bat_windows))
+    fc_start = {f.id: 2 for f in case.fuel_cells}
+    holders = bus_holders(case, gen_starts, fc_start, bat_windows)
+    bus_step, branch_step = closure or energization_closure(case, _sources(holders))
 
     # every decided start must land on a bus energized by that step
     for g in case.generators:
-        s = gen_starts[g.id]
-        if s is None:
-            continue
-        lit = bus_step[g.bus]
-        if lit is None or lit > s:
+        s, lit = gen_starts[g.id], bus_step[g.bus]
+        if s is not None and (lit is None or lit > s):
             return None
 
-    # a bus lit only by a battery must stay justified once the discharge
-    # window closes (energization is monotone)
-    adj = case.adjacency
-    by_gen = {g.id: g for g in case.generators}
-    for b in case.batteries:
-        window = bat_windows[b.id]
-        if window is None or window[1] > T:
-            continue
-        for t in range(window[1], T + 1):
-            justified = any(
-                branch_step[k_id] is not None and branch_step[k_id] <= t
-                for k_id in adj.branches[b.bus]
-            )
-            justified = justified or bool(adj.fuel_cells[b.bus])
-            for g_id in adj.generators[b.bus]:
-                g = by_gen[g_id]
-                s = gen_starts[g_id]
-                if g.is_black_start or (s is not None and s + g.crank_steps <= t):
-                    justified = True
-            for other_id in adj.batteries[b.bus]:
-                w2 = bat_windows[other_id]
-                if w2 is not None and w2[0] <= t < w2[1]:
-                    justified = True
-            if not justified:
-                return None
+    # a bus must stay held after a battery window there closes: by another
+    # unit, or by a branch from the step the first one is lit (energization
+    # is monotone; a lit branch's step is >= 2, so ``filter`` drops only None)
+    branches = case.adjacency.branches
+    for bus, units in holders.items():
+        for _, closes, _ in units:
+            if closes <= T:
+                by_branch = min(filter(None, map(branch_step.get, branches[bus])), default=T + 1)
+                for t in range(closes, by_branch):
+                    if not any(first <= t < until for first, until, _ in units):
+                        return None
 
     base = power_sum([*(shift_curve(curves[g.id], gen_starts[g.id], T) for g in case.generators),
                       *(shift_curve(curves[f.id], 2, T) for f in case.fuel_cells)], T)
 
     dispatch: dict[str, list[float]] = {b.id: [0.0] * T for b in case.batteries}
     soc_left = {b.id: b.soc_init - b.soc_min for b in case.batteries}
+    windows = [(b, w) for b in case.batteries if (w := bat_windows[b.id]) is not None]
     for t in range(1, T + 1):
-        open_now = [
-            b for b in case.batteries
-            if bat_windows[b.id] is not None
-            and bat_windows[b.id][0] <= t < bat_windows[b.id][1]
-        ]
+        open_now = [b for b, (start, end) in windows if start <= t < end]
         level = base[t - 1]
         for b in open_now:
             if b.p_min * hours > soc_left[b.id] + 1e-9:
@@ -183,7 +168,7 @@ def _simulate(case: GridCase,
 
     sched = empty_schedule(case)
     sched.gen_start = dict(gen_starts)
-    sched.fc_start = {f.id: 2 for f in case.fuel_cells}
+    sched.fc_start = fc_start
     sched.bat_window = dict(bat_windows)
     sched.bat_dispatch = dispatch
     for b in case.buses:
@@ -220,7 +205,7 @@ def greedy_schedule(case: GridCase) -> Schedule | None:
         windows = {b.id: None if length is None
                    else (b.start_min, min(b.start_min + length, T + 1))
                    for b in case.batteries}
-        closure = energization_closure(case, _sources(case, windows))
+        closure = self_start_closure(case, windows)
         for starts in _greedy_starts(case, windows, closure[0], curves):
             sched = _simulate(case, starts, windows, curves, closure)
             if sched is not None:
@@ -306,8 +291,7 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
     """Optimal schedule by exhaustive enumeration of decision combinations."""
     t0 = time.monotonic()
     T = case.time_grid.n_steps
-    gens = [g for g in case.generators]
-    gen_opts = [_gen_options(g) for g in gens]
+    gen_opts = [_gen_options(g) for g in case.generators]
     bat_opts = [_battery_options(b, T) for b in case.batteries]
     n_combos = math.prod([len(o) for o in gen_opts] + [len(o) for o in bat_opts])
     if n_combos > cap:
@@ -320,10 +304,8 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
     explored = 0
     for combo in itertools.product(*gen_opts, *bat_opts):
         explored += 1
-        gen_starts = {g.id: combo[i] for i, g in enumerate(gens)}
-        bat_windows = {
-            b.id: combo[len(gens) + j] for j, b in enumerate(case.batteries)
-        }
+        gen_starts = {g.id: combo[i] for i, g in enumerate(case.generators)}
+        bat_windows = {b.id: combo[len(gen_opts) + j] for j, b in enumerate(case.batteries)}
         sched = _simulate(case, gen_starts, bat_windows, curves)
         if sched is None:
             continue
@@ -332,6 +314,7 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
         if best is None or (obj, key) < (best[0], best[1]):
             best = (obj, key, sched)
 
+    report = None if best is None else validate(case, best[2])
     stats = {
         "combinations": n_combos,
         "explored": explored,
@@ -341,13 +324,11 @@ def solve_enumeration(case: GridCase, cap: int = DEFAULT_COMBINATION_CAP) -> Sol
         return SolveResult(status=INFEASIBLE, stats=stats,
                            message="no feasible decision combination")
     obj, _, sched = best
-    report = validate(case, sched)
     if not report.passed:
         return SolveResult(
             status=ERROR, stats=stats, schedule=sched, validation=report,
             message="enumeration winner failed validation (internal inconsistency)",
         )
-    stats["wall_time_s"] = time.monotonic() - t0
     return SolveResult(
         status=OPTIMAL,
         objective=obj,

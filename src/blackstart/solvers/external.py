@@ -70,12 +70,11 @@ from ..model import ModelArrays
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
-from .enumeration import (DEFAULT_COMBINATION_CAP, _sources, energization_closure,
-                          greedy_schedule, solve_enumeration)
-from .result import ERROR, INFEASIBLE, OPTIMAL, SolveResult
+from .enumeration import (DEFAULT_COMBINATION_CAP, greedy_schedule, self_start_closure,
+                          solve_enumeration)
+from .result import ERROR, INFEASIBLE, INFEASIBLE_SENTINEL, OPTIMAL, SolveResult
 
 ENV_SOLVER_CMD = "BLACKSTART_SOLVER_CMD"
-INFEASIBLE_SENTINEL = "=infeasible="
 # How often a solver host checks that its owner is alive.
 OWNER_CHECK_S = 1.0
 # How long past ``timeout_s`` a solver host's HiGHS solve may take (to stop
@@ -208,7 +207,7 @@ def _start(model: MilpModel, case: GridCase) -> array | None:
 def _force_on(model: MilpModel, case: GridCase, arrays: ModelArrays) -> int:
     """Raise to 1, in ``arrays``, the lower bound of each ``bus_on`` and
     ``branch_on`` column from the step its bus or branch is lit in the
-    ``energization_closure`` of the black-start generators and fuel cells
+    ``self_start_closure`` of the black-start generators and fuel cells
     (batteries left out); returns how many columns it raised.
 
     A dual (dominance) fixing: raising these columns in a feasible point
@@ -225,7 +224,7 @@ def _force_on(model: MilpModel, case: GridCase, arrays: ModelArrays) -> int:
       (``grid`` keeps both nonnegative), a ``branch_on`` weight 0.
     """
     T = case.time_grid.n_steps
-    closure = energization_closure(case, _sources(case, {b.id: None for b in case.batteries}))
+    closure = self_start_closure(case, {b.id: None for b in case.batteries})
     lit = [(f"{kind}.{entity}.{s}", T - s + 1) for kind, steps in zip((BUS_ON, BRANCH_ON), closure)
            for entity, s in steps.items() if s is not None]
     for name, n in lit:  # columns s..T of the entity's block (``milp.encode``)

@@ -67,7 +67,7 @@ import numpy as np
 from ..milp import INTEGRALITY_TOL
 from ..model import ModelArrays
 from ..mps import MpsParseError, read_mps
-from .result import ERROR, INFEASIBLE, OPTIMAL
+from .result import ERROR, INFEASIBLE, INFEASIBLE_SENTINEL, OPTIMAL
 
 BINDING = "scipy.optimize._highspy._core"
 # ``info["status"]`` keeps scipy.optimize.milp's codes for HiGHS's model
@@ -494,7 +494,7 @@ def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:
     model = read_mps(mps_path)
     status, x, info = solve_model(model.arrays())
     if status == INFEASIBLE:
-        Path(sol_path).write_text("=infeasible=\n")
+        Path(sol_path).write_text(INFEASIBLE_SENTINEL + "\n")
         return 0
     if status != OPTIMAL:
         print(f"solve failed: status={info['status']} {info['message']}", file=sys.stderr)

@@ -11,6 +11,8 @@ from ..validate import ValidationReport
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ERROR = "error"
+# The one line of a solution document that marks a proven-infeasible model.
+INFEASIBLE_SENTINEL = "=infeasible="
 
 
 @dataclass

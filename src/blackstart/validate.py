@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .devices import device_trajectories, power_sum, soc_trajectory
+from .devices import bus_holders, device_trajectories, power_sum, soc_trajectory
 from .grid import GridCase
 from .schedule import Schedule
 
@@ -232,35 +232,15 @@ def validate(case: GridCase, schedule: Schedule) -> ValidationReport:
             if flags[t - 1] and not flags[t]:
                 v.append(Violation("eq32", k.id, t + 1, message="branch de-energized"))
 
-    # bus justification: live bus needs a live incident branch or a source
-    by_gen = {g.id: g for g in case.generators}
+    # bus justification (eq34, eq48 at battery buses): a live bus needs a
+    # live incident branch or a unit that holds it
+    holders = bus_holders(case, schedule.gen_start, schedule.fc_start, schedule.bat_window)
     for b in case.buses:
-        bats_here = adj.batteries[b.id]
-        tag = "eq48" if bats_here else "eq34"
+        tag = "eq48" if adj.batteries[b.id] else "eq34"
+        units = holders.get(b.id, ())
         for t in range(1, T + 1):
-            if not bus_on(b.id, t):
-                continue
-            if any(branch_on(k_id, t) for k_id in adj.branches[b.id]):
-                continue
-            justified = False
-            for g_id in adj.generators[b.id]:
-                g = by_gen[g_id]
-                s = schedule.gen_start[g_id]
-                if s is None:
-                    continue
-                if g.is_black_start and s <= t:
-                    justified = True
-                if not g.is_black_start and s + g.crank_steps <= t:
-                    justified = True
-            for f_id in adj.fuel_cells[b.id]:
-                s = schedule.fc_start[f_id]
-                if s is not None and s <= t:
-                    justified = True
-            for bt_id in bats_here:
-                window = schedule.bat_window[bt_id]
-                if window is not None and window[0] <= t < window[1]:
-                    justified = True
-            if not justified:
+            if (bus_on(b.id, t) and not any(branch_on(k_id, t) for k_id in adj.branches[b.id])
+                    and not any(first <= t < until for first, until, _ in units)):
                 v.append(Violation(tag, b.id, t, message="bus live with no justifying source"))
 
     # (f) SOC floor
@@ -316,21 +296,11 @@ def energization_chain(case: GridCase, schedule: Schedule, bus_id: str
     def bus_step(b: str) -> int | None:
         return schedule.bus_energized_step(b)
 
+    holders = bus_holders(case, schedule.gen_start, schedule.fc_start, schedule.bat_window)
+
     def self_start_at(b: str, step: int) -> bool:
-        for g_id in adj.generators[b]:
-            g = case.generator(g_id)
-            s = schedule.gen_start[g_id]
-            if g.is_black_start and s is not None and s <= step:
-                return True
-        for f_id in adj.fuel_cells[b]:
-            s = schedule.fc_start[f_id]
-            if s is not None and s <= step:
-                return True
-        for bt_id in adj.batteries[b]:
-            window = schedule.bat_window[bt_id]
-            if window is not None and window[0] <= step < window[1]:
-                return True
-        return False
+        return any(self_start and first <= step < until
+                   for first, until, self_start in holders.get(b, ()))
 
     step = bus_step(bus_id)
     if step is None:

@@ -5,6 +5,9 @@ branches (so meshes too), a black-start generator or none, up to two other
 generators, up to two fuel cells (some with a cranking draw, which can make
 a case infeasible), up to two batteries, and 4-9 steps of 20 minutes. Every
 document it draws loads and encodes.
+
+``decisions`` draws a start decision for a loaded case, as the three
+arguments of ``devices.bus_holders``.
 """
 
 from __future__ import annotations
@@ -79,3 +82,16 @@ def case_documents(draw) -> dict:
         "batteries": batteries,
         "objective": {},
     }
+
+
+@st.composite
+def decisions(draw, case) -> tuple[dict, dict, dict]:
+    """Any start step or None per generator and fuel cell, and any window or
+    None per battery, empty ones too."""
+    T = case.time_grid.n_steps
+    start = st.none() | st.integers(1, T + 1)
+    window = st.none() | st.integers(1, T).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(s, T + 1)))
+    return ({g.id: draw(start) for g in case.generators},
+            {f.id: draw(start) for f in case.fuel_cells},
+            {b.id: draw(window) for b in case.batteries})

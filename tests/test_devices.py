@@ -12,10 +12,11 @@ from blackstart import (
     soc_trajectory,
     system_power,
 )
-from blackstart.devices import battery_trajectory, output_curve, shift_curve
+from blackstart.devices import battery_trajectory, bus_holders, output_curve, shift_curve
 from blackstart.schedule import empty_schedule
 
 from conftest import doc_variant
+from strategies import case_documents, decisions
 
 FC = FuelCell(id="fc", bus="b", p_max=50, p_crank=5, crank_steps=3, ramp_steps=2)
 GEN = Generator(id="g", bus="b", p_max=100, p_crank=10, crank_steps=3, ramp_steps=2,
@@ -223,3 +224,44 @@ def test_system_power_is_linear(s1, s2):
     combined = system_power(case, both)
     split = [a + b for a, b in zip(system_power(case, only1), system_power(case, only2))]
     assert all(math.isclose(a, b, abs_tol=1e-12) for a, b in zip(combined, split))
+
+
+def paper_holds(case, gen_start, fc_start, bat_window, bus, t):
+    """eq34/eq48 read unit by unit: whether a co-located unit holds ``bus``
+    live at step ``t``, and whether a self-start one does."""
+    held = lit = False
+    for g in case.generators:
+        s = gen_start[g.id]
+        if g.bus == bus and s is not None:
+            if g.is_black_start and s <= t:
+                held = lit = True
+            if not g.is_black_start and s + g.crank_steps <= t:
+                held = True
+    for f in case.fuel_cells:
+        s = fc_start[f.id]
+        if f.bus == bus and s is not None and s <= t:
+            held = lit = True
+    for b in case.batteries:
+        w = bat_window[b.id]
+        if b.bus == bus and w is not None and w[0] <= t < w[1]:
+            held = lit = True
+    return held, lit
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case_documents(), st.data())
+def test_bus_holders_agree_with_eq34_and_eq48_step_by_step(doc, data):
+    case = load_case(doc)
+    drawn = data.draw(decisions(case))
+    holders = bus_holders(case, *drawn)
+    gen_start, fc_start, bat_window = drawn
+    started = ({g.bus for g in case.generators if gen_start[g.id] is not None}
+               | {f.bus for f in case.fuel_cells if fc_start[f.id] is not None}
+               | {b.bus for b in case.batteries if bat_window[b.id] is not None})
+    assert set(holders) == started
+    for bus in case.buses:
+        units = holders.get(bus.id, [])
+        for t in range(1, case.time_grid.n_steps + 1):
+            held = any(first <= t < until for first, until, _ in units)
+            lit = any(self_start and first <= t < until for first, until, self_start in units)
+            assert (held, lit) == paper_holds(case, *drawn, bus.id, t), (bus.id, t)

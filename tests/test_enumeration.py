@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,10 +7,13 @@ from hypothesis import strategies as st
 
 from blackstart import load_case, solve_enumeration, validate
 from blackstart.cases import bundled_cases
+from blackstart.devices import bus_holders
 from blackstart.solvers import EnumerationCapError, energization_closure
+from blackstart.solvers import enumeration
+from blackstart.validate import ValidationReport, Violation
 
 from conftest import bundled_document, doc_variant, load_bundled
-from strategies import case_documents
+from strategies import case_documents, decisions
 
 
 def test_toy_t5_optimum(toy_cases, toy_enum):
@@ -107,6 +111,25 @@ def test_battery_keeps_window_open_when_it_lights_the_grid(toy_cases, toy_enum):
     assert result.schedule.bat_dispatch["bt1"][1:] == [20.0] * 7
 
 
+def test_a_battery_on_an_island_holds_its_bus_to_the_end():
+    # no branch reaches b2, so once bt1's window closes nothing holds b2
+    # (eq48); its energy lasts two steps, so only the last two can light it
+    doc = {
+        "time": {"step_minutes": 20, "horizon_minutes": 120},
+        "buses": [{"id": "b1"}, {"id": "b2", "importance": 1}],
+        "branches": [],
+        "generators": [{"id": "g1", "bus": "b1", "p_max": 50, "p_crank": 5,
+                        "crank_minutes": 20, "ramp_minutes": 20, "black_start": True}],
+        "fuel_cells": [],
+        "batteries": [{"id": "bt1", "bus": "b2", "p_max": 10, "p_min": 10, "soc_init": 7,
+                       "soc_min": 0, "earliest_start_minutes": 20}],
+    }
+    result = solve_enumeration(load_case(doc))
+    assert result.status == "optimal", result.message
+    assert result.schedule.bat_window["bt1"] == (5, 7)
+    assert result.schedule.bus_on["b2"] == [False] * 4 + [True] * 2
+
+
 def test_battery_tight_soc_budget(toy_cases, toy_enum):
     case = toy_cases["toy_bt_tight"]
     result = toy_enum["toy_bt_tight"]
@@ -163,3 +186,43 @@ def test_the_closure_is_the_fixed_point_on_bundled_cases(name):
 @given(case_documents(), st.randoms(use_true_random=False))
 def test_the_closure_is_the_fixed_point_on_drawn_cases(doc, rng):
     assert_closures_agree(load_case(doc), rng)
+
+
+def paper_sources(case, gen_start, fc_start, bat_window):
+    """Bus id -> the first step a black-start generator, fuel cell or
+    battery there starts, read unit by unit."""
+    firsts = [(g.bus, gen_start[g.id]) for g in case.generators if g.is_black_start]
+    firsts += [(f.bus, fc_start[f.id]) for f in case.fuel_cells]
+    firsts += [(b.bus, w[0]) for b in case.batteries if (w := bat_window[b.id]) is not None]
+    sources = {}
+    for bus, s in firsts:
+        if s is not None:
+            sources[bus] = min(s, sources.get(bus, s))
+    return sources
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case_documents(), st.data())
+def test_the_closure_of_the_holders_sources_is_the_fixed_point(doc, data):
+    case = load_case(doc)
+    drawn = data.draw(decisions(case))
+    holders = bus_holders(case, *drawn)
+    want = fixed_point_closure(case, paper_sources(case, *drawn))
+    assert energization_closure(case, enumeration._sources(holders)) == want
+    _, _, bat_window = drawn
+    pinned = ({g.id: 2 if g.is_black_start else None for g in case.generators},
+              {f.id: 2 for f in case.fuel_cells}, bat_window)
+    assert enumeration.self_start_closure(case, bat_window) == fixed_point_closure(
+        case, paper_sources(case, *pinned))
+
+
+def test_an_error_result_times_the_validation_too(toy_cases, monkeypatch):
+    def slow_failing_validate(case, schedule):
+        time.sleep(0.05)
+        return ValidationReport(passed=False, violations=[Violation("eq2", "system", 2)])
+
+    monkeypatch.setattr(enumeration, "validate", slow_failing_validate)
+    result = solve_enumeration(toy_cases["toy_path3"])
+    assert result.status == "error"
+    assert result.stats["wall_time_s"] >= 0.05

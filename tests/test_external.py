@@ -295,19 +295,21 @@ def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch, fr
     assert "1 values" in result.message
 
 
+SELF_DRAINING_FC = {  # the fuel cell's own cranking draw has nothing to cover it
+    "time": {"step_minutes": 20, "horizon_minutes": 160},
+    "buses": [{"id": "b1"}],
+    "branches": [],
+    "generators": [],
+    "fuel_cells": [
+        {"id": "fc1", "bus": "b1", "p_max": 20, "p_crank": 5,
+         "crank_minutes": 40, "ramp_minutes": 20}
+    ],
+    "batteries": [],
+}
+
+
 def test_infeasible_model_on_the_default_path_matches_the_oracle():
-    doc = {  # the fuel cell's own cranking draw has nothing to cover it
-        "time": {"step_minutes": 20, "horizon_minutes": 160},
-        "buses": [{"id": "b1"}],
-        "branches": [],
-        "generators": [],
-        "fuel_cells": [
-            {"id": "fc1", "bus": "b1", "p_max": 20, "p_crank": 5,
-             "crank_minutes": 40, "ramp_minutes": 20}
-        ],
-        "batteries": [],
-    }
-    case = load_case(doc)
+    case = load_case(SELF_DRAINING_FC)
     assert solve_enumeration(case).status == "infeasible"
     result = solve_external(case)
     assert result.status == "infeasible", result.message
@@ -350,6 +352,14 @@ def test_battery_window_closed_at_its_opening_step_is_no_source():
 def test_solve_mps_front_end_needs_two_arguments(capsys):
     assert highs_cli.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_solve_mps_front_end_writes_the_sentinel_the_reader_knows(tmp_path):
+    model = encode(load_case(SELF_DRAINING_FC))
+    mps, sol = tmp_path / "fc.mps", tmp_path / "fc.sol"
+    mps.write_text(export_mps(model))
+    assert highs_cli.main([str(mps), str(sol)]) == 0
+    assert import_solution(model, sol.read_text()) is None
 
 
 def test_solve_mps_front_end_on_the_golden_file(tmp_path, toy_cases, toy_external):
