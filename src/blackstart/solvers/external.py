@@ -3,7 +3,7 @@
 Every ``solve_external`` call and every sweep scenario runs on a solver
 host, a long-lived child forked from its owner (POSIX ``fork``) and the
 only kind of child process the package starts. A request is one whole
-solve, ``(case, backend, solver_command, enum_cap, timeout_s, threads)``.
+solve, ``(case, backend, solver_command, enum_cap, timeout_s)``.
 The host runs the pipeline (``_solve_here``): encode, the heuristic start,
 HiGHS or the solver command, decode and validate, or ``solve_enumeration``;
 it replies with the ``SolveResult`` or with the exception the pipeline
@@ -31,11 +31,10 @@ and ``solve_on_hosts`` (a sweep) spreads its cases over the first
   when its owner exits. If its owner dies, an idle host reads EOF, and a
   busy one is killed by its own thread, which checks every
   ``OWNER_CHECK_S`` that its parent is the owner (HiGHS releases the GIL).
-- Each request carries its host's HiGHS threads, ``max(1, usable CPUs //
-  hosts solving at once)``; HiGHS's default, half the CPUs, runs the
-  root's analytic centre serially on two. HiGHS's scheduler is global to a
-  process, and a forked host inherits its owner's without its threads, so
-  a host resets it whenever the share changes (``_serve``).
+- HiGHS runs one thread (``highs_cli``). Its scheduler is global to a
+  process, and a forked host inherits its owner's, which may have another
+  thread count, without its threads, so a host resets it once, when it
+  loads ``highs_cli`` (``_serve``).
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; it gets the model as an MPS file, unreduced and with no
@@ -138,9 +137,9 @@ def solve_external(case: GridCase, command: str | None = None,
     reduction's and HiGHS's seconds; reduced_rows and reduced_cols, the
     size of the model HiGHS was handed; substituted, the count of columns
     the reduction substituted out; forced_on, the count of columns
-    ``_force_on`` raised; threads, its share of the CPUs; HiGHS's version;
-    and start_objective, the start's objective (None for no start). A
-    solver command adds ``solver_command`` and ``returncode``.
+    ``_force_on`` raised; HiGHS's version; and start_objective, the
+    start's objective (None for no start). A solver command adds
+    ``solver_command`` and ``returncode``.
     """
     result, = solve_on_hosts([case], 1, command=command, timeout_s=timeout_s)
     if isinstance(result, Exception):
@@ -149,7 +148,7 @@ def solve_external(case: GridCase, command: str | None = None,
 
 
 def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_cap: int,
-                timeout_s: float, threads: int) -> SolveResult:
+                timeout_s: float) -> SolveResult:
     """One request's pipeline, as a host runs it: ``solve_enumeration``, or
     encode, solve (HiGHS from the heuristic start, or the solver command),
     decode and validate; ``conn`` is the host's end of its owner's pipe."""
@@ -170,7 +169,7 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_with_highs(conn, model, case, start, timeout_s, threads, stats)
+                x = _solve_with_highs(conn, model, case, start, timeout_s, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -238,9 +237,9 @@ class _SolverFailed(Exception):
 
 
 def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | None,
-                      timeout_s: float, threads: int, stats: dict) -> list[float] | None:
-    """``highs_cli.solve_model`` on the arrays with ``_force_on``'s fixing, with
-    ``threads`` threads: the point, or None for a proven-infeasible model.
+                      timeout_s: float, stats: dict) -> array | None:
+    """``highs_cli.solve_model`` on the arrays with ``_force_on``'s fixing:
+    the point, or None for a proven-infeasible model.
 
     The solve is the one stage with a deadline: it is bracketed on ``conn``
     by the seconds the owner gives it before killing this host and by
@@ -252,8 +251,7 @@ def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | Non
     forced_on = _force_on(model, case, arrays)
     conn.send(float(timeout_s + WORKER_GRACE_S))
     try:
-        status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s,
-                                                threads=threads, start=start)
+        status, x, info = highs_cli.solve_model(arrays, time_limit=timeout_s, start=start)
     except Exception as exc:
         raise _SolverFailed(f"no optimum from HiGHS: {type(exc).__name__}: {exc}") from exc
     finally:
@@ -266,7 +264,7 @@ def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | Non
     if x is None or len(x) != len(model.names):
         raise _SolverFailed(f"HiGHS returned {'no' if x is None else len(x)} values "
                             f"for {len(model.names)} variables")
-    return [float(v) for v in x]
+    return array("d", x.tobytes())
 
 
 class _SolverHost:
@@ -371,7 +369,7 @@ def solve_on_hosts(cases: list[GridCase], hosts: int, backend: str = "external",
     from multiprocessing.connection import wait
 
     n = min(hosts, len(cases))
-    request = (backend, command, enum_cap, timeout_s, _highs_threads(n))
+    request = (backend, command, enum_cap, timeout_s)
     key = (os.getpid(), dict(os.environ), os.getcwd())
     results: list = [None] * len(cases)
     todo = deque(_Job(index, (case, *request)) for index, case in enumerate(cases))
@@ -447,29 +445,18 @@ def _lose_host(slot: int, job: _Job, kill: bool, why: str | None = None) -> Solv
     return SolveResult(ERROR, message=why, stats=stats)
 
 
-def _highs_threads(hosts: int) -> int:
-    """A host's share of the usable CPUs: ``max(1, usable CPUs // hosts)``,
-    where the CPUs are this process's affinity set (``os.cpu_count()``
-    where there is none)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // max(1, hosts))
-
-
 def _serve(conn, owner_end, owner: int) -> None:
     """The solver host's loop, until the owner's end of the pipe closes:
     acknowledge each request with ``None``, then answer it with
     ``_solve_here``'s ``SolveResult``, its ``stats["worker"]`` filled in, or
     with the exception it raised, its traceback added as a note.
 
-    Before a HiGHS request, or any once HiGHS is loaded (the owner may have
-    loaded it before the fork), import ``highs_cli`` and reset its thread
-    scheduler if the share changed; a failure there fails the request.
-    Only then start, once, the thread that kills the host when its owner is
-    gone: started before the first reset, it made every solve fail
-    ("Invalid argument") on a host forked after an in-process HiGHS solve.
+    Once, before the first request that needs HiGHS (any request, if the
+    owner loaded it before the fork), import ``highs_cli`` and reset the
+    thread scheduler inherited from the owner; a failure fails the request.
+    Only then start the thread that kills the host when its owner is gone:
+    started before the reset, it made every solve fail ("Invalid argument")
+    on a host forked after an in-process HiGHS solve.
     """
     import resource
     import threading
@@ -479,22 +466,21 @@ def _serve(conn, owner_end, owner: int) -> None:
     os.dup2(2, 1)  # what HiGHS prints to fd 1 must not land in the owner's output
     os.setpgid(0, 0)  # so that killing the host's group kills its solver command too
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
-    highs_cli = threads_now = watchdog = None
+    highs_ready, watchdog = False, None
     try:
         while True:
             request = conn.recv()
             conn.send(None)  # acknowledged: from here on the request is this host's
-            _, backend, command, _, _, threads = request
+            _, backend, command, _, _ = request
             import_s = 0.0
             try:
-                if highs_cli is None and (f"{__package__}.highs_cli" in sys.modules or (
+                if not highs_ready and (f"{__package__}.highs_cli" in sys.modules or (
                         backend == "external" and resolve_solver_command(command) is None)):
                     started = time.perf_counter()
                     from . import highs_cli
                     import_s = time.perf_counter() - started
-                if highs_cli is not None and threads != threads_now:
                     highs_cli.reset_scheduler()
-                    threads_now = threads
+                    highs_ready = True
             except Exception as exc:
                 reply = SolveResult(ERROR, message="solver host could not load HiGHS: "
                                                    f"{type(exc).__name__}: {exc}")

@@ -24,8 +24,8 @@ by file when this module is imported (about 10 ms): scipy's package code,
 ``scipy.optimize`` among it, is never imported. ``solve_model`` builds the
 reduced model's ``HighsLp`` itself (column-wise, sorted by numpy) and sets
 the options ``scipy.optimize.milp`` would: presolve off, zero relative gap,
-the time limit, the thread count, and no console log, since a caller's
-stdout may carry a JSON document. The binding is private ABI; a solve that
+the time limit, one thread, and no console log, since a caller's stdout
+may carry a JSON document. The binding is private ABI; a solve that
 finds an attribute of it missing is ERROR and names the attribute.
 
 A caller may hand ``solve_model`` a start, one value per model variable
@@ -38,9 +38,8 @@ and validates the schedule.
 A solver host (``solvers.external``), a long-lived child its owner forks
 at its first solve, calls ``solve_model`` inside the whole pipeline it
 runs for each request, and decodes and validates the answer there, so the
-host pays the import once and HiGHS gets the request's share of the CPUs
-as threads. Importing this module imports numpy, so callers that must stay
-lean import it only where they solve.
+host pays the import once. Importing this module imports numpy, so callers
+that must stay lean import it only where they solve.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
@@ -49,7 +48,7 @@ lines on optimality, the ``=infeasible=`` sentinel for a proven-infeasible
 model, and exits nonzero on anything else, which is exactly the contract
 ``solve_external`` expects of a configured solver command: 2, with one
 stderr line, for a file it cannot read or parse or a solution path it
-cannot write. It keeps HiGHS's default thread count.
+cannot write.
 """
 
 from __future__ import annotations
@@ -343,16 +342,13 @@ def violations(arrays: ModelArrays, x: np.ndarray) -> str | None:
 
 
 def solve_model(arrays: ModelArrays, time_limit: float | None = None,
-                threads: int | None = None, start: Sequence[float] | None = None
-                ) -> tuple[str, np.ndarray | None, dict]:
+                start: Sequence[float] | None = None) -> tuple[str, np.ndarray | None, dict]:
     """Solve a model, given as ``MilpModel.arrays()``, by ``reduce_model`` and HiGHS.
 
     ``start``, one value per model variable in ``model.names`` order (any
     sequence of floats), is handed to HiGHS as a first incumbent when it
     agrees with every column the reduction fixed (to ``REDUCE_TOL``; the
-    substituted ones are not compared) and dropped otherwise. ``threads``
-    is the thread count HiGHS is given (None leaves HiGHS's default, half
-    the machine's CPUs).
+    substituted ones are not compared) and dropped otherwise.
 
     Returns ``(status, x, info)``. ``status`` is OPTIMAL (``x`` holds one
     value per model variable, in ``model.names`` order, and satisfies
@@ -365,14 +361,14 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
     ``time_s``, the seconds spent reducing and inside HiGHS;
     ``reduced_rows`` and ``reduced_cols``, the size of the model HiGHS was
     handed; ``substituted``, the count of columns substituted out through
-    an equality row; ``threads``; HiGHS's ``version``; and
+    an equality row; HiGHS's ``version``; and
     ``start_objective``, the objective of the start HiGHS was handed (None
     when it was handed none). A value that was not reached is None.
     """
     info = {"status": None, "message": "", "objective": None, "mip_node_count": None,
             "mip_gap": None, "mip_dual_bound": None, "reduce_s": None, "time_s": None,
             "reduced_rows": None, "reduced_cols": None, "substituted": None,
-            "threads": threads, "version": None, "start_objective": None}
+            "version": None, "start_objective": None}
     started = time.perf_counter()
     try:
         reduced = reduce_model(arrays)
@@ -401,7 +397,7 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
                 start = start[reduced.keep]
         started = time.perf_counter()
         try:
-            values = _run_highs(reduced, time_limit, threads, start, offset, info)
+            values = _run_highs(reduced, time_limit, start, offset, info)
         except AttributeError as exc:
             info["message"] = f"the HiGHS binding lacks an attribute: {exc}"
             return ERROR, None, info
@@ -420,19 +416,20 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
     return OPTIMAL, x, info
 
 
-def _run_highs(reduced: Reduced, time_limit: float | None, threads: int | None,
-               start: np.ndarray | None, offset: float, info: dict) -> list[float] | None:
+def _run_highs(reduced: Reduced, time_limit: float | None, start: np.ndarray | None,
+               offset: float, info: dict) -> list[float] | None:
     """Solve the reduced model with a fresh ``_Highs``, from ``start`` if it
     is not None; fills ``info``'s version, start_objective, status, message,
     objective and MIP fields, and returns the values of an optimum (None
     otherwise)."""
     highs = _core._Highs()
     info["version"] = highs.version()
-    options = {"log_to_console": False, "presolve": "off", "mip_rel_gap": 0.0}
+    # One thread: on reduced models of a few thousand rows at most, a second
+    # one gains nothing, and costs 2-4x whenever the root needs cuts.
+    options = {"log_to_console": False, "presolve": "off", "mip_rel_gap": 0.0,
+               "threads": 1}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if threads is not None:
-        options["threads"] = int(threads)
     ok = _core.HighsStatus.kOk
     for name, value in options.items():
         if highs.setOptionValue(name, value) != ok:
@@ -482,10 +479,11 @@ def reset_scheduler() -> None:
     """Drop HiGHS's thread scheduler, so that the next solve starts one with
     its own thread count.
 
-    The scheduler is global to a process, and a forked child inherits its
-    parent's without the parent's worker threads: a solve with another
-    thread count then fails, and one with the same count may wait forever
-    on a dead worker. The call is the binding's ``Highs::resetGlobalScheduler``.
+    The scheduler is global to a process, and a solve with another thread
+    count than the running scheduler's fails (HiGHS's default count is half
+    the CPUs). A forked child inherits its parent's without the worker
+    threads, where even the same count may wait forever on a dead worker.
+    The call is the binding's ``Highs::resetGlobalScheduler``.
     """
     _core._Highs.resetGlobalScheduler(True)
 

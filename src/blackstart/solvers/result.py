@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from array import array
 from dataclasses import dataclass, field
 
 from ..schedule import Schedule
@@ -17,12 +17,12 @@ INFEASIBLE_SENTINEL = "=infeasible="
 
 @dataclass
 class SolveResult:
-    """A solve's outcome. ``point`` is the solver's answer, one value per
-    model variable in ``MilpModel.names`` order (None where the solver gave
-    none, and for the enumeration oracle, which builds no model)."""
+    """A solve's outcome. ``point`` is the solver's answer, an ``array("d")``
+    of one value per variable in ``MilpModel.names`` order (None where the
+    solver gave none, and for the enumeration oracle, which builds no model)."""
 
     status: str
-    point: Sequence[float] | None = None
+    point: array | None = None
     objective: float | None = None
     stats: dict = field(default_factory=dict)
     schedule: Schedule | None = None

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,13 @@ def test_stub_solver_copies_known_good_solution(known_good, tmp_path):
     assert result.schedule.gen_start == {"g1": 2, "g2": 3, "g3": 4}
     assert len(result.point) == len(model.names)
     assert list(result.point) == pytest.approx(list(x), abs=1e-9)
+
+
+def test_the_point_is_a_double_array_on_every_path(known_good, tmp_path, toy_external):
+    case, _, _, sol = known_good
+    for result in (toy_external["toy_fc"], solve_external(case, command=copy_stub(tmp_path, sol))):
+        assert result.ok, result.message
+        assert isinstance(result.point, array) and result.point.typecode == "d"
 
 
 def test_nonzero_exit_is_error(known_good, tmp_path):
@@ -261,7 +269,7 @@ def test_stats_carry_highs_info(toy_external):
 
 
 def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
-    def exit_at_once(model, time_limit=None, threads=None, start=None):
+    def exit_at_once(model, time_limit=None, start=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
@@ -274,7 +282,7 @@ def test_worker_that_exits_is_error(known_good, monkeypatch, fresh_solver_host):
 
 
 def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fresh_solver_host):
-    def sleep(model, time_limit=None, threads=None, start=None):
+    def sleep(model, time_limit=None, start=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -286,7 +294,7 @@ def test_worker_that_outlives_the_timeout_is_killed(known_good, monkeypatch, fre
 
 
 def test_worker_that_returns_too_few_values_is_error(known_good, monkeypatch, fresh_solver_host):
-    def short(model, time_limit=None, threads=None, start=None):
+    def short(model, time_limit=None, start=None):
         return "optimal", [0.0], {"message": "stub"}
 
     monkeypatch.setattr(highs_cli, "solve_model", short)
@@ -332,6 +340,24 @@ def test_default_solve_from_a_bare_checkout_leaves_the_caller_without_scipy(tmp_
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_and_its_cli_loads_no_numpy_scipy_or_multiprocessing():
+    """``import blackstart`` is every caller's setup cost: numpy and scipy
+    load only in a solver host, and ``external`` imports multiprocessing only
+    where it forks one (at the top, it cost the import about 15 ms)."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import blackstart, blackstart.cli\n"
+        "heavy = ('numpy', 'scipy', 'multiprocessing')\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", ENV_SOLVER_CMD)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_battery_window_closed_at_its_opening_step_is_no_source():

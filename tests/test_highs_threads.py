@@ -1,7 +1,7 @@
-"""HiGHS threads on the solver hosts: each request carries its host's share
-of the usable CPUs, ``max(1, CPUs // hosts solving at once)``, where a
-plain solve has one host and a sweep one per worker. No test here starts
-HiGHS with more threads than this machine has CPUs."""
+"""HiGHS threads: every solve, on a solver host or in ``blackstart-solve-mps``,
+runs HiGHS on one thread, and a host resets the thread scheduler it inherits
+from its owner, which may have run HiGHS with another count, before its
+first solve. The owner's solves here take two threads; no test starts more."""
 
 import json
 import os
@@ -11,57 +11,80 @@ import pytest
 
 from blackstart.analysis import SweepSpec, sweep
 from blackstart.cases import bundled_case_path
-from blackstart.solvers import external
+from blackstart.milp import encode
+from blackstart.mps import write_mps
+from blackstart.solvers import external, highs_cli
 
 from conftest import SRC
 from test_solver_host import clean_env, python_script
 
-CPUS = len(os.sched_getaffinity(0))
 IEEE39 = ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"]
+# A script's owner solves bt50 in-process on two threads through the binding,
+# so that HiGHS's global scheduler runs two when a host is forked after it.
+OWNER_SOLVES_ON_TWO_THREADS = (
+    "import os, tempfile\n"
+    "from blackstart import load_case, solve_external\n"
+    "from blackstart.cases import bundled_case_path\n"
+    "from blackstart.milp import encode\n"
+    "from blackstart.mps import write_mps\n"
+    "from blackstart.solvers import highs_cli\n"
+    "case = load_case(bundled_case_path('ieee39_bt50'))\n"
+    "with tempfile.TemporaryDirectory() as tmp:\n"
+    "    path = os.path.join(tmp, 'bt50.mps')\n"
+    "    write_mps(encode(case), path)\n"
+    "    highs = highs_cli._core._Highs()\n"
+    "    highs.setOptionValue('log_to_console', False)\n"
+    "    highs.setOptionValue('threads', 2)\n"
+    "    highs.readModel(path)\n"
+    "    highs.run()\n"
+    "assert highs.getModelStatus() == highs_cli._core.HighsModelStatus.kOptimal\n"
+)
 
 
-@pytest.mark.parametrize("cpus, hosts, threads", [
-    (1, 1, 1), (2, 1, 2), (2, 2, 1), (8, 3, 2), (4, 8, 1), (64, 2, 32),
-])
-def test_each_host_gets_its_share_of_the_affinity_set(monkeypatch, cpus, hosts, threads):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert external._highs_threads(hosts) == threads
+@pytest.fixture()
+def highs_runs(monkeypatch, tmp_path):
+    """Record, for each ``_Highs.run`` in this process or a host forked
+    after the patch, the process's pid and HiGHS's ``threads`` option;
+    returns a function that reads the records as ``(pid, threads)`` pairs."""
+    log = tmp_path / "highs_runs"
+    run = highs_cli._core._Highs.run
+
+    def recording_run(self):
+        _, threads = self.getOptionValue("threads")
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {threads}\n")
+        return run(self)
+
+    monkeypatch.setattr(highs_cli._core._Highs, "run", recording_run)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("count, threads", [(6, 3), (None, 1)])
-def test_without_an_affinity_set_the_cpu_count_is_shared(monkeypatch, count, threads):
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-    assert external._highs_threads(2) == threads
+def test_solve_model_runs_highs_on_one_thread(toy_cases, highs_runs):
+    status, _, _ = highs_cli.solve_model(encode(toy_cases["toy_fc"]).arrays(), time_limit=60)
+    assert status == "optimal"
+    assert highs_runs() == [(os.getpid(), 1)]
 
 
-def test_a_default_solve_gives_highs_every_usable_cpu(toy_cases):
+def test_blackstart_solve_mps_runs_highs_on_one_thread(toy_cases, highs_runs, tmp_path):
+    write_mps(encode(toy_cases["toy_fc"]), tmp_path / "toy_fc.mps")
+    assert highs_cli.main([str(tmp_path / "toy_fc.mps"), str(tmp_path / "toy_fc.sol")]) == 0
+    assert highs_runs() == [(os.getpid(), 1)]
+
+
+def test_a_default_solve_runs_highs_on_one_thread(toy_cases, highs_runs, fresh_solver_host):
     result = external.solve_external(toy_cases["toy_fc"])
-    assert result.ok
-    assert result.stats["highs"]["threads"] == max(1, CPUS)
+    assert result.ok, result.message
+    assert "threads" not in result.stats["highs"]
+    assert highs_runs() == [(result.stats["worker"]["pid"], 1)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_rows_report_their_hosts_share(toy_cases, fresh_solver_host, workers):
+def test_sweep_hosts_run_highs_on_one_thread(toy_cases, highs_runs, fresh_solver_host, workers):
     values = [5.0, 10.0, 50.0]
     result = sweep(SweepSpec(case=toy_cases["toy_fc"], axis="fc_capacity",
                              values=values, workers=workers))
-    hosts = min(workers, len(values))
     assert [row.status for row in result.rows] == ["optimal"] * len(values)
-    assert [row.stats["highs"]["threads"] for row in result.rows] == (
-        [max(1, CPUS // hosts)] * len(values))
-
-
-def test_a_plain_solve_after_a_sweep_gets_every_cpu_again(toy_cases, fresh_solver_host):
-    """The sweep's first host serves the plain solve too, so it resets its
-    HiGHS scheduler from the sweep's share to the whole."""
-    result = sweep(SweepSpec(case=toy_cases["toy_fc"], axis="fc_capacity",
-                             values=[5.0, 10.0], workers=2))
-    assert [row.stats["highs"]["threads"] for row in result.rows] == [max(1, CPUS // 2)] * 2
-    plain = external.solve_external(toy_cases["toy_fc"])
-    assert plain.ok, plain.message
-    assert plain.stats["worker"]["pid"] in {row.stats["worker"]["pid"] for row in result.rows}
-    assert plain.stats["highs"]["threads"] == max(1, CPUS)
+    assert sorted(highs_runs()) == sorted((row.stats["worker"]["pid"], 1) for row in result.rows)
 
 
 def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
@@ -71,21 +94,13 @@ def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
     # (counts equal). In a fresh interpreter, so that no HiGHS threads stay
     # in this one; a host that waits is killed at the solve's timeout.
     script = python_script(
-        "import os\n"
-        "from blackstart import load_case, solve_external\n"
-        "from blackstart.cases import bundled_case_path\n"
-        "from blackstart.milp import encode\n"
-        "from blackstart.solvers import highs_cli\n"
-        "case = load_case(bundled_case_path('ieee39_bt50'))\n"
-        "threads = min(2, len(os.sched_getaffinity(0)))\n"
-        "status, _, info = highs_cli.solve_model(encode(case).arrays(), threads=threads)\n"
-        "assert status == 'optimal', info\n"
-        "result = solve_external(case, timeout_s=30)\n"
-        "print(result.status, result.stats.get('highs', {}).get('threads'), result.message)\n"
+        OWNER_SOLVES_ON_TWO_THREADS
+        + "result = solve_external(case, timeout_s=30)\n"
+          "print(result.status, result.message)\n"
     )
     proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[:2] == ["optimal", str(max(1, CPUS))]
+    assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
 
 
 def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_optimal():
@@ -93,26 +108,18 @@ def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_opti
     # needs no HiGHS: the host still drops the inherited scheduler before it
     # starts its owner watchdog thread.
     script = python_script(
-        "import os\n"
-        "from blackstart import load_case, solve_external\n"
-        "from blackstart.cases import bundled_case_path\n"
-        "from blackstart.milp import encode\n"
-        "from blackstart.solvers import highs_cli\n"
-        "case = load_case(bundled_case_path('ieee39_bt50'))\n"
-        "threads = min(2, len(os.sched_getaffinity(0)))\n"
-        "status, _, info = highs_cli.solve_model(encode(case).arrays(), threads=threads)\n"
-        "assert status == 'optimal', info\n"
-        "command = f'{sys.executable} -m blackstart.solvers.highs_cli {{mps}} {{sol}}'\n"
-        "first = solve_external(case, command=command, timeout_s=30)\n"
-        "assert first.status == 'optimal', first.message\n"
-        "result = solve_external(case, timeout_s=30)\n"
-        "assert result.stats['worker']['pid'] == first.stats['worker']['pid']\n"
-        "print(result.status, result.stats.get('highs', {}).get('threads'), result.message)\n"
+        OWNER_SOLVES_ON_TWO_THREADS
+        + "command = f'{sys.executable} -m blackstart.solvers.highs_cli {{mps}} {{sol}}'\n"
+          "first = solve_external(case, command=command, timeout_s=30)\n"
+          "assert first.status == 'optimal', first.message\n"
+          "result = solve_external(case, timeout_s=30)\n"
+          "assert result.stats['worker']['pid'] == first.stats['worker']['pid']\n"
+          "print(result.status, result.message)\n"
     )
     env = {**clean_env(), "PYTHONPATH": str(SRC)}  # for the solver command
     proc = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[:2] == ["optimal", str(max(1, CPUS))]
+    assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
 
 
 def test_the_hosts_solution_equals_the_one_thread_solution():
@@ -130,15 +137,15 @@ def test_the_hosts_solution_equals_the_one_thread_solution():
         "    start = external._start(model, case)\n"
         "    arrays = model.arrays()\n"
         "    external._force_on(model, case, arrays)\n"
-        "    status, x, info = highs_cli.solve_model(arrays, threads=1, start=start)\n"
+        "    status, x, info = highs_cli.solve_model(arrays, start=start)\n"
         "    assert info['start_objective'] == result.stats['highs']['start_objective'], name\n"
         "    assert result.ok and status == 'optimal', (name, result.message, info)\n"
         "    assert list(result.point) == x.tolist(), name\n"
-        "    print(name, result.stats['highs']['threads'])\n"
+        "    print(name)\n"
     )
     proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [w for name in IEEE39 for w in (name, str(max(1, CPUS)))]
+    assert proc.stdout.split() == IEEE39
 
 
 def test_blackstart_run_prints_nothing_on_stderr(tmp_path):
@@ -152,4 +159,4 @@ def test_blackstart_run_prints_nothing_on_stderr(tmp_path):
     proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["stats"]["highs"]["threads"] == max(1, CPUS)
+    assert json.loads(proc.stdout)["stats"]["highs"]["status"] == 0

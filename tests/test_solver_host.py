@@ -83,7 +83,7 @@ def test_the_owner_times_the_solve(toy_cases, monkeypatch, fresh_solver_host):
 
 
 def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def exit_at_once(arrays, time_limit=None, threads=None, start=None):
+    def exit_at_once(arrays, time_limit=None, start=None):
         os._exit(3)
 
     monkeypatch.setattr(highs_cli, "solve_model", exit_at_once)
@@ -98,7 +98,7 @@ def test_a_host_that_exits_is_replaced(toy_cases, monkeypatch, fresh_solver_host
 
 
 def test_a_host_that_times_out_is_replaced(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None, threads=None, start=None):
+    def sleep(arrays, time_limit=None, start=None):
         time.sleep(60)
 
     monkeypatch.setattr(highs_cli, "solve_model", sleep)
@@ -190,7 +190,7 @@ def test_the_hosts_traceback_comes_with_its_exception(minimal_two_bus_doc, fresh
 
 
 def test_an_interrupted_solve_kills_the_host(toy_cases, monkeypatch, fresh_solver_host):
-    def sleep(arrays, time_limit=None, threads=None, start=None):
+    def sleep(arrays, time_limit=None, start=None):
         time.sleep(60)
 
     def interrupt(signum, frame):
@@ -296,7 +296,7 @@ def test_the_host_exits_when_its_owner_is_killed_mid_solve(tmp_path):
                             "import blackstart as bs\n"
                             "from blackstart.solvers import highs_cli\n"
                             "stdout = os.dup(1)  # a host's own fd 1 is this fd 2\n"
-                            "def sleep(arrays, time_limit=None, threads=None, start=None):\n"
+                            "def sleep(arrays, time_limit=None, start=None):\n"
                             "    os.write(stdout, f'{os.getpid()}\\n'.encode())\n"
                             "    time.sleep(120)\n"
                             "highs_cli.solve_model = sleep\n"
@@ -345,7 +345,7 @@ def test_the_host_exits_when_its_owner_is_killed_inside_highs(tmp_path):
                             "    open('returned', 'w').close()\n"
                             "Highs.run = announce_and_run\n"
                             "highs_cli.solve_model = lambda *args, **kwargs: solve(\n"
-                            "    hard, time_limit=60, threads=1)\n"
+                            "    hard, time_limit=60)\n"
                             "bs.solve_external(bs.load_case(bs.bundled_case_path('toy_t5')))\n")
     try:
         assert host is not None and running(host)
