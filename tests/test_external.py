@@ -84,11 +84,19 @@ def test_stub_solver_copies_known_good_solution(known_good, tmp_path):
     assert list(result.point) == pytest.approx(list(x), abs=1e-9)
 
 
-def test_the_point_is_a_double_array_on_every_path(known_good, tmp_path, toy_external):
-    case, _, _, sol = known_good
-    for result in (toy_external["toy_fc"], solve_external(case, command=copy_stub(tmp_path, sol))):
-        assert result.ok, result.message
-        assert isinstance(result.point, array) and result.point.typecode == "d"
+@pytest.mark.parametrize("path", ["highs", "command", "command_invalid"])
+def test_the_point_is_a_double_array_on_every_path(known_good, tmp_path, toy_external, path):
+    case, model, x, sol = known_good
+    if path == "highs":
+        result, status = toy_external["toy_fc"], "optimal"
+    else:
+        if path == "command_invalid":  # an error that keeps its point
+            sol = tmp_path / "bad.sol"
+            sol.write_text(write_solution_text(model, with_value(model, x, "gen_power.g2.4", 55.0)))
+        result = solve_external(case, command=copy_stub(tmp_path, sol))
+        status = "optimal" if path == "command" else "error"
+    assert result.status == status, result.message
+    assert isinstance(result.point, array) and result.point.typecode == "d"
 
 
 def test_nonzero_exit_is_error(known_good, tmp_path):
@@ -342,14 +350,16 @@ def test_default_solve_from_a_bare_checkout_leaves_the_caller_without_scipy(tmp_
     assert proc.returncode == 0, proc.stderr
 
 
-def test_importing_the_package_and_its_cli_loads_no_numpy_scipy_or_multiprocessing():
+@pytest.mark.parametrize("module", ["blackstart", "blackstart.cli"])
+def test_importing_the_package_and_its_cli_loads_no_numpy_scipy_or_multiprocessing(module):
     """``import blackstart`` is every caller's setup cost: numpy and scipy
     load only in a solver host, and ``external`` imports multiprocessing only
-    where it forks one (at the top, it cost the import about 15 ms)."""
+    where it forks one (at the top, it cost the import about 15 ms). Each
+    module is imported alone, in a fresh interpreter."""
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
-        "import blackstart, blackstart.cli\n"
+        f"import {module}\n"
         "heavy = ('numpy', 'scipy', 'multiprocessing')\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
     )

@@ -1,7 +1,8 @@
 """HiGHS threads: every solve, on a solver host or in ``blackstart-solve-mps``,
 runs HiGHS on one thread, and a host resets the thread scheduler it inherits
 from its owner, which may have run HiGHS with another count, before its
-first solve. The owner's solves here take two threads; no test starts more."""
+first solve. The owner's solves here take one or two threads; no test starts
+more."""
 
 import json
 import os
@@ -19,9 +20,10 @@ from conftest import SRC
 from test_solver_host import clean_env, python_script
 
 IEEE39 = ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"]
-# A script's owner solves bt50 in-process on two threads through the binding,
-# so that HiGHS's global scheduler runs two when a host is forked after it.
-OWNER_SOLVES_ON_TWO_THREADS = (
+# A script's owner solves bt50 in-process on ``owner_threads`` threads through
+# the binding, so that HiGHS's global scheduler runs that many when a host is
+# forked after it: two is another count than the host's, one the same count.
+OWNER_SOLVES_IN_PROCESS = (
     "import os, tempfile\n"
     "from blackstart import load_case, solve_external\n"
     "from blackstart.cases import bundled_case_path\n"
@@ -34,7 +36,7 @@ OWNER_SOLVES_ON_TWO_THREADS = (
     "    write_mps(encode(case), path)\n"
     "    highs = highs_cli._core._Highs()\n"
     "    highs.setOptionValue('log_to_console', False)\n"
-    "    highs.setOptionValue('threads', 2)\n"
+    "    highs.setOptionValue('threads', owner_threads)\n"
     "    highs.readModel(path)\n"
     "    highs.run()\n"
     "assert highs.getModelStatus() == highs_cli._core.HighsModelStatus.kOptimal\n"
@@ -87,14 +89,16 @@ def test_sweep_hosts_run_highs_on_one_thread(toy_cases, highs_runs, fresh_solver
     assert sorted(highs_runs()) == sorted((row.stats["worker"]["pid"], 1) for row in result.rows)
 
 
-def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
+@pytest.mark.parametrize("owner_threads", [1, 2])
+def test_a_host_forked_after_an_in_process_highs_solve_is_optimal(owner_threads):
     # HiGHS's thread scheduler is global to a process and a forked host
     # inherits it; without the host's reset this solve fails with "Not Set"
     # (thread counts differ) or waits on a worker thread the fork left behind
     # (counts equal). In a fresh interpreter, so that no HiGHS threads stay
     # in this one; a host that waits is killed at the solve's timeout.
     script = python_script(
-        OWNER_SOLVES_ON_TWO_THREADS
+        f"owner_threads = {owner_threads}\n"
+        + OWNER_SOLVES_IN_PROCESS
         + "result = solve_external(case, timeout_s=30)\n"
           "print(result.status, result.message)\n"
     )
@@ -103,12 +107,15 @@ def test_a_host_forked_after_an_in_process_highs_solve_is_optimal():
     assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
 
 
-def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_optimal():
+@pytest.mark.parametrize("owner_threads", [1, 2])
+def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_optimal(
+        owner_threads):
     # The same, where the host's first request is a solver command's, which
     # needs no HiGHS: the host still drops the inherited scheduler before it
     # starts its owner watchdog thread.
     script = python_script(
-        OWNER_SOLVES_ON_TWO_THREADS
+        f"owner_threads = {owner_threads}\n"
+        + OWNER_SOLVES_IN_PROCESS
         + "command = f'{sys.executable} -m blackstart.solvers.highs_cli {{mps}} {{sol}}'\n"
           "first = solve_external(case, command=command, timeout_s=30)\n"
           "assert first.status == 'optimal', first.message\n"
@@ -120,6 +127,24 @@ def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_opti
     proc = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
+
+
+def test_a_host_resets_the_scheduler_once(toy_cases, monkeypatch, tmp_path, fresh_solver_host):
+    # three solves on one host: the reset before the first HiGHS solve only
+    log = tmp_path / "resets"
+    reset = highs_cli.reset_scheduler
+
+    def recording_reset():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        reset()
+
+    monkeypatch.setattr(highs_cli, "reset_scheduler", recording_reset)
+    results = [external.solve_external(toy_cases[name]) for name in ("toy_fc", "toy_t5", "toy_fc")]
+    assert all(result.ok for result in results), [result.message for result in results]
+    pids = {result.stats["worker"]["pid"] for result in results}
+    assert len(pids) == 1
+    assert log.read_text().split() == [str(pid) for pid in pids]
 
 
 def test_the_hosts_solution_equals_the_one_thread_solution():
