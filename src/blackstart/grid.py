@@ -193,12 +193,6 @@ class GridCase:
 
     # -- lookups -------------------------------------------------------------
 
-    def bus(self, bus_id: str) -> Bus:
-        return _by_id(self.buses, bus_id, "bus")
-
-    def generator(self, gen_id: str) -> Generator:
-        return _by_id(self.generators, gen_id, "generator")
-
     def self_start_devices(self) -> tuple:
         """Devices that need no external power to begin: BS generators,
         fuel cells, batteries."""
@@ -246,13 +240,6 @@ def bus_importance_from_degree(case: GridCase) -> dict[str, float]:
         degree[br.from_bus] += 1.0
         degree[br.to_bus] += 1.0
     return degree
-
-
-def _by_id(items, item_id: str, kind: str):
-    for it in items:
-        if it.id == item_id:
-            return it
-    raise KeyError(f"no {kind} with id {item_id!r}")
 
 
 def _check_id(kind: str, value: str) -> None:

@@ -8,19 +8,20 @@ The host runs the pipeline (``_solve_here``): encode, the heuristic start,
 HiGHS or the solver command, decode and validate, or ``solve_enumeration``;
 it replies with the ``SolveResult`` or with the exception the pipeline
 raised (``EncodingError``, ``EnumerationCapError``), which the owner raises
-again. It loads numpy and scipy's HiGHS binding (never ``scipy.optimize``)
-at its first HiGHS solve, so neither enters the owner. HiGHS starts from
-``enumeration.greedy_schedule`` as a point, if the heuristic finds one;
-HiGHS checks it, and the answer is checked and validated as any is.
+again. It loads ``highs_cli``, and with it numpy and scipy's HiGHS binding
+(never ``scipy.optimize``), at its first HiGHS solve, so none of them
+enters the owner. HiGHS starts from ``enumeration.greedy_schedule`` as a
+point, if the heuristic finds one; HiGHS checks it, and the answer is
+checked and validated as any is.
 
 A process keeps its hosts in slots: ``solve_external`` uses the first,
 and ``solve_on_hosts`` (a sweep) spreads its cases over the first
 ``min(hosts, cases)``, waiting on their pipes without a thread.
 
-- Hosts are replaced when the owner's pid, environment or working
-  directory (which decide a solver command's ``$BLACKSTART_SOLVER_CMD``,
-  ``PATH`` and ``TMPDIR``) differs from the one at their fork. A forked
-  child drops its parent's hosts.
+- Hosts are replaced when the owner's environment or working directory
+  (which decide a solver command's ``$BLACKSTART_SOLVER_CMD``, ``PATH`` and
+  ``TMPDIR``) differs from the one at their fork. A forked child drops its
+  parent's hosts at the fork, so it never uses them.
 - A host that dies with a case, whose HiGHS solve outlives ``timeout_s``
   by ``WORKER_GRACE_S``, or that is busy when the owner is interrupted is
   reaped, killed if need be, and only its own case fails, with the cause;
@@ -31,10 +32,9 @@ and ``solve_on_hosts`` (a sweep) spreads its cases over the first
   when its owner exits. If its owner dies, an idle host reads EOF, and a
   busy one is killed by its own thread, which checks every
   ``OWNER_CHECK_S`` that its parent is the owner (HiGHS releases the GIL).
-- HiGHS runs one thread (``highs_cli``). Its scheduler is global to a
-  process, and a forked host inherits its owner's, which may have another
-  thread count, without its threads, so a host resets it once, when it
-  loads ``highs_cli`` (``_serve``).
+- HiGHS runs one thread. Its process-global thread scheduler, which a
+  forked host inherits, is ``highs_cli``'s alone: it resets it in every
+  child forked after it is imported, and before each run.
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; it gets the model as an MPS file, unreduced and with no
@@ -131,13 +131,14 @@ def solve_external(case: GridCase, command: str | None = None,
     reached (encode, solver, decode, validate; HiGHS's start; a command's
     export and import_solution); ``model`` (vars, int_vars, rows, nnz); and
     ``worker``: the host's ``pid``, its peak RSS ``maxrss_mb``, and
-    ``import_s``, its seconds importing HiGHS (nonzero only on a new host's
-    first HiGHS solve). HiGHS adds ``highs``: status, message, objective,
-    mip_node_count, mip_gap, mip_dual_bound; reduce_s and time_s, the
-    reduction's and HiGHS's seconds; reduced_rows and reduced_cols, the
-    size of the model HiGHS was handed; substituted, the count of columns
-    the reduction substituted out; forced_on, the count of columns
-    ``_force_on`` raised; HiGHS's version; and start_objective, the
+    ``import_s``, its seconds importing ``highs_cli`` for this solve (0.0
+    unless it is the host's first HiGHS solve and its owner had not loaded
+    ``highs_cli`` before the fork). HiGHS adds ``highs``: status, message,
+    objective, mip_node_count, mip_gap, mip_dual_bound; reduce_s and
+    time_s, the reduction's and HiGHS's seconds; reduced_rows and
+    reduced_cols, the size of the model HiGHS was handed; substituted, the
+    count of columns the reduction substituted out; forced_on, the count of
+    columns ``_force_on`` raised; HiGHS's version; and start_objective, the
     start's objective (None for no start). A solver command adds
     ``solver_command`` and ``returncode``.
     """
@@ -151,7 +152,10 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
                 timeout_s: float) -> SolveResult:
     """One request's pipeline, as a host runs it: ``solve_enumeration``, or
     encode, solve (HiGHS from the heuristic start, or the solver command),
-    decode and validate; ``conn`` is the host's end of its owner's pipe."""
+    decode and validate; ``conn`` is the host's end of its owner's pipe.
+
+    The HiGHS path imports ``highs_cli`` first, outside every stage, and
+    records the seconds that took as ``stats["worker"]["import_s"]``."""
     if backend == "enum":
         return solve_enumeration(case, cap=enum_cap)
     stages: dict[str, float] = {}
@@ -166,10 +170,18 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
     template = resolve_solver_command(command)
     try:
         if template is None:
+            loaded = f"{__package__}.highs_cli" in sys.modules
+            started = time.perf_counter()
+            try:
+                from . import highs_cli
+            except Exception as exc:
+                raise _SolverFailed("solver host could not load HiGHS: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+            stats["worker"] = {"import_s": 0.0 if loaded else time.perf_counter() - started}
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_with_highs(conn, model, case, start, timeout_s, stats)
+                x = _solve_with_highs(conn, highs_cli, model, case, start, timeout_s, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -236,8 +248,8 @@ class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | None,
-                      timeout_s: float, stats: dict) -> array | None:
+def _solve_with_highs(conn, highs_cli, model: MilpModel, case: GridCase,
+                      start: array | None, timeout_s: float, stats: dict) -> array | None:
     """``highs_cli.solve_model`` on the arrays with ``_force_on``'s fixing:
     the point, or None for a proven-infeasible model.
 
@@ -245,8 +257,6 @@ def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | Non
     by the seconds the owner gives it before killing this host and by
     ``None``, its end (``solve_on_hosts``).
     """
-    from . import highs_cli
-
     arrays = model.arrays()
     forced_on = _force_on(model, case, arrays)
     conn.send(float(timeout_s + WORKER_GRACE_S))
@@ -269,8 +279,8 @@ def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | Non
 
 class _SolverHost:
     """A child forked from this process that serves whole solves over a
-    duplex pipe until the pipe closes; ``key`` is the owner's pid,
-    environment and working directory at the fork."""
+    duplex pipe until the pipe closes; ``key`` is the owner's environment
+    and working directory at the fork."""
 
     def __init__(self, key: tuple) -> None:
         import multiprocessing  # here, not at the top: it costs `import blackstart` ~15 ms
@@ -370,7 +380,7 @@ def solve_on_hosts(cases: list[GridCase], hosts: int, backend: str = "external",
 
     n = min(hosts, len(cases))
     request = (backend, command, enum_cap, timeout_s)
-    key = (os.getpid(), dict(os.environ), os.getcwd())
+    key = (dict(os.environ), os.getcwd())
     results: list = [None] * len(cases)
     todo = deque(_Job(index, (case, *request)) for index, case in enumerate(cases))
     busy: dict[int, _Job] = {}
@@ -449,15 +459,7 @@ def _serve(conn, owner_end, owner: int) -> None:
     """The solver host's loop, until the owner's end of the pipe closes:
     acknowledge each request with ``None``, then answer it with
     ``_solve_here``'s ``SolveResult``, its ``stats["worker"]`` filled in, or
-    with the exception it raised, its traceback added as a note.
-
-    Once, before the first request that needs HiGHS (any request, if the
-    owner loaded it before the fork), import ``highs_cli`` and reset the
-    thread scheduler inherited from the owner; a failure fails the request.
-    Only then start the thread that kills the host when its owner is gone:
-    started before the reset, it made every solve fail ("Invalid argument")
-    on a host forked after an in-process HiGHS solve.
-    """
+    with the exception it raised, its traceback added as a note."""
     import resource
     import threading
     import traceback
@@ -466,38 +468,20 @@ def _serve(conn, owner_end, owner: int) -> None:
     os.dup2(2, 1)  # what HiGHS prints to fd 1 must not land in the owner's output
     os.setpgid(0, 0)  # so that killing the host's group kills its solver command too
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the owner's to handle
-    highs_ready, watchdog = False, None
+    threading.Thread(target=_exit_when_orphaned, args=(owner,), daemon=True).start()
     try:
         while True:
             request = conn.recv()
             conn.send(None)  # acknowledged: from here on the request is this host's
-            _, backend, command, _, _ = request
-            import_s = 0.0
             try:
-                if not highs_ready and (f"{__package__}.highs_cli" in sys.modules or (
-                        backend == "external" and resolve_solver_command(command) is None)):
-                    started = time.perf_counter()
-                    from . import highs_cli
-                    import_s = time.perf_counter() - started
-                    highs_cli.reset_scheduler()
-                    highs_ready = True
-            except Exception as exc:
-                reply = SolveResult(ERROR, message="solver host could not load HiGHS: "
-                                                   f"{type(exc).__name__}: {exc}")
-            else:
-                if watchdog is None:
-                    watchdog = threading.Thread(target=_exit_when_orphaned, args=(owner,),
-                                                daemon=True)
-                    watchdog.start()
-                try:
-                    reply = _solve_here(conn, *request)
-                except Exception as exc:  # raised again by the owner, which lacks this stack
-                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-                    reply = exc
+                reply = _solve_here(conn, *request)
+            except Exception as exc:  # raised again by the owner, which lacks this stack
+                exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                reply = exc
             if isinstance(reply, SolveResult):
                 maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
                 reply.stats["worker"] = {"pid": os.getpid(), "maxrss_mb": maxrss_mb,
-                                         "import_s": import_s}
+                                         "import_s": 0.0, **reply.stats.get("worker", {})}
             conn.send(reply)
     except (EOFError, OSError):
         return  # the owner is gone

@@ -41,6 +41,15 @@ runs for each request, and decodes and validates the answer there, so the
 host pays the import once. Importing this module imports numpy, so callers
 that must stay lean import it only where they solve.
 
+HiGHS's thread scheduler is global to a process. A run asking for another
+thread count than the running scheduler's fails ("Not Set"), and a forked
+child inherits its parent's scheduler without the worker threads, where
+even the same count may wait forever on a dead worker. This module is the
+only one that knows: ``_run_highs`` resets the scheduler before each run,
+and a hook it registers at import resets it in every child forked after,
+before any thread there starts (a child that started a thread first could
+not reset it). A caller never resets it.
+
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
 MPS file, solves its arrays with ``solve_model``, and writes ``name value``
@@ -55,6 +64,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -116,6 +126,19 @@ def _load_binding():
 
 
 _core = _load_binding()
+
+
+def _drop_inherited_scheduler() -> None:
+    """Drop the scheduler a forked child inherits. It neither raises nor
+    prints, since a child may share its parent's stderr: a binding without
+    the reset leaves it to the next run's, which reports the attribute."""
+    try:
+        _core._Highs.resetGlobalScheduler(True)
+    except Exception:
+        pass
+
+
+os.register_at_fork(after_in_child=_drop_inherited_scheduler)
 
 
 class Infeasible(Exception):
@@ -418,10 +441,11 @@ def solve_model(arrays: ModelArrays, time_limit: float | None = None,
 
 def _run_highs(reduced: Reduced, time_limit: float | None, start: np.ndarray | None,
                offset: float, info: dict) -> list[float] | None:
-    """Solve the reduced model with a fresh ``_Highs``, from ``start`` if it
-    is not None; fills ``info``'s version, start_objective, status, message,
-    objective and MIP fields, and returns the values of an optimum (None
-    otherwise)."""
+    """Solve the reduced model with a fresh ``_Highs`` and a fresh thread
+    scheduler, from ``start`` if it is not None; fills ``info``'s version,
+    start_objective, status, message, objective and MIP fields, and returns
+    the values of an optimum (None otherwise)."""
+    _core._Highs.resetGlobalScheduler(True)  # whatever count the last run in this process used
     highs = _core._Highs()
     info["version"] = highs.version()
     # One thread: on reduced models of a few thousand rows at most, a second
@@ -473,19 +497,6 @@ def _run_highs(reduced: Reduced, time_limit: float | None, start: np.ndarray | N
         info.update(mip_node_count=int(result.mip_node_count), mip_gap=float(result.mip_gap),
                     mip_dual_bound=result.mip_dual_bound + offset)
     return highs.getSolution().col_value
-
-
-def reset_scheduler() -> None:
-    """Drop HiGHS's thread scheduler, so that the next solve starts one with
-    its own thread count.
-
-    The scheduler is global to a process, and a solve with another thread
-    count than the running scheduler's fails (HiGHS's default count is half
-    the CPUs). A forked child inherits its parent's without the worker
-    threads, where even the same count may wait forever on a dead worker.
-    The call is the binding's ``Highs::resetGlobalScheduler``.
-    """
-    _core._Highs.resetGlobalScheduler(True)
 
 
 def solve_mps_file(mps_path: str | Path, sol_path: str | Path) -> int:

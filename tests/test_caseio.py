@@ -58,8 +58,9 @@ def test_importance_defaults_to_degree(minimal_two_bus_doc):
     assert {b.id: b.importance for b in case.buses} == {"b1": 1.0, "b2": 1.0}
     doc = doc_variant(minimal_two_bus_doc, **{"buses.0.importance": 7})
     mixed = load_case(doc)
-    assert mixed.bus("b1").importance == 7.0
-    assert mixed.bus("b2").importance == 1.0  # still defaulted
+    importance = {b.id: b.importance for b in mixed.buses}
+    assert importance["b1"] == 7.0
+    assert importance["b2"] == 1.0  # still defaulted
 
 
 def test_non_multiple_minutes_is_load_error(minimal_two_bus_doc):

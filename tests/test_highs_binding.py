@@ -15,7 +15,8 @@ from blackstart.solvers import external, highs_cli
 from test_solver_host import clean_env, python_script
 
 core = highs_cli._core
-# (owner, attribute) for everything solve_model and reset_scheduler use
+# (owner, attribute) for everything solve_model uses; the reset it runs first,
+# ``resetGlobalScheduler``, is also the one use of highs_cli's hook at fork
 USES = [
     *((core, name) for name in ("_Highs", "HighsLp", "HighsSolution", "HighsStatus",
                                 "HighsModelStatus", "MatrixFormat", "HighsVarType")),
@@ -37,7 +38,6 @@ USES = [
     (core.HighsVarType, "kContinuous"),
     (core.HighsVarType, "kInteger"),
 ]
-SOLVE_USES = [use for use in USES if use[1] != "resetGlobalScheduler"]
 
 
 def use_id(use):
@@ -70,7 +70,7 @@ def test_the_toy_solve_reaches_every_use(toy_with_start):
     assert info["start_objective"] is not None and info["mip_node_count"] is not None
 
 
-@pytest.mark.parametrize("use", SOLVE_USES, ids=use_id)
+@pytest.mark.parametrize("use", USES, ids=use_id)
 def test_a_missing_attribute_makes_the_solve_an_error(use, toy_with_start, monkeypatch):
     owner, name = use
     monkeypatch.delattr(owner, name)

@@ -178,6 +178,10 @@ class StubHighs:
     options: dict = {}
     starts: list = []
 
+    @staticmethod
+    def resetGlobalScheduler(blocking):
+        pass
+
     def version(self):
         return "stub"
 

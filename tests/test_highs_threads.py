@@ -1,8 +1,9 @@
 """HiGHS threads: every solve, on a solver host or in ``blackstart-solve-mps``,
-runs HiGHS on one thread, and a host resets the thread scheduler it inherits
-from its owner, which may have run HiGHS with another count, before its
-first solve. The owner's solves here take one or two threads; no test starts
-more."""
+runs HiGHS on one thread, and ``highs_cli`` resets HiGHS's process-global
+thread scheduler before each run and in every child forked after it is
+imported, so that neither an earlier run on another count in the same
+process nor one in a forked child's parent makes a solve fail. The
+in-process solves here take one or two threads; no test starts more."""
 
 import json
 import os
@@ -20,27 +21,40 @@ from conftest import SRC
 from test_solver_host import clean_env, python_script
 
 IEEE39 = ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"]
-# A script's owner solves bt50 in-process on ``owner_threads`` threads through
-# the binding, so that HiGHS's global scheduler runs that many when a host is
-# forked after it: two is another count than the host's, one the same count.
-OWNER_SOLVES_IN_PROCESS = (
-    "import os, tempfile\n"
-    "from blackstart import load_case, solve_external\n"
-    "from blackstart.cases import bundled_case_path\n"
-    "from blackstart.milp import encode\n"
-    "from blackstart.mps import write_mps\n"
-    "from blackstart.solvers import highs_cli\n"
-    "case = load_case(bundled_case_path('ieee39_bt50'))\n"
-    "with tempfile.TemporaryDirectory() as tmp:\n"
-    "    path = os.path.join(tmp, 'bt50.mps')\n"
-    "    write_mps(encode(case), path)\n"
-    "    highs = highs_cli._core._Highs()\n"
-    "    highs.setOptionValue('log_to_console', False)\n"
-    "    highs.setOptionValue('threads', owner_threads)\n"
-    "    highs.readModel(path)\n"
-    "    highs.run()\n"
-    "assert highs.getModelStatus() == highs_cli._core.HighsModelStatus.kOptimal\n"
-)
+
+
+def solve_in_process(name, threads):
+    """Script lines that load bundled case ``name`` as ``case`` and solve it
+    in process on ``threads`` threads through the binding, so that HiGHS's
+    global scheduler runs that many afterwards: two is another count than
+    ``solve_model``'s, one the same count."""
+    return (
+        "import os, tempfile\n"
+        "from blackstart import load_case, solve_external\n"
+        "from blackstart.cases import bundled_case_path\n"
+        "from blackstart.milp import encode\n"
+        "from blackstart.mps import write_mps\n"
+        "from blackstart.solvers import highs_cli\n"
+        f"case = load_case(bundled_case_path({name!r}))\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = os.path.join(tmp, 'case.mps')\n"
+        "    write_mps(encode(case), path)\n"
+        "    highs = highs_cli._core._Highs()\n"
+        "    highs.setOptionValue('log_to_console', False)\n"
+        f"    highs.setOptionValue('threads', {threads})\n"
+        "    highs.readModel(path)\n"
+        "    highs.run()\n"
+        "assert highs.getModelStatus() == highs_cli._core.HighsModelStatus.kOptimal\n"
+    )
+
+
+def run_script(body, env=None):
+    """Run ``body`` in a fresh interpreter, so that no HiGHS threads stay in
+    this one; returns its stdout's words, after checking it exited 0."""
+    proc = subprocess.run(python_script(body), env=env or clean_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.fixture()
@@ -89,62 +103,73 @@ def test_sweep_hosts_run_highs_on_one_thread(toy_cases, highs_runs, fresh_solver
     assert sorted(highs_runs()) == sorted((row.stats["worker"]["pid"], 1) for row in result.rows)
 
 
+def test_solve_model_is_optimal_after_a_two_thread_run_in_the_same_process():
+    # without the reset before each run, this solve asks a scheduler that
+    # runs two threads for one, and fails ("Not Set")
+    words = run_script(
+        solve_in_process("toy_fc", 2)
+        + "status, _, info = highs_cli.solve_model(encode(case).arrays(), time_limit=30)\n"
+          "print(status, info['message'])\n"
+    )
+    assert words[:1] == ["optimal"], words
+
+
+def test_a_plain_fork_that_starts_a_thread_solves_after_a_two_thread_run():
+    # the child inherits a two-thread scheduler without its threads, and
+    # starts a thread of its own before it solves: only the reset at fork,
+    # before that thread, makes the solve work. A child still alive after
+    # 60 s is killed, so that none outlives the test.
+    words = run_script(
+        solve_in_process("toy_fc", 2)
+        + "import threading, time\n"
+          "pid = os.fork()\n"
+          "if pid == 0:\n"
+          "    threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+          "    status, _, _ = highs_cli.solve_model(encode(case).arrays(), time_limit=30)\n"
+          "    os.write(1, f'{status}\\n'.encode())\n"
+          "    os._exit(0)\n"
+          "deadline = time.monotonic() + 60\n"
+          "while os.waitpid(pid, os.WNOHANG) == (0, 0):\n"
+          "    if time.monotonic() > deadline:\n"
+          "        os.kill(pid, 9)\n"
+          "        print('timeout')\n"
+          "        break\n"
+          "    time.sleep(0.05)\n"
+    )
+    assert words == ["optimal"], words
+
+
 @pytest.mark.parametrize("owner_threads", [1, 2])
 def test_a_host_forked_after_an_in_process_highs_solve_is_optimal(owner_threads):
-    # HiGHS's thread scheduler is global to a process and a forked host
-    # inherits it; without the host's reset this solve fails with "Not Set"
-    # (thread counts differ) or waits on a worker thread the fork left behind
-    # (counts equal). In a fresh interpreter, so that no HiGHS threads stay
-    # in this one; a host that waits is killed at the solve's timeout.
-    script = python_script(
-        f"owner_threads = {owner_threads}\n"
-        + OWNER_SOLVES_IN_PROCESS
+    # a forked host inherits its owner's scheduler; without the reset at
+    # fork this solve fails with "Not Set" (thread counts differ) or waits on
+    # a worker thread the fork left behind (counts equal), since the host's
+    # watchdog thread starts before its first run; a host that waits is
+    # killed at the solve's timeout
+    words = run_script(
+        solve_in_process("ieee39_bt50", owner_threads)
         + "result = solve_external(case, timeout_s=30)\n"
           "print(result.status, result.message)\n"
     )
-    proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
+    assert words[:1] == ["optimal"], words
 
 
 @pytest.mark.parametrize("owner_threads", [1, 2])
 def test_a_host_that_ran_a_command_first_after_an_in_process_highs_solve_is_optimal(
         owner_threads):
     # The same, where the host's first request is a solver command's, which
-    # needs no HiGHS: the host still drops the inherited scheduler before it
-    # starts its owner watchdog thread.
-    script = python_script(
-        f"owner_threads = {owner_threads}\n"
-        + OWNER_SOLVES_IN_PROCESS
+    # needs no HiGHS: the reset at fork came first all the same.
+    words = run_script(
+        solve_in_process("ieee39_bt50", owner_threads)
         + "command = f'{sys.executable} -m blackstart.solvers.highs_cli {{mps}} {{sol}}'\n"
           "first = solve_external(case, command=command, timeout_s=30)\n"
           "assert first.status == 'optimal', first.message\n"
           "result = solve_external(case, timeout_s=30)\n"
           "assert result.stats['worker']['pid'] == first.stats['worker']['pid']\n"
-          "print(result.status, result.message)\n"
+          "print(result.status, result.message)\n",
+        env={**clean_env(), "PYTHONPATH": str(SRC)},  # for the solver command
     )
-    env = {**clean_env(), "PYTHONPATH": str(SRC)}  # for the solver command
-    proc = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[:1] == ["optimal"], proc.stdout
-
-
-def test_a_host_resets_the_scheduler_once(toy_cases, monkeypatch, tmp_path, fresh_solver_host):
-    # three solves on one host: the reset before the first HiGHS solve only
-    log = tmp_path / "resets"
-    reset = highs_cli.reset_scheduler
-
-    def recording_reset():
-        with open(log, "a") as out:
-            out.write(f"{os.getpid()}\n")
-        reset()
-
-    monkeypatch.setattr(highs_cli, "reset_scheduler", recording_reset)
-    results = [external.solve_external(toy_cases[name]) for name in ("toy_fc", "toy_t5", "toy_fc")]
-    assert all(result.ok for result in results), [result.message for result in results]
-    pids = {result.stats["worker"]["pid"] for result in results}
-    assert len(pids) == 1
-    assert log.read_text().split() == [str(pid) for pid in pids]
+    assert words[:1] == ["optimal"], words
 
 
 def test_the_hosts_solution_equals_the_one_thread_solution():

@@ -59,12 +59,33 @@ def test_solves_in_a_row_share_one_host(toy_cases):
     assert second.stats["worker"]["maxrss_mb"] > 0
 
 
-def test_only_a_new_hosts_first_solve_reports_its_import(toy_cases, fresh_solver_host):
-    first = solve_external(toy_cases["toy_t5"])
-    second = solve_external(toy_cases["toy_t5"])
-    assert first.ok and second.ok and host_pid(first) == host_pid(second)
-    assert first.stats["worker"]["import_s"] > 0
-    assert second.stats["worker"]["import_s"] == 0.0
+def import_seconds(owner_loads_highs):
+    """``import_s`` of two solves in a row on the host of a fresh interpreter,
+    whose owner loads ``highs_cli`` before the fork if ``owner_loads_highs``
+    (this one has loaded it)."""
+    script = python_script(
+        "from blackstart import load_case, solve_external\n"
+        "from blackstart.cases import bundled_case_path\n"
+        + ("from blackstart.solvers import highs_cli\n" if owner_loads_highs else "")
+        + "case = load_case(bundled_case_path('toy_t5'))\n"
+          "first, second = solve_external(case), solve_external(case)\n"
+          "assert first.ok and second.ok, (first.message, second.message)\n"
+          "assert first.stats['worker']['pid'] == second.stats['worker']['pid']\n"
+          "print(first.stats['worker']['import_s'], second.stats['worker']['import_s'])\n"
+    )
+    proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [float(seconds) for seconds in proc.stdout.split()]
+
+
+def test_only_a_new_hosts_first_solve_reports_its_import():
+    first, second = import_seconds(owner_loads_highs=False)
+    assert first > 0
+    assert second == 0.0
+
+
+def test_a_host_whose_owner_loaded_highs_reports_no_import():
+    assert import_seconds(owner_loads_highs=True) == [0.0, 0.0]
 
 
 def test_the_owner_times_the_solve(toy_cases, monkeypatch, fresh_solver_host):
