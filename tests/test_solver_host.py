@@ -88,6 +88,21 @@ def test_a_host_whose_owner_loaded_highs_reports_no_import():
     assert import_seconds(owner_loads_highs=True) == [0.0, 0.0]
 
 
+def test_a_host_that_cannot_load_highs_makes_the_solve_an_error():
+    # numpy, which highs_cli imports, is blocked in the owner, which never
+    # imports it, and so in the host forked from it
+    script = python_script(
+        "sys.modules['numpy'] = None\n"
+        "from blackstart import load_case, solve_external\n"
+        "from blackstart.cases import bundled_case_path\n"
+        "result = solve_external(load_case(bundled_case_path('toy_t5')))\n"
+        "print(result.status, result.message)\n"
+    )
+    proc = subprocess.run(script, env=clean_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("error solver host could not load HiGHS: ModuleNotFoundError"), proc.stdout
+
+
 def test_the_owner_times_the_solve(toy_cases, monkeypatch, fresh_solver_host):
     """``wall_time_s`` runs from the request to the reply, so it includes
     what the host does around the pipeline: the transport, and a new host's
