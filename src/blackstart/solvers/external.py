@@ -32,9 +32,8 @@ and ``solve_on_hosts`` (a sweep) spreads its cases over the first
   when its owner exits. If its owner dies, an idle host reads EOF, and a
   busy one is killed by its own thread, which checks every
   ``OWNER_CHECK_S`` that its parent is the owner (HiGHS releases the GIL).
-- HiGHS runs one thread. Its process-global thread scheduler, which a
-  forked host inherits, is ``highs_cli``'s alone: it resets it in every
-  child forked after it is imported, and before each run.
+- HiGHS runs one thread (``highs_cli``), on a scheduler reset at the fork
+  (``highs_threads``).
 
 A configured command is a template containing ``{mps}`` and ``{sol}``
 placeholders; it gets the model as an MPS file, unreduced and with no
@@ -69,6 +68,7 @@ from ..model import ModelArrays
 from ..mps import write_mps
 from ..schedule import Schedule
 from ..validate import validate
+from . import highs_threads  # registers the scheduler's reset at fork
 from .enumeration import (DEFAULT_COMBINATION_CAP, greedy_schedule, self_start_closure,
                           solve_enumeration)
 from .result import ERROR, INFEASIBLE, INFEASIBLE_SENTINEL, OPTIMAL, SolveResult
@@ -154,12 +154,15 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
     encode, solve (HiGHS from the heuristic start, or the solver command),
     decode and validate; ``conn`` is the host's end of its owner's pipe.
 
-    The HiGHS path imports ``highs_cli`` first, outside every stage, and
-    records the seconds that took as ``stats["worker"]["import_s"]``."""
+    ``stats["worker"]["import_s"]`` is the seconds spent importing
+    ``highs_cli``, which the HiGHS path does outside every stage."""
+    worker = {"import_s": 0.0}
     if backend == "enum":
-        return solve_enumeration(case, cap=enum_cap)
+        result = solve_enumeration(case, cap=enum_cap)
+        result.stats["worker"] = worker
+        return result
     stages: dict[str, float] = {}
-    stats: dict = {"stages": stages}  # ``wall_time_s`` is the owner's (``solve_on_hosts``)
+    stats: dict = {"stages": stages, "worker": worker}  # ``wall_time_s`` is the owner's
 
     def finish(status: str, **fields) -> SolveResult:
         return SolveResult(status=status, stats=stats, **fields)
@@ -170,18 +173,18 @@ def _solve_here(conn, case: GridCase, backend: str, command: str | None, enum_ca
     template = resolve_solver_command(command)
     try:
         if template is None:
-            loaded = f"{__package__}.highs_cli" in sys.modules
-            started = time.perf_counter()
-            try:
-                from . import highs_cli
-            except Exception as exc:
-                raise _SolverFailed("solver host could not load HiGHS: "
-                                    f"{type(exc).__name__}: {exc}") from exc
-            stats["worker"] = {"import_s": 0.0 if loaded else time.perf_counter() - started}
+            if f"{__package__}.highs_cli" not in sys.modules:
+                started = time.perf_counter()
+                try:
+                    from . import highs_cli
+                except Exception as exc:
+                    raise _SolverFailed("solver host could not load HiGHS: "
+                                        f"{type(exc).__name__}: {exc}") from exc
+                worker["import_s"] = time.perf_counter() - started
             with _stage(stages, "start"):
                 start = _start(model, case)
             with _stage(stages, "solver"):
-                x = _solve_with_highs(conn, highs_cli, model, case, start, timeout_s, stats)
+                x = _solve_with_highs(conn, model, case, start, timeout_s, stats)
         else:
             x = _solve_with_command(model, template, timeout_s, stats)
     except _SolverFailed as exc:
@@ -248,8 +251,8 @@ class _SolverFailed(Exception):
     """The solver gave no usable answer; the message says why."""
 
 
-def _solve_with_highs(conn, highs_cli, model: MilpModel, case: GridCase,
-                      start: array | None, timeout_s: float, stats: dict) -> array | None:
+def _solve_with_highs(conn, model: MilpModel, case: GridCase, start: array | None,
+                      timeout_s: float, stats: dict) -> array | None:
     """``highs_cli.solve_model`` on the arrays with ``_force_on``'s fixing:
     the point, or None for a proven-infeasible model.
 
@@ -257,6 +260,8 @@ def _solve_with_highs(conn, highs_cli, model: MilpModel, case: GridCase,
     by the seconds the owner gives it before killing this host and by
     ``None``, its end (``solve_on_hosts``).
     """
+    from . import highs_cli
+
     arrays = model.arrays()
     forced_on = _force_on(model, case, arrays)
     conn.send(float(timeout_s + WORKER_GRACE_S))
@@ -480,8 +485,7 @@ def _serve(conn, owner_end, owner: int) -> None:
                 reply = exc
             if isinstance(reply, SolveResult):
                 maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-                reply.stats["worker"] = {"pid": os.getpid(), "maxrss_mb": maxrss_mb,
-                                         "import_s": 0.0, **reply.stats.get("worker", {})}
+                reply.stats["worker"].update(pid=os.getpid(), maxrss_mb=maxrss_mb)
             conn.send(reply)
     except (EOFError, OSError):
         return  # the owner is gone

@@ -41,14 +41,8 @@ runs for each request, and decodes and validates the answer there, so the
 host pays the import once. Importing this module imports numpy, so callers
 that must stay lean import it only where they solve.
 
-HiGHS's thread scheduler is global to a process. A run asking for another
-thread count than the running scheduler's fails ("Not Set"), and a forked
-child inherits its parent's scheduler without the worker threads, where
-even the same count may wait forever on a dead worker. This module is the
-only one that knows: ``_run_highs`` resets the scheduler before each run,
-and a hook it registers at import resets it in every child forked after,
-before any thread there starts (a child that started a thread first could
-not reset it). A caller never resets it.
+HiGHS's thread scheduler is global to a process: ``_run_highs`` resets it
+before each run, and ``highs_threads`` resets it in every forked child.
 
 As a command (``blackstart-solve-mps MODEL.mps OUT.sol``, or
 ``python -m blackstart.solvers.highs_cli MODEL.mps OUT.sol``) it reads an
@@ -64,7 +58,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import os
 import sys
 import time
 from collections.abc import Sequence
@@ -76,9 +69,9 @@ import numpy as np
 from ..milp import INTEGRALITY_TOL
 from ..model import ModelArrays
 from ..mps import MpsParseError, read_mps
+from .highs_threads import BINDING, reset
 from .result import ERROR, INFEASIBLE, INFEASIBLE_SENTINEL, OPTIMAL
 
-BINDING = "scipy.optimize._highspy._core"
 # ``info["status"]`` keeps scipy.optimize.milp's codes for HiGHS's model
 # status: 0 optimal, 1 a time or iteration limit, 2 infeasible, 3
 # unbounded, 4 anything else.
@@ -126,19 +119,6 @@ def _load_binding():
 
 
 _core = _load_binding()
-
-
-def _drop_inherited_scheduler() -> None:
-    """Drop the scheduler a forked child inherits. It neither raises nor
-    prints, since a child may share its parent's stderr: a binding without
-    the reset leaves it to the next run's, which reports the attribute."""
-    try:
-        _core._Highs.resetGlobalScheduler(True)
-    except Exception:
-        pass
-
-
-os.register_at_fork(after_in_child=_drop_inherited_scheduler)
 
 
 class Infeasible(Exception):
@@ -445,7 +425,7 @@ def _run_highs(reduced: Reduced, time_limit: float | None, start: np.ndarray | N
     scheduler, from ``start`` if it is not None; fills ``info``'s version,
     start_objective, status, message, objective and MIP fields, and returns
     the values of an optimum (None otherwise)."""
-    _core._Highs.resetGlobalScheduler(True)  # whatever count the last run in this process used
+    reset(_core)  # whatever count the last run in this process used
     highs = _core._Highs()
     info["version"] = highs.version()
     # One thread: on reduced models of a few thousand rows at most, a second

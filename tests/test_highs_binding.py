@@ -16,7 +16,7 @@ from test_solver_host import clean_env, python_script
 
 core = highs_cli._core
 # (owner, attribute) for everything solve_model uses; the reset it runs first,
-# ``resetGlobalScheduler``, is also the one use of highs_cli's hook at fork
+# ``resetGlobalScheduler``, is also the one use of highs_threads's hook at fork
 USES = [
     *((core, name) for name in ("_Highs", "HighsLp", "HighsSolution", "HighsStatus",
                                 "HighsModelStatus", "MatrixFormat", "HighsVarType")),

@@ -1,9 +1,10 @@
 """HiGHS threads: every solve, on a solver host or in ``blackstart-solve-mps``,
-runs HiGHS on one thread, and ``highs_cli`` resets HiGHS's process-global
-thread scheduler before each run and in every child forked after it is
-imported, so that neither an earlier run on another count in the same
-process nor one in a forked child's parent makes a solve fail. The
-in-process solves here take one or two threads; no test starts more."""
+runs HiGHS on one thread, and HiGHS's process-global thread scheduler is
+reset before each run and in every forked child (``highs_threads``), so
+that neither an earlier run on another count in the same process nor one
+in a forked child's parent makes a solve fail, whichever module loaded the
+binding there. The in-process solves here take one or two threads; no test
+starts more."""
 
 import json
 import os
@@ -23,10 +24,11 @@ from test_solver_host import clean_env, python_script
 IEEE39 = ["ieee39_nores", "ieee39_fc50", "ieee39_bt50", "ieee39_bt30"]
 
 
-def solve_in_process(name, threads):
+def solve_in_process(name, threads, binding="blackstart.solvers.highs_cli"):
     """Script lines that load bundled case ``name`` as ``case`` and solve it
-    in process on ``threads`` threads through the binding, so that HiGHS's
-    global scheduler runs that many afterwards: two is another count than
+    in process on ``threads`` threads through the ``_core`` of ``binding``
+    (``highs_cli``'s, or scipy's own package), so that HiGHS's global
+    scheduler runs that many afterwards: two is another count than
     ``solve_model``'s, one the same count."""
     return (
         "import os, tempfile\n"
@@ -34,17 +36,17 @@ def solve_in_process(name, threads):
         "from blackstart.cases import bundled_case_path\n"
         "from blackstart.milp import encode\n"
         "from blackstart.mps import write_mps\n"
-        "from blackstart.solvers import highs_cli\n"
+        f"from {binding} import _core\n"
         f"case = load_case(bundled_case_path({name!r}))\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
         "    path = os.path.join(tmp, 'case.mps')\n"
         "    write_mps(encode(case), path)\n"
-        "    highs = highs_cli._core._Highs()\n"
+        "    highs = _core._Highs()\n"
         "    highs.setOptionValue('log_to_console', False)\n"
         f"    highs.setOptionValue('threads', {threads})\n"
         "    highs.readModel(path)\n"
         "    highs.run()\n"
-        "assert highs.getModelStatus() == highs_cli._core.HighsModelStatus.kOptimal\n"
+        "assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal\n"
     )
 
 
@@ -108,7 +110,8 @@ def test_solve_model_is_optimal_after_a_two_thread_run_in_the_same_process():
     # runs two threads for one, and fails ("Not Set")
     words = run_script(
         solve_in_process("toy_fc", 2)
-        + "status, _, info = highs_cli.solve_model(encode(case).arrays(), time_limit=30)\n"
+        + "from blackstart.solvers.highs_cli import solve_model\n"
+          "status, _, info = solve_model(encode(case).arrays(), time_limit=30)\n"
           "print(status, info['message'])\n"
     )
     assert words[:1] == ["optimal"], words
@@ -122,10 +125,11 @@ def test_a_plain_fork_that_starts_a_thread_solves_after_a_two_thread_run():
     words = run_script(
         solve_in_process("toy_fc", 2)
         + "import threading, time\n"
+          "from blackstart.solvers.highs_cli import solve_model\n"
           "pid = os.fork()\n"
           "if pid == 0:\n"
           "    threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
-          "    status, _, _ = highs_cli.solve_model(encode(case).arrays(), time_limit=30)\n"
+          "    status, _, _ = solve_model(encode(case).arrays(), time_limit=30)\n"
           "    os.write(1, f'{status}\\n'.encode())\n"
           "    os._exit(0)\n"
           "deadline = time.monotonic() + 60\n"
@@ -139,19 +143,25 @@ def test_a_plain_fork_that_starts_a_thread_solves_after_a_two_thread_run():
     assert words == ["optimal"], words
 
 
-@pytest.mark.parametrize("owner_threads", [1, 2])
-def test_a_host_forked_after_an_in_process_highs_solve_is_optimal(owner_threads):
+@pytest.mark.parametrize("owner_threads, binding", [
+    (1, "blackstart.solvers.highs_cli"), (2, "blackstart.solvers.highs_cli"),
+    (2, "scipy.optimize._highspy")], ids=["1", "2", "scipy-2"])
+def test_a_host_forked_after_an_in_process_highs_solve_is_optimal(owner_threads, binding):
     # a forked host inherits its owner's scheduler; without the reset at
     # fork this solve fails with "Not Set" (thread counts differ) or waits on
     # a worker thread the fork left behind (counts equal), since the host's
     # watchdog thread starts before its first run; a host that waits is
-    # killed at the solve's timeout
+    # killed at the solve's timeout. An owner that loads the binding through
+    # scipy.optimize never imports highs_cli: the hook is registered all the
+    # same, and without it every HiGHS solve on the host fails ("Invalid
+    # argument").
     words = run_script(
-        solve_in_process("ieee39_bt50", owner_threads)
-        + "result = solve_external(case, timeout_s=30)\n"
+        solve_in_process("ieee39_bt50", owner_threads, binding)
+        + "print('blackstart.solvers.highs_cli' in sys.modules)\n"
+          "result = solve_external(case, timeout_s=30)\n"
           "print(result.status, result.message)\n"
     )
-    assert words[:1] == ["optimal"], words
+    assert words[:2] == [str(binding.endswith("highs_cli")), "optimal"], words
 
 
 @pytest.mark.parametrize("owner_threads", [1, 2])
